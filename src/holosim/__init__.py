@@ -2,7 +2,7 @@
 
 Library layout:
 
-* linalg    -- dense Hermitian eigenproblems, polar unitarization, angles
+* linalg    -- dense Hermitian eigenproblems, batched link variables, angles
 * models    -- qubit and four-level dark-state Hamiltonians, parameter paths
 * abelian   -- scalar phases: cyclic invariants, transport, connection,
                curvature, solid-angle oracle

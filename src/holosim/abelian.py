@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERACY_TOL, eigh_batch, gauge_fix, wrap_angle
+from .linalg import (
+    check_links,
+    closed_gap,
+    eigh_batch,
+    gauge_fix,
+    link_overlaps,
+    wrap_angle,
+)
 from .models import HamiltonianModel, ParameterPath
 
 OVERLAP_TOL = 1e-8
@@ -26,11 +33,12 @@ ANTIPODAL_TOL = 1e-12
 class OverlapTooSmallError(ValueError):
     """A consecutive pair of chain states is (numerically) orthogonal."""
 
-    def __init__(self, index: int, overlap: float):
+    def __init__(self, index: int, overlap: float, successor: int | None = None):
         self.index = index
         self.overlap = overlap
+        successor = index + 1 if successor is None else successor
         super().__init__(
-            f"consecutive states ({index}, {index + 1}) have |overlap| = "
+            f"consecutive states ({index}, {successor}) have |overlap| = "
             f"{overlap:.3e} <= {OVERLAP_TOL:.1e}; the phase is undefined there"
         )
 
@@ -83,14 +91,10 @@ class CurvatureSample:
     loop_phase: float
 
 
-def _link_overlaps(states: np.ndarray, cyclic: bool) -> np.ndarray:
-    nxt = np.roll(states, -1, axis=0) if cyclic else states[1:]
-    cur = states if cyclic else states[:-1]
-    overlaps = np.einsum("ki,ki->k", np.conjugate(cur), nxt)
-    mags = np.abs(overlaps)
-    bad = np.nonzero(mags <= OVERLAP_TOL)[0]
-    if len(bad):
-        raise OverlapTooSmallError(int(bad[0]), float(mags[bad[0]]))
+def _overlaps(states: np.ndarray, closed: bool) -> np.ndarray:
+    """Consecutive overlaps <psi_k|psi_{k+1}> of a state stack, checked."""
+    overlaps = link_overlaps(states[..., None], closed)[..., 0, 0]
+    check_links(np.abs(overlaps), OVERLAP_TOL, OverlapTooSmallError)
     return overlaps
 
 
@@ -104,7 +108,7 @@ def pancharatnam_phase(chain: StateChain) -> float:
     """
     if len(chain) < 3:
         raise ValueError(f"need at least 3 states, got {len(chain)}")
-    overlaps = _link_overlaps(chain.states, cyclic=True)
+    overlaps = _overlaps(chain.states, closed=True)
     return float(np.angle(np.prod(overlaps)))
 
 
@@ -119,7 +123,7 @@ def discrete_geometric_phase(chain: StateChain) -> GeometricPhaseResult:
         raise ValueError("discrete geometric phase requires a closed chain")
     if len(chain) < 3:
         raise ValueError(f"need at least 3 states, got {len(chain)}")
-    overlaps = _link_overlaps(chain.states, cyclic=True)
+    overlaps = _overlaps(chain.states, closed=True)
     phase = float(np.angle(np.prod(overlaps)))
     return GeometricPhaseResult(
         phase=phase,
@@ -136,7 +140,7 @@ def parallel_transport(chain: StateChain) -> StateChain:
     arg <out[-1]|out[0]> equals discrete_geometric_phase of the input.
     """
     states = chain.states
-    overlaps = _link_overlaps(states, cyclic=False)
+    overlaps = _overlaps(states, closed=False)
     # cumulative phase to undo: out_k = in_k * exp(-i sum_{j<k} arg w_j)
     args = np.angle(overlaps)
     cum = np.concatenate([[0.0], np.cumsum(args)])
@@ -153,39 +157,22 @@ def band_state_chain(
     state carries the deterministic gauge of linalg.gauge_fix. The band
     must stay gapped along the whole path.
     """
-    lams = path.sample(n_samples)
-    hs = model.evaluate_batch(lams)
-    w, v = eigh_batch(hs)
-    _require_gapped(w, band, path.sample_s(n_samples))
-    states = v[:, :, band]
-    states = np.array([gauge_fix(state) for state in states])
-    return StateChain(states, closed=path.closed)
+    states = _band_states(model, path.sample(n_samples), band, path.sample_s(n_samples))
+    return StateChain(gauge_fix(states), closed=path.closed)
 
 
-def _require_gapped(w: np.ndarray, band: int, s_values: np.ndarray | None = None):
-    scale = max(1.0, float(np.max(np.abs(w))))
-    gaps = []
-    if band > 0:
-        gaps.append(w[:, band] - w[:, band - 1])
-    if band < w.shape[1] - 1:
-        gaps.append(w[:, band + 1] - w[:, band])
-    if not gaps:
-        return
-    gap = np.min(np.stack(gaps), axis=0)
-    k = int(np.argmin(gap))
-    if gap[k] <= DEGENERACY_TOL * scale:
+def _band_states(model: HamiltonianModel, lams, band: int, s_values=None) -> np.ndarray:
+    """Eigenstates of one band at each point of lams; the band must stay gapped."""
+    w, v = eigh_batch(model.evaluate_batch(lams))
+    closure = closed_gap(w, band, band + 1)
+    if closure is not None:
+        k, gap = closure
         where = f" at s = {s_values[k]:.6f}" if s_values is not None else ""
         raise DegenerateBandError(
-            f"band {band} degenerate{where} (gap = {gap[k]:.3e}); treat the "
+            f"band {band} degenerate{where} (gap = {gap:.3e}); treat the "
             "cluster as a frame with holonomy.eigenframe_path/wilson_line"
         )
-
-
-def _band_state_at(model: HamiltonianModel, lam: np.ndarray, band: int) -> np.ndarray:
-    h = model.evaluate_batch(lam[None])
-    w, v = eigh_batch(h)
-    _require_gapped(w, band)
-    return gauge_fix(v[0, :, band])
+    return v[:, :, band]
 
 
 def berry_connection_fd(
@@ -207,9 +194,8 @@ def berry_connection_fd(
     lam = np.asarray(lam, dtype=float).ravel()
     step = np.zeros_like(lam)
     step[direction] = h
-    psi0 = _band_state_at(model, lam, band)
-    psi_plus = _band_state_at(model, lam + step, band)
-    psi_minus = _band_state_at(model, lam - step, band)
+    points = np.stack([lam, lam + step, lam - step])
+    psi0, psi_plus, psi_minus = gauge_fix(_band_states(model, points, band))
     derivative = (psi_plus - psi_minus) / (2.0 * h)
     return float(np.real(1j * np.vdot(psi0, derivative)))
 
@@ -237,11 +223,7 @@ def berry_curvature_plaquette(
     ei[i] = a
     ej[j] = a
     corners = np.stack([lam, lam + ei, lam + ei + ej, lam + ej])
-    hs = model.evaluate_batch(corners)
-    w, v = eigh_batch(hs)
-    _require_gapped(w, band)
-    states = v[:, :, band]
-    overlaps = _link_overlaps(states, cyclic=True)
+    overlaps = _overlaps(_band_states(model, corners, band), closed=True)
     loop_phase = float(np.angle(np.prod(overlaps)))
     return CurvatureSample(
         point=lam,
@@ -274,38 +256,23 @@ def plaquette_flux_and_boundary(
     ii, jj = np.meshgrid(np.arange(ni + 1), np.arange(nj + 1), indexing="ij")
     grid[..., i] += ii * (li / ni)
     grid[..., j] += jj * (lj / nj)
-    flat = grid.reshape(-1, len(origin))
-    hs = model.evaluate_batch(flat)
-    w, v = eigh_batch(hs)
-    _require_gapped(w, band)
-    states = v[:, :, band].reshape(ni + 1, nj + 1, -1)
+    states = _band_states(model, grid.reshape(-1, len(origin)), band)
+    states = states.reshape(ni + 1, nj + 1, -1, 1)
+    # u_i[p, q] = <p, q|p + 1, q> and u_j[p, q] = <p, q|p, q + 1>
+    u_i = link_overlaps(states, closed=False)[..., 0, 0]
+    u_j = link_overlaps(states.swapaxes(0, 1), closed=False)[..., 0, 0].T
+    for links, step in ((u_i, nj + 1), (u_j, 1)):
+        bad = np.argwhere(np.abs(links) <= OVERLAP_TOL)
+        if len(bad):
+            p, q = bad[0]
+            vertex = int(p) * (nj + 1) + int(q)  # the link's first vertex, row-major
+            raise OverlapTooSmallError(vertex, float(abs(links[p, q])), vertex + step)
 
-    def link(a, b) -> complex:
-        z = complex(np.vdot(states[a], states[b]))
-        if abs(z) <= OVERLAP_TOL:
-            raise OverlapTooSmallError(0, abs(z))
-        return z
-
-    flux = 0.0
-    for p in range(ni):
-        for q in range(nj):
-            prod = (
-                link((p, q), (p + 1, q))
-                * link((p + 1, q), (p + 1, q + 1))
-                * link((p + 1, q + 1), (p, q + 1))
-                * link((p, q + 1), (p, q))
-            )
-            flux += float(np.angle(prod))
-
-    boundary = 1.0 + 0.0j
-    for p in range(ni):
-        boundary *= link((p, 0), (p + 1, 0))
-    for q in range(nj):
-        boundary *= link((ni, q), (ni, q + 1))
-    for p in range(ni, 0, -1):
-        boundary *= link((p, nj), (p - 1, nj))
-    for q in range(nj, 0, -1):
-        boundary *= link((0, q), (0, q - 1))
+    plaq = u_i[:, :-1] * u_j[1:] * np.conjugate(u_i[:, 1:]) * np.conjugate(u_j[:-1])
+    flux = float(np.sum(np.angle(plaq)))
+    # the boundary, counterclockwise from the origin
+    sides = [u_i[:, 0], u_j[ni], np.conjugate(u_i[::-1, nj]), np.conjugate(u_j[0, ::-1])]
+    boundary = np.prod(np.concatenate(sides))
     return flux, float(np.angle(boundary))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import copy
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -515,8 +514,7 @@ def run_noise_study(config: dict) -> ExperimentReport:
         d_proj = d - (d_area / d_area_ref) * theta_hat
         return d, d_proj
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        deformations = list(pool.map(one_realization, range(realizations)))
+    deformations = [one_realization(index) for index in range(realizations)]
 
     rows = []
     eps_values = []

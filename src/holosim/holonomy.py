@@ -1,9 +1,10 @@
 """Non-Abelian holonomy over degenerate eigenspaces.
 
 Frames spanning an eigenvalue cluster are tracked along a parameter path,
-gauge-smoothed with the polar factor of each link overlap, and multiplied
-in path order into a discretized Wilson line. For the four-level model the
-result is checked against the closed-form rotation B(eta) with
+gauge-smoothed by the polar factors of the batched raw links (one SVD,
+then one log-depth prefix product of the gauges), and their links are
+multiplied pairwise into a discretized Wilson line. For the four-level
+model the result is checked against the closed-form rotation B(eta) with
 eta = loop integral of sin(phi) d theta.
 
 Link/product conventions: W_k = F_k^dag F_{k+1}; the Wilson line is
@@ -20,16 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    check_links,
+    closed_gap,
     dagger,
     eigh_batch,
+    link_overlaps,
+    link_singular_values,
     max_abs,
     nearest_unitary,
+    ordered_product,
+    prefix_products,
     unitarity_defect,
     wrap_angle,
 )
 from .models import DARK_SINGULAR_TOL, HamiltonianModel, ParameterPath
 
-GAP_TOL = 1e-9
 SUBSPACE_OVERLAP_TOL = 1e-6
 
 
@@ -112,23 +118,6 @@ class HolonomyResult:
     eta_estimate: float | None = None
 
 
-def _check_block_gap(
-    w: np.ndarray, block: BandBlock, s_values: np.ndarray
-) -> None:
-    scale = max(1.0, float(np.max(np.abs(w))))
-    gaps = []
-    if block.start > 0:
-        gaps.append(w[:, block.start] - w[:, block.start - 1])
-    if block.stop < w.shape[1]:
-        gaps.append(w[:, block.stop] - w[:, block.stop - 1])
-    if not gaps:
-        return
-    gap = np.min(np.stack(gaps), axis=0)
-    k = int(np.argmin(gap))
-    if gap[k] <= GAP_TOL * scale:
-        raise GapClosureError(float(s_values[k]), float(gap[k]))
-
-
 def eigenframe_path(
     model: HamiltonianModel,
     path: ParameterPath,
@@ -138,29 +127,30 @@ def eigenframe_path(
 ) -> FramePath:
     """Track the block's eigenframe along the path with smoothed gauge.
 
-    Each raw frame from the eigensolver is post-multiplied by the dagger
-    of the polar factor of the previous link, killing the solver's
-    arbitrary per-point gauge; what survives in the link product is the
-    geometry. An explicit initial_frame (e.g. the analytic dark pair at
-    the basepoint) fixes the basis the holonomy is reported in.
+    The raw frames R_k carry the eigensolver's arbitrary gauge; the polar
+    factors P_k of the raw links R_k^dag R_{k+1} (one batched SVD) give the
+    returned frames F_k = R_k G_k with G_k = P_{k-1}^dag ... P_0^dag G_0
+    (one log-depth prefix product), so the link product keeps only the
+    geometry. An explicit initial_frame F_0 (e.g. the analytic dark pair)
+    fixes G_0 = R_0^dag F_0 and the basis the holonomy is reported in.
     """
     if n_samples < 16:
         raise ValueError(f"need at least 16 samples, got {n_samples}")
     s_values = path.sample_s(n_samples)
-    lams = path(s_values)
-    hs = model.evaluate_batch(lams)
-    w, v = eigh_batch(hs)
+    w, v = eigh_batch(model.evaluate_batch(path(s_values)))
     if block.stop > w.shape[1]:
         raise ValueError(
             f"block [{block.start}, {block.stop}) out of range for dim {w.shape[1]}"
         )
-    _check_block_gap(w, block, s_values)
+    closure = closed_gap(w, block.start, block.stop)
+    if closure is not None:
+        raise GapClosureError(float(s_values[closure[0]]), closure[1])
 
-    raw = v[:, :, block.indices()]
+    raw = v[:, :, block.indices()].copy()
+    del v  # the full eigenvector stack is the largest array here
     n, dim, m = raw.shape
-    frames = np.empty_like(raw)
     if initial_frame is None:
-        frames[0] = raw[0]
+        f0 = raw[0]
     else:
         f0 = np.asarray(initial_frame, dtype=complex).reshape(dim, m)
         if max_abs(dagger(f0) @ f0 - np.eye(m)) > 1e-10:
@@ -171,27 +161,20 @@ def eigenframe_path(
                 "initial_frame does not span the requested eigenvalue block "
                 f"(projection residual {max_abs(residual):.3e})"
             )
-        frames[0] = f0
 
-    min_sv = math.inf
-    for k in range(1, n):
-        overlap = dagger(frames[k - 1]) @ raw[k]
-        sv = np.linalg.svd(overlap, compute_uv=False)
-        min_sv = min(min_sv, float(sv[-1]))
-        if sv[-1] <= SUBSPACE_OVERLAP_TOL:
-            raise IllConditionedLinkError(k - 1, float(sv[-1]))
-        frames[k] = raw[k] @ dagger(nearest_unitary(overlap))
-    if path.closed:
-        closing = dagger(frames[-1]) @ frames[0]
-        sv = np.linalg.svd(closing, compute_uv=False)
-        min_sv = min(min_sv, float(sv[-1]))
-        if sv[-1] <= SUBSPACE_OVERLAP_TOL:
-            raise IllConditionedLinkError(n - 1, float(sv[-1]))
+    u, s, vh = np.linalg.svd(link_overlaps(raw, path.closed))
+    sigma = s[:, -1]
+    check_links(sigma, SUBSPACE_OVERLAP_TOL, IllConditionedLinkError)
+    # (P_0 ... P_{k-1})^dag G_0 for k = 1 .. n-1
+    gauges = dagger(prefix_products(u[: n - 1] @ vh[: n - 1])) @ (dagger(raw[0]) @ f0)
+    frames = np.empty_like(raw)
+    frames[0] = f0
+    frames[1:] = raw[1:] @ gauges
     return FramePath(
         frames=frames,
         path=path,
         block=block,
-        min_link_singular_value=min_sv if min_sv < math.inf else 1.0,
+        min_link_singular_value=float(np.min(sigma)),
     )
 
 
@@ -199,30 +182,22 @@ def wilson_line(frame_path: FramePath) -> HolonomyResult:
     """Ordered product of link overlaps around a closed path, unitarized.
 
     Discretizes the path-ordered holonomy as
-    nearest_unitary(W_0 W_1 ... W_close); converges to the continuum
-    limit as the sampling is refined and reduces to e^{i chi} with the
-    chain phase chi for one-dimensional blocks.
+    nearest_unitary(W_0 W_1 ... W_close), multiplied pairwise; converges
+    to the continuum limit as the sampling is refined and reduces to
+    e^{i chi} with the chain phase chi for one-dimensional blocks.
+    Invariant under a change of gauge at every frame but the basepoint.
     """
     if not frame_path.path.closed:
         raise ValueError("the Wilson line is defined for closed paths only")
-    frames = frame_path.frames
-    n, _, m = frames.shape
-    product = np.eye(m, dtype=complex)
-    min_sv = math.inf
-    for k in range(n):
-        nxt = frames[(k + 1) % n]
-        link = dagger(frames[k]) @ nxt
-        sv = np.linalg.svd(link, compute_uv=False)
-        min_sv = min(min_sv, float(sv[-1]))
-        if sv[-1] <= SUBSPACE_OVERLAP_TOL:
-            raise IllConditionedLinkError(k, float(sv[-1]))
-        product = product @ link
-    matrix = nearest_unitary(product)
+    links = link_overlaps(frame_path.frames, closed=True)
+    sigma = link_singular_values(links)
+    check_links(sigma, SUBSPACE_OVERLAP_TOL, IllConditionedLinkError)
+    matrix = nearest_unitary(ordered_product(links))
     return HolonomyResult(
         matrix=matrix,
         unitarity_defect=unitarity_defect(matrix),
-        samples=n,
-        min_link_singular_value=float(min_sv),
+        samples=len(links),
+        min_link_singular_value=float(np.min(sigma)),
     )
 
 

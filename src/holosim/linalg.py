@@ -70,18 +70,19 @@ def normalize_state(v: np.ndarray) -> np.ndarray:
 
 
 def gauge_fix(v: np.ndarray) -> np.ndarray:
-    """Rephase v so its largest-magnitude component is real positive.
+    """Rephase each vector of a (..., dim) stack so its largest-magnitude
+    component is real positive; (near-)zero vectors are left unchanged.
 
     Ties are broken by the lowest index (np.argmax). This is the fixed,
     deterministic gauge convention used for eigenvectors; it carries no
     physical meaning on its own.
     """
     v = np.asarray(v, dtype=complex)
-    k = int(np.argmax(np.abs(v)))
-    pivot = v[k]
-    if abs(pivot) < RANK_TOL:
-        return v.copy()
-    return v * (np.conjugate(pivot) / abs(pivot))
+    k = np.argmax(np.abs(v), axis=-1)[..., None]
+    pivot = np.take_along_axis(v, k, axis=-1)
+    mag = np.abs(pivot)
+    phase = np.conjugate(pivot) / np.maximum(mag, RANK_TOL)
+    return v * np.where(mag < RANK_TOL, 1.0, phase)
 
 
 @dataclass
@@ -133,9 +134,7 @@ def eigh(h: np.ndarray) -> EigenDecomposition:
     """
     h = check_hermitian(h)
     w, v = np.linalg.eigh(h)
-    for k in range(v.shape[1]):
-        v[:, k] = gauge_fix(v[:, k])
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    return EigenDecomposition(eigenvalues=w, eigenvectors=gauge_fix(v.T).T)
 
 
 def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,6 +149,66 @@ def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if defect >= bound:
         raise NonHermitianError(defect, bound)
     return np.linalg.eigh(hs)
+
+
+def closed_gap(w: np.ndarray, start: int, stop: int) -> tuple[int, float] | None:
+    """Sample index and size of the smallest gap between the eigenvalue block
+    [start, stop) and its neighbours in an (n, dim) stack of ascending
+    eigenvalues, if it is at or below DEGENERACY_TOL * max(1, max |w|); else None."""
+    edges = [e for e in (start, stop) if 0 < e < w.shape[1]]
+    if not edges:
+        return None
+    gap = np.min(w[:, edges] - w[:, [e - 1 for e in edges]], axis=1)
+    k = int(np.argmin(gap))
+    scale = max(1.0, float(np.max(np.abs(w))))
+    return (k, float(gap[k])) if gap[k] <= DEGENERACY_TOL * scale else None
+
+
+def link_overlaps(frames: np.ndarray, closed: bool) -> np.ndarray:
+    """Links L_k = F_k^dag F_{k+1} along axis 0 of an (n, ..., dim, m) frame stack.
+
+    Closed paths add the wrap link F_{n-1}^dag F_0 as the last of n links.
+    States are the m = 1 case: pass states[..., None] and read the
+    overlaps <psi_k|psi_{k+1}> at [..., 0, 0].
+    """
+    nxt = np.roll(frames, -1, axis=0) if closed else frames[1:]
+    cur = frames if closed else frames[:-1]
+    return np.einsum("...im,...in->...mn", np.conjugate(cur), nxt)
+
+
+def link_singular_values(links: np.ndarray) -> np.ndarray:
+    """Smallest singular value of every link in a (..., m, m) stack (|z| if m = 1)."""
+    if links.shape[-1] == 1:
+        return np.abs(links[..., 0, 0])
+    return np.linalg.svd(links, compute_uv=False)[..., -1]
+
+
+def check_links(sigma: np.ndarray, tol: float, error: type[Exception]) -> None:
+    """Raise error(k, sigma[k]) for the first link k whose smallest singular
+    value sigma[k] is at or below tol; each caller passes its own typed error."""
+    bad = np.flatnonzero(sigma <= tol)
+    if bad.size:
+        raise error(int(bad[0]), float(sigma[bad[0]]))
+
+
+def ordered_product(mats: np.ndarray) -> np.ndarray:
+    """M_0 M_1 ... M_{n-1} of an (n, m, m) stack, multiplied pairwise in log depth."""
+    while len(mats) > 1:
+        paired = mats[0 : len(mats) - 1 : 2] @ mats[1::2]
+        mats = np.concatenate([paired, mats[-1:]]) if len(mats) % 2 else paired
+    return mats[0]
+
+
+def prefix_products(mats: np.ndarray) -> np.ndarray:
+    """All prefixes M_0 M_1 ... M_k of an (n, m, m) stack, by a log-depth scan:
+    the prefixes of the pair products M_{2j} M_{2j+1} are the odd prefixes,
+    and each even prefix is the odd one before it times one more factor."""
+    out = mats.copy()
+    if len(mats) > 1:
+        odd = prefix_products(mats[0 : len(mats) - 1 : 2] @ mats[1::2])
+        out[1::2] = odd
+        out[2::2] = odd[: len(out[2::2])] @ mats[2::2]
+    return out
 
 
 def nearest_unitary(m: np.ndarray) -> np.ndarray:

@@ -253,6 +253,23 @@ class TestBerryCurvature:
             )
             assert abs(linalg.wrap_angle(flux - boundary)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "origin, extents, index, pair",
+        [
+            # phi link from grid vertex (1, 0) to (1, 1): antipodes on the equator
+            ([0.5, 0.0], (math.pi / 2 - 0.5, math.pi), 2, "(2, 3)"),
+            # theta link from grid vertex (0, 0) to (1, 0): pole to pole
+            ([0.0, 0.3], (math.pi, 1.0), 0, "(0, 2)"),
+        ],
+    )
+    def test_tiling_reports_orthogonal_link(self, origin, extents, index, pair):
+        with pytest.raises(abelian.OverlapTooSmallError) as exc:
+            abelian.plaquette_flux_and_boundary(
+                models.SphereQubitModel(), 0, origin, (0, 1), extents, (1, 1)
+            )
+        assert exc.value.index == index
+        assert pair in str(exc.value)
+
 
 class TestSolidAngle:
     def test_equatorial_circle_is_hemisphere(self):

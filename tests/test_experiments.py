@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import holosim
 from holosim import abelian, experiments
 from holosim.report import ConfigError, read_csv
 
@@ -226,11 +229,14 @@ class TestPancharatnam:
 
 class TestCli:
     def run_cli(self, *args, cwd):
+        # absolute, so the package imports from the subprocess's tmp_path cwd
+        src = Path(holosim.__file__).resolve().parents[1]
         return subprocess.run(
             [sys.executable, "-m", "holosim", *args],
             capture_output=True,
             text=True,
             cwd=cwd,
+            env={**os.environ, "PYTHONPATH": str(src)},
         )
 
     def test_pass_run_writes_csv_and_metadata(self, tmp_path):

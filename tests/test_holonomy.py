@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -25,6 +26,27 @@ def random_unitary(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(m)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def reference_frames(model, path, block, n, f0):
+    """The sequential smoothing loop: each raw frame times the dagger of the
+    polar factor of its overlap with the previous smoothed frame."""
+    _, v = np.linalg.eigh(model.evaluate_batch(path(path.sample_s(n))))
+    raw = v[:, :, block.indices()]
+    frames = np.empty_like(raw)
+    frames[0] = f0
+    for k in range(1, n):
+        overlap = frames[k - 1].conj().T @ raw[k]
+        frames[k] = raw[k] @ linalg.nearest_unitary(overlap).conj().T
+    return frames
+
+
+def reference_wilson_line(frames):
+    """The link loop: W_0 W_1 ... W_close multiplied one link at a time."""
+    product = np.eye(frames.shape[2], dtype=complex)
+    for k in range(len(frames)):
+        product = product @ (frames[k].conj().T @ frames[(k + 1) % len(frames)])
+    return linalg.nearest_unitary(product)
 
 
 class TestEigenframePath:
@@ -67,6 +89,18 @@ class TestEigenframePath:
             initial_frame=chain.states[0][:, None],
         )
         assert np.max(np.abs(frames.frames[:, :, 0] - transported.states)) < 1e-10
+
+    @pytest.mark.parametrize("n", [512, 8192])
+    def test_matches_sequential_reference(self, n):
+        path = shipped_loop()
+        f0 = dark_initial_frame(path)
+        frames = holonomy.eigenframe_path(
+            models.UsbModel(), path, holonomy.USB_DARK_BLOCK, n, initial_frame=f0
+        )
+        ref = reference_frames(models.UsbModel(), path, holonomy.USB_DARK_BLOCK, n, f0)
+        assert linalg.max_abs(frames.frames - ref) < 1e-12
+        matrix = holonomy.wilson_line(frames).matrix
+        assert linalg.max_abs(matrix - reference_wilson_line(ref)) < 1e-12
 
     def test_gap_closure_reported_with_location(self):
         path = models.ParameterPath(
@@ -202,6 +236,23 @@ class TestWilsonLine:
             w = holonomy.wilson_line(rotated).matrix
             assert linalg.max_abs(w - g.conj().T @ v @ g) < 1e-10
             assert holonomy.eigenangle_distance(w, v) < 1e-10
+
+    def test_gauge_invariance_away_from_basepoint(self):
+        rng = np.random.default_rng(83)
+        path = shipped_loop()
+        base = holonomy.eigenframe_path(
+            models.UsbModel(),
+            path,
+            holonomy.USB_DARK_BLOCK,
+            256,
+            initial_frame=dark_initial_frame(path),
+        )
+        gauges = np.array([random_unitary(rng, 2) for _ in range(base.samples - 1)])
+        regauged = dataclasses.replace(
+            base, frames=np.concatenate([base.frames[:1], base.frames[1:] @ gauges])
+        )
+        v = holonomy.wilson_line(base).matrix
+        assert linalg.max_abs(holonomy.wilson_line(regauged).matrix - v) < 1e-12
 
     def test_orientation_reversal_daggers(self):
         path = shipped_loop()

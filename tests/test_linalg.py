@@ -81,6 +81,23 @@ class TestEigh:
         b = linalg.eigh(h.copy()).eigenvectors
         assert np.array_equal(a, b)
 
+    def test_gauge_fix_stack_matches_per_vector_form(self):
+        def per_vector(v):
+            k = int(np.argmax(np.abs(v)))
+            if abs(v[k]) < linalg.RANK_TOL:
+                return v.copy()
+            return v * (np.conjugate(v[k]) / abs(v[k]))
+
+        rng = np.random.default_rng(19)
+        stack = rng.normal(size=(6, 5, 3)) + 1j * rng.normal(size=(6, 5, 3))
+        stack[0, 0] = 0.0
+        stack[1, 1] = [0.5, -0.5j, 0.5]  # tie: the lowest index is the pivot
+        fixed = linalg.gauge_fix(stack)
+        for idx in np.ndindex(stack.shape[:-1]):
+            assert linalg.max_abs(fixed[idx] - per_vector(stack[idx])) <= 1e-15
+        assert np.array_equal(fixed[0, 0], np.zeros(3))
+        assert fixed[1, 1, 0] == pytest.approx(0.5, abs=1e-15)
+
     def test_degenerate_cluster_detection(self):
         dec = linalg.eigh(usb_hamiltonian([1.0, 1.0, 1.0]))
         blocks = dec.clusters(scale=np.sqrt(3.0))
