@@ -3,12 +3,13 @@
     holosim <experiment> --config <file.json> [--out <path>] [--seed <u64>]
             [--samples <N>]
 
-Experiments: berry-qubit | curvature-map | usb-holonomy | adiabatic-sweep
-| noise-study | pancharatnam. Each run writes a CSV table and a JSON
-metadata file (resolved config, tool version, elapsed ms, hard checks)
-next to it; the exit code is 0 iff every hard check passed, and failed
-checks are listed on standard error. Flag overrides win over the config
-file and are recorded in the echoed config.
+The experiments, their CSV columns and the config knobs the flags set
+come from experiments.REGISTRY (see `holosim --help`). Each run writes a
+CSV table and a JSON metadata file (resolved config, tool version,
+elapsed ms, hard checks) next to it; the exit code is 0 iff every hard
+check passed, and failed checks are listed on standard error. Flag
+overrides win over the config file and are recorded in the echoed
+config; a flag the experiment has no knob for exits 2.
 """
 
 from __future__ import annotations
@@ -19,37 +20,18 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .experiments import EXPERIMENTS, apply_samples, resolve_config, run_experiment
+from .experiments import EXPERIMENTS, REGISTRY, run_experiment
 from .report import ConfigError
 
-_SAMPLES_TARGET = {
-    # which config knob --samples overrides, per experiment
-    "berry-qubit": "ladder (replaced by the single value)",
-    "curvature-map": "grid.cells (both axes)",
-    "usb-holonomy": "ladder (replaced by the single value)",
-    "adiabatic-sweep": "reference_samples",
-    "noise-study": "samples",
-    "pancharatnam": "(no effect)",
-}
 
-_COLUMNS = {
-    "berry-qubit": "samples, phase, oracle_phase, abs_error",
-    "curvature-map": "theta, phi, curvature, area_normalized, plaquette_edge, flagged",
-    "usb-holonomy": (
-        "samples, eta_dtheta_form, eta_line_form, distance_to_closed_form, "
-        "unitarity_defect, eta_from_matrix"
-    ),
-    "adiabatic-sweep": "ramp_time, steps, distance_to_wilson, leakage",
-    "noise-study": (
-        "amplitude, mean_projected_shift, std_projected_shift, mean_raw_shift, "
-        "std_raw_shift, discarded"
-    ),
-    "pancharatnam": "states, phase, solid_angle, half_area_cross_check, abs_diff",
-}
+def _knobs(flag: str) -> str:
+    return "; ".join(
+        f"{name}: {getattr(e, flag)}" for name, e in REGISTRY.items() if getattr(e, flag)
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    schema_lines = "\n".join(f"  {k}: {v}" for k, v in _COLUMNS.items())
+    schema_lines = "\n".join(f"  {n}: {', '.join(e.columns)}" for n, e in REGISTRY.items())
     parser = argparse.ArgumentParser(
         prog="holosim",
         description=(
@@ -83,40 +65,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=None,
-        help="override the noise seed (noise-study; recorded in the config echo)",
+        help=f"override the noise seed ({_knobs('seed')}; recorded in the "
+        "config echo; other experiments exit 2)",
     )
     parser.add_argument(
         "--samples",
         type=int,
         default=None,
         help="override the experiment's main resolution knob: "
-        + "; ".join(f"{k}: {v}" for k, v in _SAMPLES_TARGET.items()),
+        f"{_knobs('samples')}; other experiments exit 2",
     )
     return parser
-
-
-def _apply_overrides(experiment: str, config: dict, args) -> dict:
-    overrides = {}
-    if args.seed is not None:
-        if experiment != "noise-study":
-            raise ConfigError("--seed only applies to the noise-study experiment")
-        config.setdefault("noise", {})
-        config["noise"]["seed"] = int(args.seed)
-        overrides["seed"] = int(args.seed)
-    if args.samples is not None:
-        n = int(args.samples)
-        apply_samples(experiment, config, n)
-        overrides["samples"] = n
-    if overrides:
-        config["flag_overrides"] = overrides
-    return config
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    user_config: dict = {}
+    user_config = None
     if args.config is not None:
         try:
             user_config = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -126,29 +92,10 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as exc:
             print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
             return 2
-        if not isinstance(user_config, dict):
-            print("error: config root must be a JSON object", file=sys.stderr)
-            return 2
-    declared = user_config.get("experiment")
-    if declared is not None and declared != args.experiment:
-        print(
-            f"error: config.experiment '{declared}' does not match the requested "
-            f"experiment '{args.experiment}'",
-            file=sys.stderr,
-        )
-        return 2
-
-    flag_overrides = user_config.pop("flag_overrides", None)
-    if flag_overrides is not None:
-        print("error: config.flag_overrides is reserved for the flag echo", file=sys.stderr)
-        return 2
-
     try:
-        config = resolve_config(args.experiment, user_config)
-        config = _apply_overrides(args.experiment, config, args)
-        report = run_experiment(args.experiment, _strip_meta(config))
-        if "flag_overrides" in config:
-            report.config["flag_overrides"] = config["flag_overrides"]
+        report = run_experiment(
+            args.experiment, user_config, seed=args.seed, samples=args.samples
+        )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -171,12 +118,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     return 0
-
-
-def _strip_meta(config: dict) -> dict:
-    cfg = dict(config)
-    cfg.pop("flag_overrides", None)
-    return cfg
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Reproducible experiments binding models, phase engines, and the
 integrator, with JSON-configurable parameters and CSV/JSON reports.
 
-Each run_* takes a resolved config dict (see DEFAULTS; resolve_config
-merges user input over the defaults) and returns an ExperimentReport
-whose hard checks drive the CLI exit code. Everything is deterministic
-given (config, seed): noise realizations draw from per-index seed
-sequences, and report rows are emitted in declared key order.
+Each experiment is declared once in REGISTRY. Its run_* takes a config
+dict resolved once by resolve_config (user input and flags over the
+registry defaults) and returns an ExperimentReport whose hard checks
+drive the CLI exit code. Everything is deterministic given (config,
+seed): noise realizations draw from per-index seed sequences, and report
+rows are emitted in declared key order.
 """
 
 from __future__ import annotations
@@ -13,78 +14,131 @@ from __future__ import annotations
 import copy
 import math
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import abelian, adiabatic, holonomy, linalg, models
 from .report import ConfigError, ExperimentReport
 
-EXPERIMENTS = (
-    "berry-qubit",
-    "curvature-map",
-    "usb-holonomy",
-    "adiabatic-sweep",
-    "noise-study",
-    "pancharatnam",
-)
 
-DEFAULTS: dict[str, dict] = {
-    "berry-qubit": {
-        "model": "qubit",
-        "path": {"family": "azimuthal", "params": {"theta0": math.pi / 3, "radius": 1.0}},
-        "band": 0,
-        "ladder": [64, 256, 1024, 4096],
-        "reverse": False,
-        "tolerance": 1e-4,
-    },
-    "curvature-map": {
-        "model": "qubit",
-        "radius": 1.0,
-        "band": 0,
-        "grid": {
-            "theta": [0.4, math.pi - 0.4],
-            "phi": [0.0, 2.0 * math.pi],
-            "cells": [20, 20],
+class Knob(NamedTuple):
+    """The config key a CLI flag sets, and the value that flag n sets it to."""
+
+    key: str
+    value: Callable[[int], object] = lambda n: n
+
+    def set(self, config: dict, n: int) -> None:
+        *parents, leaf = self.key.split(".")
+        for key in parents:
+            config = config.setdefault(key, {})
+        config[leaf] = self.value(n)
+
+    def __str__(self) -> str:
+        return f"{self.key} = " + str(self.value("N")).replace("'", "")
+
+
+class Experiment(NamedTuple):
+    """One experiment's built-in config, CSV columns and the knobs that the
+    --samples and --seed flags set (None: the flag does not apply). The
+    runner of experiment "a-b" is the module function run_a_b, looked up
+    at call time."""
+
+    defaults: dict
+    columns: tuple[str, ...]
+    samples: Knob | None = None
+    seed: Knob | None = None
+
+
+REGISTRY: dict[str, Experiment] = {
+    "berry-qubit": Experiment(
+        defaults={
+            "model": "qubit",
+            "path": {"family": "azimuthal", "params": {"theta0": math.pi / 3, "radius": 1.0}},
+            "band": 0,
+            "ladder": [64, 256, 1024, 4096],
+            "reverse": False,
+            "tolerance": 1e-4,
         },
-        "plaquette_edge": 0.01,
-        "tiling": {"theta": [0.7, 1.9], "phi": [0.5, 2.0], "cells": [6, 6]},
-        "tolerance": 1e-3,
-    },
-    "usb-holonomy": {
-        "model": "usb",
-        "path": {"family": "circle", "params": {}},
-        "ladder": [512, 2048, 8192],
-        "eta_samples": 2**14,
-        "distance_tolerance": 1e-3,
-        "eta_tolerance": 1e-6,
-    },
-    "adiabatic-sweep": {
-        "model": "usb",
-        "path": {"family": "circle", "params": {}},
-        "Ts": [50.0, 200.0, 800.0],
-        "steps_per_T": None,
-        "reference_samples": 8192,
-        # None: the window of the adiabatic order the model predicts
-        "slope_window": None,
-    },
-    "noise-study": {
-        "model": "qubit",
-        "path": {"family": "azimuthal", "params": {"theta0": math.pi / 3, "radius": 1.0}},
-        "band": 0,
-        "samples": 2048,
-        "noise": {
-            "amplitude_ladder": [0.01, 0.02, 0.04],
-            "realizations": 16,
-            "modes": 3,
-            "seed": 20240811,
+        columns=("samples", "phase", "oracle_phase", "abs_error"),
+        samples=Knob("ladder", lambda n: [n]),
+    ),
+    "curvature-map": Experiment(
+        defaults={
+            "model": "qubit",
+            "radius": 1.0,
+            "band": 0,
+            "grid": {
+                "theta": [0.4, math.pi - 0.4],
+                "phi": [0.0, 2.0 * math.pi],
+                "cells": [20, 20],
+            },
+            "plaquette_edge": 0.01,
+            "tiling": {"theta": [0.7, 1.9], "phi": [0.5, 2.0], "cells": [6, 6]},
+            "tolerance": 1e-3,
         },
-        "slope_gate": 1.5,
-    },
-    "pancharatnam": {
-        "states": {"bloch": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
-        "tolerance": 1e-6,
-    },
+        columns=("theta", "phi", "curvature", "area_normalized", "plaquette_edge", "flagged"),
+        samples=Knob("grid.cells", lambda n: [n, n]),
+    ),
+    "usb-holonomy": Experiment(
+        defaults={
+            "model": "usb",
+            "path": {"family": "circle", "params": {}},
+            "ladder": [512, 2048, 8192],
+            "eta_samples": 2**14,
+            "distance_tolerance": 1e-3,
+            "eta_tolerance": 1e-6,
+        },
+        columns=(
+            "samples", "eta_dtheta_form", "eta_line_form", "distance_to_closed_form",
+            "unitarity_defect", "eta_from_matrix",
+        ),
+        samples=Knob("ladder", lambda n: [n]),
+    ),
+    "adiabatic-sweep": Experiment(
+        defaults={
+            "model": "usb",
+            "path": {"family": "circle", "params": {}},
+            "Ts": [50.0, 200.0, 800.0],
+            "steps_per_T": None,
+            "reference_samples": 8192,
+            # None: the window of the adiabatic order the model predicts
+            "slope_window": None,
+        },
+        columns=("ramp_time", "steps", "distance_to_wilson", "leakage"),
+        samples=Knob("reference_samples"),
+    ),
+    "noise-study": Experiment(
+        defaults={
+            "model": "qubit",
+            "path": {"family": "azimuthal", "params": {"theta0": math.pi / 3, "radius": 1.0}},
+            "band": 0,
+            "samples": 2048,
+            "noise": {
+                "amplitude_ladder": [0.01, 0.02, 0.04],
+                "realizations": 16,
+                "modes": 3,
+                "seed": 20240811,
+            },
+            "slope_gate": 1.5,
+        },
+        columns=(
+            "amplitude", "mean_projected_shift", "std_projected_shift", "mean_raw_shift",
+            "std_raw_shift", "discarded",
+        ),
+        samples=Knob("samples"),
+        seed=Knob("noise.seed"),
+    ),
+    "pancharatnam": Experiment(
+        defaults={
+            "states": {"bloch": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+            "tolerance": 1e-6,
+        },
+        columns=("states", "phase", "solid_angle", "half_area_cross_check", "abs_diff"),
+    ),
 }
+
+EXPERIMENTS = tuple(REGISTRY)
 
 # Log-log slope window of the sweep distance, per model. The qubit sweep
 # converges at first order in 1/T. The four-level bright levels sit at +-R
@@ -93,62 +147,77 @@ DEFAULTS: dict[str, dict] = {
 PREDICTED_SLOPE_WINDOW = {"qubit": [-1.5, -0.5], "usb": [-2.5, -1.5]}
 
 
-def resolve_config(experiment: str, user: dict | None = None) -> dict:
-    if experiment not in EXPERIMENTS:
+def resolve_config(
+    experiment: str,
+    user: dict | None = None,
+    *,
+    seed: int | None = None,
+    samples: int | None = None,
+) -> dict:
+    """Merge the user fragment over the experiment's defaults.
+
+    A "samples" field in the fragment's path sets the --samples knob; the
+    seed and samples flags are applied last, so they win over both, and
+    are echoed under "flag_overrides".
+    """
+    if experiment not in REGISTRY:
         raise ConfigError(
             f"experiment: unknown name '{experiment}' "
             f"(expected one of {', '.join(EXPERIMENTS)})"
         )
-    merged = copy.deepcopy(DEFAULTS[experiment])
-    merged = _merge(merged, user or {}, path="config")
-    merged["experiment"] = experiment
-    # the path fragment may carry a "samples" hint; it overrides the
-    # experiment's main resolution knob, same as the --samples flag
-    pathspec = merged.get("path")
-    if isinstance(pathspec, dict) and "samples" in pathspec:
-        apply_samples(
-            experiment,
-            merged,
-            _positive_int(pathspec.pop("samples"), "config.path.samples", 8),
+    user = dict(_require_object({} if user is None else user, "config"))
+    declared = user.pop("experiment", None)
+    if declared not in (None, experiment):
+        raise ConfigError(
+            f"config.experiment '{declared}' does not match the requested "
+            f"experiment '{experiment}'"
         )
+    hint = None
+    pathspec = user.get("path")
+    if isinstance(pathspec, dict) and "samples" in pathspec:
+        user["path"] = {k: v for k, v in pathspec.items() if k != "samples"}
+        hint = pathspec["samples"]
+    merged = _merge(copy.deepcopy(REGISTRY[experiment].defaults), user, path="config")
+    merged["experiment"] = experiment
+    if hint is not None:
+        n = _positive_int(hint, "config.path.samples", 8)
+        _knob(experiment, "samples").set(merged, n)
+    flags = {k: n for k, n in (("seed", seed), ("samples", samples)) if n is not None}
+    for flag, n in flags.items():
+        _knob(experiment, flag).set(merged, n)
+    if flags:
+        merged["flag_overrides"] = flags
     return merged
 
 
-def apply_samples(experiment: str, config: dict, n: int) -> None:
-    """Point the experiment's dominant resolution knob at n (in place)."""
-    if experiment in ("berry-qubit", "usb-holonomy"):
-        config["ladder"] = [n]
-    elif experiment == "curvature-map":
-        config.setdefault("grid", {})
-        config["grid"]["cells"] = [n, n]
-    elif experiment == "adiabatic-sweep":
-        config["reference_samples"] = n
-    elif experiment == "noise-study":
-        config["samples"] = n
+def _knob(experiment: str, flag: str) -> Knob:
+    knob = getattr(REGISTRY[experiment], flag)
+    if knob is None:
+        users = [name for name, e in REGISTRY.items() if getattr(e, flag) is not None]
+        raise ConfigError(
+            f"--{flag} does not apply to {experiment} (only to {', '.join(users)})"
+        )
+    return knob
+
+
+def _require_object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
+    return value
 
 
 def _merge(base: dict, override: dict, path: str) -> dict:
-    if not isinstance(override, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(override).__name__}")
     out = dict(base)
-    for key, value in override.items():
-        if key == "experiment":
-            continue
+    for key, value in _require_object(override, path).items():
         if key not in base:
             raise ConfigError(f"{path}.{key}: unknown field")
-        if key == "path" and isinstance(value, dict):
-            value = dict(value)
-            samples = value.pop("samples", None)
+        if (
+            key == "path"
+            and isinstance(value, dict)
+            and value.get("family") not in (None, base[key].get("family"))
+        ):
             # switching pulse family replaces the params wholesale
-            if value.get("family") not in (None, base[key].get("family")):
-                out[key] = {
-                    "family": value["family"],
-                    "params": dict(value.get("params", {})),
-                }
-            else:
-                out[key] = _merge(base[key], value, f"{path}.{key}")
-            if samples is not None:
-                out[key]["samples"] = samples
+            out[key] = {"family": value["family"], "params": dict(value.get("params", {}))}
         elif key == "params" and isinstance(value, dict):
             # pulse-family parameters are validated by the family constructor
             out[key] = {**base[key], **value}
@@ -159,20 +228,24 @@ def _merge(base: dict, override: dict, path: str) -> dict:
     return out
 
 
-def run_experiment(experiment: str, config: dict | None = None) -> ExperimentReport:
-    resolved = resolve_config(experiment, config)
-    runner = {
-        "berry-qubit": run_berry_qubit,
-        "curvature-map": run_curvature_map,
-        "usb-holonomy": run_usb_holonomy,
-        "adiabatic-sweep": run_adiabatic_sweep,
-        "noise-study": run_noise_study,
-        "pancharatnam": run_pancharatnam,
-    }[experiment]
+def run_experiment(
+    experiment: str,
+    config: dict | None = None,
+    *,
+    seed: int | None = None,
+    samples: int | None = None,
+) -> ExperimentReport:
+    resolved = resolve_config(experiment, config, seed=seed, samples=samples)
+    # looked up at call time, so a re-bound module attribute is the one run
+    runner = globals()["run_" + experiment.replace("-", "_")]
     t0 = time.perf_counter()
     report = runner(resolved)
     report.elapsed_ms = int(round((time.perf_counter() - t0) * 1000.0))
     return report
+
+
+def _report(experiment: str, rows: list, config: dict) -> ExperimentReport:
+    return ExperimentReport(experiment, list(REGISTRY[experiment].columns), rows, config)
 
 
 def _positive_int(value, path: str, minimum: int = 1) -> int:
@@ -217,12 +290,7 @@ def run_berry_qubit(config: dict) -> ExperimentReport:
         err = abs(linalg.wrap_angle(phase - oracle))
         rows.append((n, phase, oracle, err))
 
-    report = ExperimentReport(
-        experiment="berry-qubit",
-        columns=["samples", "phase", "oracle_phase", "abs_error"],
-        rows=rows,
-        config=config,
-    )
+    report = _report("berry-qubit", rows, config)
     tol = float(config["tolerance"])
     final_err = rows[-1][3]
     report.add_check(
@@ -288,12 +356,7 @@ def run_curvature_map(config: dict) -> ExperimentReport:
         ),
     )
 
-    report = ExperimentReport(
-        experiment="curvature-map",
-        columns=["theta", "phi", "curvature", "area_normalized", "plaquette_edge", "flagged"],
-        rows=rows,
-        config=config,
-    )
+    report = _report("curvature-map", rows, config)
     tol = float(config["tolerance"])
     vals = np.array(normalized_values)
     mean_err = abs(float(np.mean(vals)) - (-0.5))
@@ -335,19 +398,7 @@ def run_usb_holonomy(config: dict) -> ExperimentReport:
             (n, e_theta, e_line, dist, result.unitarity_defect, result.eta_estimate)
         )
 
-    report = ExperimentReport(
-        experiment="usb-holonomy",
-        columns=[
-            "samples",
-            "eta_dtheta_form",
-            "eta_line_form",
-            "distance_to_closed_form",
-            "unitarity_defect",
-            "eta_from_matrix",
-        ],
-        rows=rows,
-        config=config,
-    )
+    report = _report("usb-holonomy", rows, config)
     dist_tol = float(config["distance_tolerance"])
     eta_tol = float(config["eta_tolerance"])
     final_dist = rows[-1][3]
@@ -398,7 +449,16 @@ def run_adiabatic_sweep(config: dict) -> ExperimentReport:
     block, frame0 = _sweep_block_and_frame(model, path)
     if config["slope_window"] is None:
         config["slope_window"] = list(PREDICTED_SLOPE_WINDOW[config["model"]])
-    lo, hi = (float(x) for x in config["slope_window"])
+    window = config["slope_window"]
+    finite = isinstance(window, (list, tuple)) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+        for x in window
+    )
+    if not (finite and len(window) == 2 and window[0] < window[1]):
+        raise ConfigError(
+            f"config.slope_window: need two finite numbers lo < hi, got {window!r}"
+        )
+    lo, hi = (float(x) for x in window)
 
     sweep = adiabatic.convergence_sweep(
         model,
@@ -414,12 +474,7 @@ def run_adiabatic_sweep(config: dict) -> ExperimentReport:
     rows = [
         (r.total_time, r.steps, r.distance, r.leakage) for r in sweep.rows
     ]
-    report = ExperimentReport(
-        experiment="adiabatic-sweep",
-        columns=["ramp_time", "steps", "distance_to_wilson", "leakage"],
-        rows=rows,
-        config=config,
-    )
+    report = _report("adiabatic-sweep", rows, config)
     dists = sweep.distances()
     leaks = sweep.leakages()
     decreasing = all(b < a for a, b in zip(dists, dists[1:]))
@@ -555,19 +610,7 @@ def run_noise_study(config: dict) -> ExperimentReport:
             eps_values.append(eps)
             proj_means.append(mean_proj)
 
-    report = ExperimentReport(
-        experiment="noise-study",
-        columns=[
-            "amplitude",
-            "mean_projected_shift",
-            "std_projected_shift",
-            "mean_raw_shift",
-            "std_raw_shift",
-            "discarded",
-        ],
-        rows=rows,
-        config=config,
-    )
+    report = _report("noise-study", rows, config)
     if len(eps_values) >= 2 and all(m > 0.0 for m in proj_means):
         slope = float(
             np.polyfit(np.log(eps_values), np.log(proj_means), 1)[0]
@@ -644,12 +687,7 @@ def run_pancharatnam(config: dict) -> ExperimentReport:
     else:
         rows = [(len(chain), phase, math.nan, math.nan, math.nan)]
 
-    report = ExperimentReport(
-        experiment="pancharatnam",
-        columns=["states", "phase", "solid_angle", "half_area_cross_check", "abs_diff"],
-        rows=rows,
-        config=config,
-    )
+    report = _report("pancharatnam", rows, config)
     if omega is not None:
         tol = float(config["tolerance"])
         report.add_check(

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import RANK_TOL, eigh_batch
+from .report import ConfigError
 
 CLOSURE_TOL = 1e-12
 DARK_SINGULAR_TOL = 1e-9
@@ -272,7 +273,9 @@ def make_usb_loop(
         cfg = dict(USB_CIRCLE_DEFAULTS)
         unknown = set(params) - set(cfg)
         if unknown:
-            raise ValueError(f"unknown circle-family parameters: {sorted(unknown)}")
+            raise ConfigError(
+                f"config.path.params: unknown circle-family parameters: {sorted(unknown)}"
+            )
         cfg.update(params)
         s0, a, q0, b = cfg["s0"], cfg["a"], cfg["q0"], cfg["b"]
 
@@ -289,7 +292,9 @@ def make_usb_loop(
             label=f"usb-circle(s0={s0:g},a={a:g},q0={q0:g},b={b:g})",
         )
     else:
-        raise ValueError(f"unknown pulse family '{family}' (expected circle|constant)")
+        raise ConfigError(
+            f"config.path.family: unknown pulse family '{family}' (expected circle|constant)"
+        )
 
     # odd point count so midpoints like s = 1/2 land on the grid exactly
     sgrid = np.linspace(0.0, 1.0, validation_samples + 1)
@@ -454,7 +459,7 @@ def build_model_and_path(fragment: dict) -> tuple[HamiltonianModel, ParameterPat
         elif family == "constant":
             path = constant_path(params.get("n", [0.0, 0.0, 1.0]), label="qubit-constant")
         else:
-            raise ValueError(
+            raise ConfigError(
                 f"config.path.family: unknown qubit family '{family}' "
                 "(expected azimuthal|constant)"
             )
@@ -462,5 +467,5 @@ def build_model_and_path(fragment: dict) -> tuple[HamiltonianModel, ParameterPat
         model = UsbModel()
         path = make_usb_loop(family or "circle", params)
     else:
-        raise ValueError(f"config.model: unknown model '{name}' (expected qubit|usb)")
+        raise ConfigError(f"config.model: unknown model '{name}' (expected qubit|usb)")
     return model, path

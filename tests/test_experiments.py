@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 import holosim
 from holosim import abelian, experiments
 from holosim.report import ConfigError, read_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestConfigResolution:
@@ -51,6 +54,47 @@ class TestConfigResolution:
         assert "samples" not in cfg["path"]
         cfg = experiments.resolve_config("noise-study", {"path": {"samples": 1024}})
         assert cfg["samples"] == 1024
+
+    def test_flags_win_over_path_samples_and_are_echoed(self):
+        cfg = experiments.resolve_config(
+            "berry-qubit", {"path": {"samples": 512}, "ladder": [64]}, samples=256
+        )
+        assert cfg["ladder"] == [256]
+        assert cfg["flag_overrides"] == {"samples": 256}
+        cfg = experiments.resolve_config(
+            "curvature-map", {"grid": {"cells": [4, 4]}}, samples=3
+        )
+        assert cfg["grid"]["cells"] == [3, 3]
+        cfg = experiments.resolve_config("noise-study", {"noise": {"seed": 1}}, seed=2)
+        assert cfg["noise"]["seed"] == 2
+        assert cfg["flag_overrides"] == {"seed": 2}
+        assert "flag_overrides" not in experiments.resolve_config("noise-study")
+
+    def test_example_configs_resolve(self):
+        paths = sorted((ROOT / "configs").glob("*.json"))
+        assert paths
+        used = set()
+        for path in paths:
+            user = json.loads(path.read_text())
+            cfg = experiments.resolve_config(user["experiment"], user)
+            assert cfg["experiment"] == user["experiment"]
+            used.add(user["experiment"])
+        assert used <= set(experiments.EXPERIMENTS)
+
+    def test_formats_doc_columns_match_registry(self):
+        text = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+        documented = {}
+        for section in re.split(r"^### ", text.split("## Column schemas")[1], flags=re.M)[1:]:
+            name, body = section.split("\n", 1)
+            first_cells = [
+                line.split("|")[1] for line in body.splitlines() if line.startswith("| `")
+            ]
+            documented[name.strip()] = [
+                column for cell in first_cells for column in re.findall(r"`([^`]+)`", cell)
+            ]
+        assert documented == {
+            name: list(entry.columns) for name, entry in experiments.REGISTRY.items()
+        }
 
 
 class TestBerryQubit:
@@ -160,6 +204,15 @@ class TestAdiabaticSweep:
     def test_bad_ts_rejected(self):
         with pytest.raises(ConfigError, match="ascending"):
             experiments.run_experiment("adiabatic-sweep", {"Ts": [100.0, 50.0, 200.0]})
+
+    @pytest.mark.parametrize(
+        "window", [[1], [-1.0, -3.0], [-2.0, -2.0], [-2.0, math.inf], ["a", 1], -2.0]
+    )
+    def test_bad_slope_window_rejected(self, window):
+        with pytest.raises(ConfigError, match=r"config\.slope_window"):
+            experiments.run_experiment(
+                "adiabatic-sweep", {"slope_window": window, "reference_samples": 256}
+            )
 
 
 class TestNoiseStudy:
@@ -287,6 +340,30 @@ class TestCli:
         proc = self.run_cli("noise-study", "--config", str(cfg), cwd=tmp_path)
         assert proc.returncode == 2
         assert "at least 8" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "experiment, config, field",
+        [
+            ("adiabatic-sweep", {"model": "foo"}, "config.model"),
+            ("berry-qubit", {"path": {"family": "zigzag"}}, "config.path.family"),
+        ],
+    )
+    def test_invalid_model_or_path_exits_two(self, tmp_path, experiment, config, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        proc = self.run_cli(experiment, "--config", str(cfg), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_inapplicable_flag_exits_two(self, tmp_path):
+        proc = self.run_cli("pancharatnam", "--samples", "5", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "--samples does not apply to pancharatnam" in proc.stderr
+        proc = self.run_cli("berry-qubit", "--seed", "5", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "--seed does not apply to berry-qubit" in proc.stderr
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_unknown_experiment_rejected(self, tmp_path):
         proc = self.run_cli("berry-phases", cwd=tmp_path)
