@@ -2,7 +2,8 @@
 
 Library layout:
 
-* linalg    -- dense Hermitian eigenproblems, batched link variables, angles
+* linalg    -- dense Hermitian eigenproblems, step propagators, batched link
+               variables and ordered products, angles
 * models    -- qubit and four-level dark-state Hamiltonians, parameter paths
 * abelian   -- scalar phases: cyclic invariants, transport, connection,
                curvature, solid-angle oracle

@@ -217,7 +217,7 @@ def _merge(base: dict, override: dict, path: str) -> dict:
             and value.get("family") not in (None, base[key].get("family"))
         ):
             # switching pulse family replaces the params wholesale
-            out[key] = {"family": value["family"], "params": dict(value.get("params", {}))}
+            out[key] = _merge({**base[key], "params": {}}, value, f"{path}.{key}")
         elif key == "params" and isinstance(value, dict):
             # pulse-family parameters are validated by the family constructor
             out[key] = {**base[key], **value}
@@ -475,6 +475,17 @@ def run_adiabatic_sweep(config: dict) -> ExperimentReport:
         (r.total_time, r.steps, r.distance, r.leakage) for r in sweep.rows
     ]
     report = _report("adiabatic-sweep", rows, config)
+    report.diagnostics = {
+        "integrator": [
+            {
+                "ramp_time": r.total_time,
+                "steps": r.steps,
+                "norm_drift": r.norm_drift,
+                "step_error_estimate": r.step_error_estimate,
+            }
+            for r in sweep.rows
+        ]
+    }
     dists = sweep.distances()
     leaks = sweep.leakages()
     decreasing = all(b < a for a, b in zip(dists, dists[1:]))
@@ -590,7 +601,7 @@ def run_noise_study(config: dict) -> ExperimentReport:
             try:
                 chi_raw = chain_phase(base + eps * scale * d)
                 chi_proj = chain_phase(base + eps * scale * d_proj)
-            except (ValueError, abelian.OverlapTooSmallError):
+            except (models.ZeroFieldError, abelian.OverlapTooSmallError):
                 discarded += 1
                 continue
             raw_devs.append(abs(linalg.wrap_angle(chi_raw - chi0)))

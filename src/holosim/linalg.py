@@ -18,6 +18,10 @@ DEGENERACY_TOL = 1e-9
 RANK_TOL = 1e-12
 UNITARITY_TOL = 1e-12
 NORM_TOL = 1e-12
+# relative defect |H^3 - R^2 H| / R^3 below which propagator_increments
+# uses the closed form; floating-point evaluation of an exact {-R, 0, +R}
+# stack leaves a few eps
+SPECTRUM_TOL = 1e-13
 
 
 class NonHermitianError(ValueError):
@@ -144,11 +148,49 @@ def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gauges themselves); returns (eigenvalues, eigenvectors) LAPACK-ordered.
     """
     hs = np.asarray(hs, dtype=complex)
-    defect = max_abs(hs - dagger(hs))
-    bound = HERMITIAN_TOL * norm_scale(hs)
+    _require_hermitian(hs, dagger(hs))
+    return np.linalg.eigh(hs)
+
+
+def _require_hermitian(h: np.ndarray, h_dagger: np.ndarray) -> None:
+    defect = max_abs(h - h_dagger)
+    bound = HERMITIAN_TOL * norm_scale(h)
     if defect >= bound:
         raise NonHermitianError(defect, bound)
-    return np.linalg.eigh(hs)
+
+
+def propagator_increments(hs: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i H dt) - I for every H of a (k, d, d) Hermitian stack.
+
+    The identity is left out so that a product of many near-identity steps
+    (near_identity_product) never rounds 1 + O(dt^2) per step, which would
+    bias the norm by up to half an ulp per step.
+
+    If every H satisfies H^3 = R^2 H with R^2 = tr(H^2)/2, its spectrum lies
+    in {-R, 0, +R} and the Rodrigues form
+    -i (sin(R dt)/R) H + ((cos(R dt) - 1)/R^2) H^2 is exact. That holds for
+    every traceless 2x2 and for a star-coupled matrix with a zero hub
+    diagonal. Any other stack is diagonalized:
+    V diag(exp(-i w dt) - 1) V^dag.
+    """
+    hs = np.asarray(hs, dtype=complex)
+    # the closed form works on a (d, d, k) copy: with the stack axis last,
+    # every elementwise step runs along one long contiguous axis
+    h = np.ascontiguousarray(np.moveaxis(hs, 0, -1))
+    _require_hermitian(h, np.conjugate(h.transpose(1, 0, 2)))
+    h2 = np.einsum("ijk,jlk->ilk", h, h)
+    r2 = 0.5 * np.einsum("iik->k", h2).real
+    defect = np.abs(np.einsum("ijk,jlk->ilk", h2, h) - r2 * h)
+    if np.all(np.max(defect, axis=(0, 1), initial=0.0) <= SPECTRUM_TOL * r2**1.5):
+        # sin(x)/R = dt sinc(x) and (cos(x) - 1)/R^2 = -(dt^2/2) sinc(x/2)^2
+        # at x = R dt (numpy's sinc takes x/pi); both stay finite at R = 0
+        x = np.sqrt(r2) * (dt / np.pi)
+        e = (-0.5 * dt**2) * np.sinc(0.5 * x) ** 2 * h2 - (1j * dt) * np.sinc(x) * h
+        return np.ascontiguousarray(np.moveaxis(e, -1, 0))
+    w, v = eigh_batch(hs)
+    # exp(-i a) - 1 = -2 sin^2(a/2) - i sin(a), without cancellation
+    steps = -2.0 * np.sin(0.5 * w * dt) ** 2 - 1j * np.sin(w * dt)
+    return np.einsum("kij,kj,klj->kil", v, steps, np.conjugate(v))
 
 
 def closed_gap(w: np.ndarray, start: int, stop: int) -> tuple[int, float] | None:
@@ -191,12 +233,29 @@ def check_links(sigma: np.ndarray, tol: float, error: type[Exception]) -> None:
         raise error(int(bad[0]), float(sigma[bad[0]]))
 
 
-def ordered_product(mats: np.ndarray) -> np.ndarray:
-    """M_0 M_1 ... M_{n-1} of an (n, m, m) stack, multiplied pairwise in log depth."""
+def _pairwise(mats: np.ndarray, pair) -> np.ndarray:
+    """Reduce an (n, m, m) stack in order by combining neighbours in log depth."""
     while len(mats) > 1:
-        paired = mats[0 : len(mats) - 1 : 2] @ mats[1::2]
+        paired = pair(mats[0 : len(mats) - 1 : 2], mats[1::2])
         mats = np.concatenate([paired, mats[-1:]]) if len(mats) % 2 else paired
     return mats[0]
+
+
+def ordered_product(mats: np.ndarray) -> np.ndarray:
+    """M_0 M_1 ... M_{n-1} of an (n, m, m) stack, multiplied pairwise in log depth."""
+    return _pairwise(mats, np.matmul)
+
+
+def near_identity_product(es: np.ndarray) -> np.ndarray:
+    """(I + E_0)(I + E_1) ... (I + E_{n-1}) - I of an (n, m, m) stack of
+    increments, in log depth: (I + A)(I + B) - I = A + B + A B."""
+    def pair(a, b):
+        out = a @ b
+        out += a
+        out += b
+        return out
+
+    return _pairwise(es, pair)
 
 
 def prefix_products(mats: np.ndarray) -> np.ndarray:

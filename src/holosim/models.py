@@ -38,6 +38,10 @@ class DarkFrameSingularError(ValueError):
     """P = S = 0: the dark-frame angle theta is undefined there."""
 
 
+class ZeroFieldError(ValueError):
+    """n = 0: the qubit levels are degenerate and its band states undefined."""
+
+
 @dataclass(frozen=True)
 class QubitDirection:
     """A direction/field vector n in R^3 (energy units)."""
@@ -91,7 +95,7 @@ def qubit_ground_state(n) -> np.ndarray:
     """
     d = n if isinstance(n, QubitDirection) else QubitDirection(np.asarray(n))
     if d.norm < RANK_TOL:
-        raise ValueError("qubit band state undefined at n = 0 (degenerate levels)")
+        raise ZeroFieldError("qubit band state undefined at n = 0 (degenerate levels)")
     half = 0.5 * d.theta
     return np.array(
         [math.sin(half), -np.exp(1j * d.phi) * math.cos(half)], dtype=complex
@@ -102,7 +106,7 @@ def qubit_excited_state(n) -> np.ndarray:
     """Closed-form upper-band eigenvector: (cos(theta/2), e^{i phi} sin(theta/2))."""
     d = n if isinstance(n, QubitDirection) else QubitDirection(np.asarray(n))
     if d.norm < RANK_TOL:
-        raise ValueError("qubit band state undefined at n = 0 (degenerate levels)")
+        raise ZeroFieldError("qubit band state undefined at n = 0 (degenerate levels)")
     half = 0.5 * d.theta
     return np.array(
         [math.cos(half), np.exp(1j * d.phi) * math.sin(half)], dtype=complex
@@ -245,6 +249,33 @@ def reversed_path(path: ParameterPath) -> ParameterPath:
 
 
 USB_CIRCLE_DEFAULTS = {"s0": 1.0, "a": 0.5, "q0": 0.5, "b": 0.25}
+USB_CONSTANT_DEFAULTS = {"p": 0.0, "s": 1.0, "q": 0.0}
+QUBIT_AZIMUTHAL_DEFAULTS = {"theta0": math.pi / 3, "radius": 1.0}
+QUBIT_CONSTANT_DEFAULTS = {"n": [0.0, 0.0, 1.0]}
+
+
+def _family_params(family: str, params: dict, defaults: dict) -> dict:
+    """A pulse family's parameters over its defaults, as floats (or float
+    vectors where the default is one); unknown names and values of the
+    wrong shape are rejected."""
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ConfigError(
+            f"config.path.params: unknown {family}-family parameters: {sorted(unknown)}"
+        )
+    cfg = {**defaults, **params}
+    for key, value in cfg.items():
+        shape = np.shape(defaults[key])
+        try:
+            arr = np.asarray(value)
+            ok = arr.dtype.kind in "iuf" and arr.shape == shape
+        except ValueError:  # ragged nesting
+            ok = False
+        if not ok:
+            want = f"{shape[0]} numbers" if shape else "a number"
+            raise ConfigError(f"config.path.params.{key}: expected {want}, got {value!r}")
+        cfg[key] = arr.astype(float) if shape else float(arr)
+    return cfg
 
 
 def make_usb_loop(
@@ -265,18 +296,10 @@ def make_usb_loop(
     """
     params = dict(params or {})
     if family == "constant":
-        p = params.get("p", 0.0)
-        s = params.get("s", 1.0)
-        q = params.get("q", 0.0)
-        path = constant_path([p, s, q], label="usb-constant")
+        cfg = _family_params(family, params, USB_CONSTANT_DEFAULTS)
+        path = constant_path([cfg["p"], cfg["s"], cfg["q"]], label="usb-constant")
     elif family == "circle":
-        cfg = dict(USB_CIRCLE_DEFAULTS)
-        unknown = set(params) - set(cfg)
-        if unknown:
-            raise ConfigError(
-                f"config.path.params: unknown circle-family parameters: {sorted(unknown)}"
-            )
-        cfg.update(params)
+        cfg = _family_params(family, params, USB_CIRCLE_DEFAULTS)
         s0, a, q0, b = cfg["s0"], cfg["a"], cfg["q0"], cfg["b"]
 
         def evaluate(s: np.ndarray) -> np.ndarray:
@@ -452,12 +475,11 @@ def build_model_and_path(fragment: dict) -> tuple[HamiltonianModel, ParameterPat
     if name == "qubit":
         model: HamiltonianModel = QubitModel()
         if family in (None, "azimuthal"):
-            path = make_azimuthal_loop(
-                theta0=float(params.get("theta0", math.pi / 3)),
-                radius=float(params.get("radius", 1.0)),
-            )
+            cfg = _family_params("azimuthal", params, QUBIT_AZIMUTHAL_DEFAULTS)
+            path = make_azimuthal_loop(cfg["theta0"], cfg["radius"])
         elif family == "constant":
-            path = constant_path(params.get("n", [0.0, 0.0, 1.0]), label="qubit-constant")
+            cfg = _family_params(family, params, QUBIT_CONSTANT_DEFAULTS)
+            path = constant_path(cfg["n"], label="qubit-constant")
         else:
             raise ConfigError(
                 f"config.path.family: unknown qubit family '{family}' "

@@ -3,7 +3,8 @@
 CSV output is UTF-8 with a header row and '.' decimal separator; floats
 are written with repr() so a round-trip through the file is exact.
 Metadata goes to JSON: the fully resolved config, tool version, elapsed
-time, and the list of hard checks with their measured values and bounds.
+time, the list of hard checks with their measured values and bounds, and,
+for experiments that set them, numerical-health diagnostics.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class ExperimentReport:
     config: dict
     checks: list[Check] = field(default_factory=list)
     elapsed_ms: int = 0
+    diagnostics: dict | None = None
 
     def add_check(self, name: str, passed: bool, value, bound: str) -> Check:
         check = Check(name=name, passed=bool(passed), value=value, bound=bound)
@@ -70,13 +72,16 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def metadata(self) -> dict:
-        return {
+        meta = {
             "experiment": self.experiment,
             "config": _jsonable(self.config),
             "tool_version": __version__,
             "elapsed_ms": int(self.elapsed_ms),
             "checks": [c.as_dict() for c in self.checks],
         }
+        if self.diagnostics is not None:
+            meta["diagnostics"] = _jsonable(self.diagnostics)
+        return meta
 
     def write(self, csv_path: str | Path) -> tuple[Path, Path]:
         """Write the table to csv_path and metadata alongside (.json)."""

@@ -14,7 +14,46 @@ def usb_setup():
     return models.UsbModel(), path, np.stack([phi1, phi2], axis=1)
 
 
+def sequential_eigh_evolution(run):
+    """Reference integrator: the same midpoint rule, one eigendecomposed
+    propagator applied to the state per step, in time order."""
+    dt = run.total_time / run.steps
+    state = run.initial_state.copy()
+    for start in range(0, run.steps, 8192):
+        count = min(8192, run.steps - start)
+        s_mid = (np.arange(start, start + count) + 0.5) / run.steps
+        w, v = linalg.eigh_batch(run.model.evaluate_batch(run.path(s_mid)))
+        us = np.einsum("kij,kj,klj->kil", v, np.exp(-1j * w * dt), np.conjugate(v))
+        for u in us:
+            state = u @ state
+    return state
+
+
+def qubit_setup():
+    loop = models.make_azimuthal_loop(QUBIT_LOOP_THETA)
+    frame = models.qubit_ground_state(loop(np.array([0.0]))[0])[:, None]
+    return models.QubitModel(), loop, frame
+
+
 class TestEvolveSchrodinger:
+    @pytest.mark.parametrize("setup", [usb_setup, qubit_setup])
+    @pytest.mark.parametrize("total_time, steps", [(50.0, 4096), (200.0, 22628)])
+    def test_matches_sequential_eigh_loop(self, setup, total_time, steps):
+        model, path, frame = setup()
+        run = adiabatic.AdiabaticRun(model, path, total_time, steps, frame)
+        final = adiabatic.evolve_schrodinger(run).final_states
+        assert linalg.max_abs(final - sequential_eigh_evolution(run)) <= 1e-12
+
+    @pytest.mark.parametrize("setup", [usb_setup, qubit_setup])
+    def test_norm_drift_at_longest_shipped_ramp(self, setup):
+        # the qubit loop has constant |n|, so a per-step rounding of the
+        # propagator would repeat identically at every one of its 181,020 steps
+        model, path, frame = setup()
+        run = adiabatic.AdiabaticRun(
+            model, path, 800.0, adiabatic.default_steps(800.0), frame
+        )
+        assert adiabatic.evolve_schrodinger(run).norm_drift < 1e-12
+
     def test_stationary_eigenstate_collects_energy_phase(self):
         n0 = np.array([0.3, -0.2, 0.9])
         g = models.qubit_ground_state(n0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import holosim
-from holosim import abelian, experiments
+from holosim import abelian, experiments, models
 from holosim.report import ConfigError, read_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +45,17 @@ class TestConfigResolution:
             "berry-qubit", {"path": {"family": "constant", "params": {"n": [0, 0, 1]}}}
         )
         assert cfg["path"]["params"] == {"n": [0, 0, 1]}
+
+    def test_family_switch_rejects_unknown_path_fields(self):
+        with pytest.raises(ConfigError, match=r"config\.path\.foo: unknown field"):
+            experiments.resolve_config(
+                "berry-qubit",
+                {"path": {"family": "constant", "foo": 1, "params": {"n": [0, 0, 1]}}},
+            )
+        with pytest.raises(ConfigError, match=r"config\.path\.params: expected an object"):
+            experiments.resolve_config(
+                "berry-qubit", {"path": {"family": "constant", "params": [0, 0, 1]}}
+            )
 
     def test_path_samples_fragment_overrides_resolution(self):
         cfg = experiments.resolve_config(
@@ -201,6 +212,15 @@ class TestAdiabaticSweep:
         assert default.config["slope_window"] == [-2.5, -1.5]
         assert default.rows == report.rows
 
+    def test_default_sweep_reports_integrator_health(self):
+        report = experiments.run_experiment("adiabatic-sweep")
+        entries = report.metadata()["diagnostics"]["integrator"]
+        assert [e["ramp_time"] for e in entries] == [r[0] for r in report.rows]
+        assert [e["steps"] for e in entries] == [r[1] for r in report.rows]
+        assert all(0.0 <= e["norm_drift"] < 1e-12 for e in entries)
+        assert all(0.0 < e["step_error_estimate"] < 1e-3 for e in entries)
+        assert "diagnostics" not in experiments.run_experiment("pancharatnam").metadata()
+
     def test_bad_ts_rejected(self):
         with pytest.raises(ConfigError, match="ascending"):
             experiments.run_experiment("adiabatic-sweep", {"Ts": [100.0, 50.0, 200.0]})
@@ -239,6 +259,31 @@ class TestNoiseStudy:
         a = experiments.run_experiment("noise-study").csv_text()
         b = experiments.run_experiment("noise-study", {"noise": {"seed": 7}}).csv_text()
         assert a != b
+
+    def test_only_domain_errors_count_as_discarded(self, monkeypatch):
+        config = {
+            "samples": 64,
+            "noise": {"realizations": 8, "amplitude_ladder": [0.01, 0.02]},
+        }
+        original = abelian.discrete_geometric_phase
+        calls = []
+
+        def through_zero_field(chain):
+            calls.append(1)
+            if len(calls) == 3:
+                raise models.ZeroFieldError("deformed loop passes through n = 0")
+            return original(chain)
+
+        monkeypatch.setattr(abelian, "discrete_geometric_phase", through_zero_field)
+        report = experiments.run_experiment("noise-study", config)
+        assert [r[-1] for r in report.rows] == [1, 0]
+
+        def broken(chain):
+            raise ValueError("not a domain error")
+
+        monkeypatch.setattr(abelian, "discrete_geometric_phase", broken)
+        with pytest.raises(ValueError, match="not a domain error"):
+            experiments.run_experiment("noise-study", config)
 
     def test_amplitude_bounds_validated(self):
         with pytest.raises(ConfigError, match=r"amplitude_ladder\[0\]"):
@@ -346,6 +391,12 @@ class TestCli:
         [
             ("adiabatic-sweep", {"model": "foo"}, "config.model"),
             ("berry-qubit", {"path": {"family": "zigzag"}}, "config.path.family"),
+            ("berry-qubit", {"path": {"params": {"theta_0": 1.0}}}, "config.path.params"),
+            (
+                "usb-holonomy",
+                {"path": {"family": "constant", "params": {"p": [1, 1, 0], "bogus": 2}}},
+                "config.path.params",
+            ),
         ],
     )
     def test_invalid_model_or_path_exits_two(self, tmp_path, experiment, config, field):

@@ -166,3 +166,101 @@ class TestAngles:
         assert linalg.angle_distance(np.pi - 1e-3, -np.pi + 1e-3) == pytest.approx(
             2e-3, abs=1e-12
         )
+
+
+def eigh_propagators(hs, dt):
+    """The diagonalization form exp(-i H dt) = V diag(exp(-i w dt)) V^dag."""
+    w, v = np.linalg.eigh(hs)
+    return np.einsum("kij,kj,klj->kil", v, np.exp(-1j * w * dt), np.conjugate(v))
+
+
+def star_stack(rng, k, dim=4, hub=1):
+    hs = np.zeros((k, dim, dim), dtype=complex)
+    spokes = [j for j in range(dim) if j != hub]
+    couplings = rng.normal(size=(k, dim - 1)) + 1j * rng.normal(size=(k, dim - 1))
+    hs[:, hub, spokes] = couplings
+    hs[:, spokes, hub] = np.conjugate(couplings)
+    return hs
+
+
+class TestPropagatorIncrements:
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        original = linalg.eigh_batch
+
+        def counting(hs):
+            calls.append(len(hs))
+            return original(hs)
+
+        monkeypatch.setattr(linalg, "eigh_batch", counting)
+        return calls
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.37, 5.0])
+    def test_traceless_qubit_stack_closed_form(self, eigh_calls, dt):
+        rng = np.random.default_rng(37)
+        n = rng.normal(size=(512, 3))
+        pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        hs = np.einsum("ki,ijl->kjl", n, pauli)
+        es = linalg.propagator_increments(hs, dt)
+        assert eigh_calls == []
+        assert linalg.max_abs(es + np.eye(2) - eigh_propagators(hs, dt)) <= 1e-14
+
+    @pytest.mark.parametrize("hub", [0, 1, 3])
+    def test_star_stack_closed_form(self, eigh_calls, hub):
+        rng = np.random.default_rng(41 + hub)
+        hs = star_stack(rng, 512, hub=hub)
+        for dt in (1e-3, 0.37):
+            es = linalg.propagator_increments(hs, dt)
+            assert linalg.max_abs(es + np.eye(4) - eigh_propagators(hs, dt)) <= 1e-14
+        assert eigh_calls == []
+
+    def test_general_stack_takes_the_eigh_path(self, eigh_calls):
+        rng = np.random.default_rng(43)
+        hs = np.stack([random_hermitian(rng, 4) for _ in range(64)])
+        # a detuned hub breaks the {-R, 0, +R} spectrum of one member
+        detuned = star_stack(rng, 3)
+        detuned[1, 1, 1] = 0.5
+        dt = 0.2
+        for stack in (hs, np.concatenate([star_stack(rng, 5), detuned])):
+            es = linalg.propagator_increments(stack, dt)
+            w, v = np.linalg.eigh(stack)
+            steps = -2.0 * np.sin(0.5 * w * dt) ** 2 - 1j * np.sin(w * dt)
+            expected = np.einsum("kij,kj,klj->kil", v, steps, np.conjugate(v))
+            assert np.array_equal(es, expected)
+            assert linalg.max_abs(es + np.eye(4) - eigh_propagators(stack, dt)) <= 1e-14
+        assert eigh_calls == [64, 8]
+
+    def test_zero_hamiltonian_gives_identity(self, eigh_calls):
+        es = linalg.propagator_increments(np.zeros((3, 4, 4), dtype=complex), 0.5)
+        assert np.array_equal(es, np.zeros((3, 4, 4)))
+        assert eigh_calls == []
+
+    def test_steps_are_unitary(self):
+        rng = np.random.default_rng(47)
+        for hs in (star_stack(rng, 16), np.stack([random_hermitian(rng, 3)] * 4)):
+            for e in linalg.propagator_increments(hs, 0.7):
+                assert linalg.unitarity_defect(e + np.eye(len(e))) < 1e-14
+
+    def test_rejects_non_hermitian(self):
+        nilpotent = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        with pytest.raises(linalg.NonHermitianError):
+            linalg.propagator_increments(nilpotent, 0.1)
+
+
+class TestProducts:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 101])
+    def test_ordered_product_matches_sequential(self, n):
+        rng = np.random.default_rng(53 + n)
+        mats = np.stack([random_unitary(rng, 3) for _ in range(n)])
+        expected = np.eye(3, dtype=complex)
+        for m in mats:
+            expected = expected @ m
+        assert linalg.max_abs(linalg.ordered_product(mats) - expected) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 101])
+    def test_near_identity_product_matches_ordered_product(self, n):
+        rng = np.random.default_rng(59 + n)
+        es = 1e-2 * (rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3)))
+        expected = linalg.ordered_product(es + np.eye(3)) - np.eye(3)
+        assert linalg.max_abs(linalg.near_identity_product(es) - expected) < 1e-14

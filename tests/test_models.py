@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holosim import linalg, models
+from holosim.report import ConfigError
 
 
 class TestQubitHamiltonian:
@@ -233,6 +234,37 @@ class TestModelProviders:
             {"model": "usb", "path": {"family": "circle", "params": {"b": 0.1}}}
         )
         assert isinstance(model, models.UsbModel)
+
+    @pytest.mark.parametrize(
+        "model, path",
+        [
+            ("qubit", {"family": "azimuthal", "params": {"theta0": 1.0, "bogus": 3}}),
+            ("qubit", {"params": {"theta_0": 1.0}}),
+            ("qubit", {"family": "constant", "params": {"n": [0, 0, 1], "m": 1}}),
+            ("usb", {"family": "constant", "params": {"p": [1, 1, 0], "bogus": 2}}),
+        ],
+    )
+    def test_unknown_path_parameters_rejected(self, model, path):
+        with pytest.raises(ConfigError, match=r"config\.path\.params: unknown .*-family"):
+            models.build_model_and_path({"model": model, "path": path})
+
+    @pytest.mark.parametrize(
+        "model, path, key",
+        [
+            ("usb", {"family": "constant", "params": {"p": [1, 1, 0]}}, "p"),
+            ("qubit", {"params": {"theta0": "1.0"}}, "theta0"),
+            ("qubit", {"family": "constant", "params": {"n": [0, 1]}}, "n"),
+            ("qubit", {"family": "constant", "params": {"n": [0, [1], 1]}}, "n"),
+        ],
+    )
+    def test_malformed_path_parameters_rejected(self, model, path, key):
+        with pytest.raises(ConfigError, match=rf"config\.path\.params\.{key}: expected"):
+            models.build_model_and_path({"model": model, "path": path})
+
+    def test_zero_field_band_states_raise_typed_error(self):
+        for state in (models.qubit_ground_state, models.qubit_excited_state):
+            with pytest.raises(models.ZeroFieldError, match="n = 0"):
+                state([0.0, 0.0, 0.0])
 
     def test_build_model_and_path_rejects_unknown(self):
         with pytest.raises(ValueError, match="config.model"):
