@@ -26,7 +26,7 @@ from .report import ConfigError
 
 def _knobs(flag: str) -> str:
     return "; ".join(
-        f"{name}: {getattr(e, flag)}" for name, e in REGISTRY.items() if getattr(e, flag)
+        f"{name}: {e.knob(flag)}" for name, e in REGISTRY.items() if e.knob(flag)
     )
 
 

@@ -104,10 +104,6 @@ class FramePath:
     def samples(self) -> int:
         return self.frames.shape[0]
 
-    @property
-    def block_size(self) -> int:
-        return self.frames.shape[2]
-
 
 @dataclass
 class HolonomyResult:
@@ -298,9 +294,9 @@ def holonomy_distance(u: np.ndarray, v: np.ndarray) -> float:
         return max_abs(np.exp(1j * alpha) * u - v)
 
     grid = np.linspace(-math.pi, math.pi, 1024, endpoint=False)
-    values = [f(a) for a in grid]
+    values = np.abs(np.exp(1j * grid)[:, None, None] * u - v).max(axis=(1, 2))
     k = int(np.argmin(values))
-    candidates = [(values[k], grid[k])]
+    candidates = [(float(values[k]), grid[k])]
     trace = np.trace(dagger(u) @ v)
     if abs(trace) > 1e-14:
         alpha_f = float(np.angle(trace))

@@ -13,11 +13,8 @@ import numpy as np
 
 # Tolerances (absolute, relative to max(1, scale) where noted).
 HERMITIAN_TOL = 1e-10
-EIG_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 RANK_TOL = 1e-12
-UNITARITY_TOL = 1e-12
-NORM_TOL = 1e-12
 # relative defect |H^3 - R^2 H| / R^3 below which propagator_increments
 # uses the closed form; floating-point evaluation of an exact {-R, 0, +R}
 # stack leaves a few eps
@@ -62,15 +59,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
 def norm_scale(m: np.ndarray) -> float:
     """Scale used for relative tolerances: max(1, largest entry magnitude)."""
     return max(1.0, max_abs(m))
-
-
-def normalize_state(v: np.ndarray) -> np.ndarray:
-    """Return v / ||v||; rejects (near-)zero vectors."""
-    v = np.asarray(v, dtype=complex)
-    n = float(np.linalg.norm(v))
-    if n < RANK_TOL:
-        raise ValueError("cannot normalize a zero state vector")
-    return v / n
 
 
 def gauge_fix(v: np.ndarray) -> np.ndarray:

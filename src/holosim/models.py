@@ -17,7 +17,7 @@ exact null vectors of the four-level Hamiltonian; theta must be unwrapped
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,18 +66,6 @@ class QubitDirection:
         return math.atan2(self.n[1], self.n[0])
 
 
-@dataclass(frozen=True)
-class UsbParameters:
-    """Couplings (P, S, Q) of the four-level model."""
-
-    p: float
-    s: float
-    q: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p, self.s, self.q], dtype=float)
-
-
 def qubit_hamiltonian(n) -> np.ndarray:
     """H = n_x sigma_x + n_y sigma_y + n_z sigma_z (eigenvalues +-|n|)."""
     if isinstance(n, QubitDirection):
@@ -115,8 +103,6 @@ def qubit_excited_state(n) -> np.ndarray:
 
 def usb_hamiltonian(p) -> np.ndarray:
     """Four-level matrix: level 2 coupled to levels 1, 3, 4 by (P, S, Q)."""
-    if isinstance(p, UsbParameters):
-        p = p.as_array()
     pp, ss, qq = np.asarray(p, dtype=float).reshape(3)
     h = np.zeros((4, 4), dtype=complex)
     h[0, 1] = h[1, 0] = pp
@@ -131,8 +117,6 @@ def usb_dark_angles(p) -> tuple[float, float]:
     Principal branch from atan2; callers integrating along paths must
     unwrap theta themselves. Raises when P = S = 0.
     """
-    if isinstance(p, UsbParameters):
-        p = p.as_array()
     pp, ss, qq = np.asarray(p, dtype=float).reshape(3)
     hyp = math.hypot(pp, ss)
     if hyp < DARK_SINGULAR_TOL:

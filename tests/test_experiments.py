@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -10,10 +11,43 @@ import numpy as np
 import pytest
 
 import holosim
-from holosim import abelian, experiments, models
+from holosim import abelian, experiments, models, schema
 from holosim.report import ConfigError, read_csv
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Malformed configs that used to end in a raw traceback or run silently.
+BAD_CONFIGS = [
+    ("berry-qubit", {"tolerance": "abc"}, "config.tolerance"),
+    ("berry-qubit", {"tolerance": -1}, "config.tolerance"),
+    ("berry-qubit", {"band": 5}, "config.band"),
+    ("berry-qubit", {"ladder": 64}, "config.ladder"),
+    ("berry-qubit", {"ladder": []}, "config.ladder"),
+    ("berry-qubit", {"reverse": "yes"}, "config.reverse"),
+    ("curvature-map", {"grid": {"theta": [0.5]}}, "config.grid.theta"),
+    ("curvature-map", {"grid": {"phi": [1.0, 0.5]}}, "config.grid.phi"),
+    ("curvature-map", {"tiling": {"theta": [1.0, 0.5]}}, "config.tiling.theta"),
+    ("curvature-map", {"radius": -1}, "config.radius"),
+    ("curvature-map", {"radius": "x"}, "config.radius"),
+    ("curvature-map", {"band": 3}, "config.band"),
+    ("usb-holonomy", {"distance_tolerance": None}, "config.distance_tolerance"),
+    ("adiabatic-sweep", {"Ts": ["a", "b", "c"]}, "config.Ts"),
+    ("adiabatic-sweep", {"Ts": [-50, 0, 1]}, "config.Ts"),
+    ("noise-study", {"noise": {"amplitude_ladder": "x"}}, "config.noise.amplitude_ladder"),
+    ("noise-study", {"noise": {"amplitude_ladder": ["a"]}}, "config.noise.amplitude_ladder"),
+    ("noise-study", {"slope_gate": "x"}, "config.slope_gate"),
+    ("pancharatnam", {"tolerance": "x"}, "config.tolerance"),
+    (
+        "pancharatnam",
+        {"states": {"bloch": [[0, 0, 1], ["a", 0, 1], [1, 0, 0]]}},
+        "config.states.bloch",
+    ),
+    (
+        "pancharatnam",
+        {"states": {"bloch": [[0, 0, 1], [1, 0, 0], [0, 1, 0]], "amplitudes": [[[1, 0]]] * 3}},
+        "config.states",
+    ),
+]
 
 
 class TestConfigResolution:
@@ -106,6 +140,49 @@ class TestConfigResolution:
         assert documented == {
             name: list(entry.columns) for name, entry in experiments.REGISTRY.items()
         }
+
+    def test_formats_doc_config_fields_match_registry(self):
+        text = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+        section = text.split("## Config fields")[1].split("## Column schemas")[0]
+        documented = {}
+        for block in re.split(r"^### ", section, flags=re.M)[1:]:
+            name, body = block.split("\n", 1)
+            documented[name.strip()] = [
+                tuple(cell.strip() for cell in line.split("|")[1:4])
+                for line in body.splitlines()
+                if line.startswith("| `")
+            ]
+        assert documented == {
+            name: [
+                (f"`{key}`", f"`{json.dumps(field.default)}`", field.accepts)
+                for key, field in schema.leaves(entry.fields)
+            ]
+            for name, entry in experiments.REGISTRY.items()
+        }
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("experiment, config, field", BAD_CONFIGS)
+    def test_bad_field_rejected_by_name(self, experiment, config, field):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}[\[:]"):
+            experiments.run_experiment(experiment, config)
+
+    def test_runner_validates_hand_edited_config(self):
+        config = experiments.resolve_config("curvature-map") | {"radius": -1}
+        with pytest.raises(ConfigError, match=r"^config\.radius:"):
+            experiments.run_curvature_map(config)
+        config = experiments.resolve_config("adiabatic-sweep") | {"steps_per_T": [64, 64]}
+        with pytest.raises(ConfigError, match=r"^config\.steps_per_T:"):
+            experiments.run_adiabatic_sweep(config)
+
+    def test_defaults_and_examples_validate_unchanged(self):
+        users = [{"experiment": name} for name in experiments.EXPERIMENTS]
+        users += [json.loads(p.read_text()) for p in sorted((ROOT / "configs").glob("*.json"))]
+        for user in users:
+            config = experiments.resolve_config(user["experiment"], user)
+            before = copy.deepcopy(config)
+            experiments.validate(user["experiment"], config)
+            assert config == before
 
 
 class TestBerryQubit:
@@ -406,6 +483,16 @@ class TestCli:
         assert proc.returncode == 2
         assert field in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("experiment, config, field", BAD_CONFIGS[::4])
+    def test_bad_field_exits_two_without_traceback(self, tmp_path, experiment, config, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        proc = self.run_cli(experiment, "--config", str(cfg), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert f"error: {field}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_inapplicable_flag_exits_two(self, tmp_path):
         proc = self.run_cli("pancharatnam", "--samples", "5", cwd=tmp_path)

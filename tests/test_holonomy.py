@@ -335,7 +335,47 @@ class TestClosedForm:
             )
 
 
+def reference_holonomy_distance(u, v):
+    """The per-point phase scan, one max_abs call per grid point, refined by
+    the same golden-section search as holonomy_distance."""
+
+    def f(alpha):
+        return linalg.max_abs(np.exp(1j * alpha) * u - v)
+
+    grid = np.linspace(-math.pi, math.pi, 1024, endpoint=False)
+    values = [f(a) for a in grid]
+    k = int(np.argmin(values))
+    candidates = [(values[k], grid[k])]
+    trace = np.trace(u.conj().T @ v)
+    if abs(trace) > 1e-14:
+        candidates.append((f(float(np.angle(trace))), float(np.angle(trace))))
+    best_val, best_alpha = min(candidates)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = best_alpha - (grid[1] - grid[0]), best_alpha + (grid[1] - grid[0])
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(80):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return min(best_val, fc, fd)
+
+
 class TestHolonomyDistance:
+    def test_batched_scan_matches_per_point_reference(self):
+        rng = np.random.default_rng(67)
+        for dim in (2, 4):
+            for _ in range(25):
+                u, v = random_unitary(rng, dim), random_unitary(rng, dim)
+                got = holonomy.holonomy_distance(u, v)
+                assert type(got) is float
+                assert got == reference_holonomy_distance(u, v)
+
     def test_identical(self):
         rng = np.random.default_rng(71)
         u = random_unitary(rng, 3)
