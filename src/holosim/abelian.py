@@ -24,7 +24,7 @@ from .linalg import (
     link_overlaps,
     wrap_angle,
 )
-from .models import HamiltonianModel, ParameterPath
+from .models import HamiltonianModel, ParameterPath, qubit_band_states
 
 OVERLAP_TOL = 1e-8
 ANTIPODAL_TOL = 1e-12
@@ -326,16 +326,15 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
 
 
 def bloch_chain(directions, closed: bool = True) -> StateChain:
-    """Lower-band qubit states for a chain of field directions.
+    """Lower-band qubit states for an (n, 3) chain of field directions.
 
-    Each direction d maps to the ground state of d . sigma, so the chain
-    phase of a geodesic polygon equals -solid_angle(directions)/2.
+    Each direction d maps to the closed-form ground state of d . sigma
+    (models.qubit_band_states), so the chain phase of a geodesic polygon
+    equals -solid_angle(directions)/2. A zero direction raises
+    models.ZeroFieldError naming its index.
     """
-    from .models import qubit_ground_state
-
     dirs = np.asarray(directions, dtype=float).reshape(-1, 3)
-    states = np.array([qubit_ground_state(d) for d in dirs])
-    return StateChain(states, closed=closed)
+    return StateChain(qubit_band_states(dirs, 0), closed=closed)
 
 
 __all__ = [

@@ -341,14 +341,10 @@ def run_usb_holonomy(config: dict) -> ExperimentReport:
 
 
 def _sweep_block_and_frame(model, path):
+    start = path(np.array([0.0]))
     if isinstance(model, models.UsbModel):
-        block = holonomy.USB_DARK_BLOCK
-        phi1, phi2 = models.usb_dark_frame(path(np.array([0.0]))[0])
-        frame0 = np.stack([phi1, phi2], axis=1)
-    else:
-        block = holonomy.BandBlock(0, 1)
-        frame0 = models.qubit_ground_state(path(np.array([0.0]))[0])[:, None]
-    return block, frame0
+        return holonomy.USB_DARK_BLOCK, model.dark_frame_batch(start)[0]
+    return holonomy.BandBlock(0, 1), models.qubit_band_states(start, 0)[0][:, None]
 
 
 def run_adiabatic_sweep(config: dict) -> ExperimentReport:
@@ -403,6 +399,7 @@ def _fourier_deformation(rng: np.random.Generator, s: np.ndarray, modes: int) ->
 def run_noise_study(config: dict) -> ExperimentReport:
     """Phase robustness under smooth loop deformations.
 
+    Every chain holds the closed-form states of the configured band.
     Each realization draws a low-order Fourier deformation d(s); the raw
     perturbed loop is lambda + eps * scale * d, and the area-preserving
     variant first projects out the first-order change of the enclosed
@@ -420,7 +417,7 @@ def run_noise_study(config: dict) -> ExperimentReport:
     scale = float(np.sqrt(np.mean(np.sum(base**2, axis=1))))
 
     def chain_phase(points: np.ndarray) -> float:
-        states = np.array([models.qubit_ground_state(pt) for pt in points])
+        states = models.qubit_band_states(points, config["band"])
         chain = abelian.StateChain(states, closed=True)
         return abelian.discrete_geometric_phase(chain).phase
 

@@ -34,7 +34,13 @@ from .linalg import (
     unitarity_defect,
     wrap_angle,
 )
-from .models import DARK_SINGULAR_TOL, HamiltonianModel, ParameterPath
+from .models import (
+    DARK_SINGULAR_TOL,
+    DarkFrameSingularError,
+    HamiltonianModel,
+    ParameterPath,
+    UsbModel,
+)
 
 SUBSPACE_OVERLAP_TOL = 1e-6
 
@@ -208,7 +214,7 @@ def _usb_samples(path: ParameterPath, n_samples: int) -> np.ndarray:
     bad = np.nonzero(hyp2 < DARK_SINGULAR_TOL**2)[0]
     if len(bad):
         s = bad[0] / n_samples
-        raise ValueError(f"dark-frame angle singular at s = {s:.6f} (P = S = 0)")
+        raise DarkFrameSingularError(f"dark-frame angle singular at s = {s:.6f} (P = S = 0)")
     return lams
 
 
@@ -260,11 +266,8 @@ def usb_wilson_line(
     basepoint so the result is directly comparable to the closed-form
     rotation; eta_estimate is read off the matrix as atan2(V01, V00).
     """
-    from .models import UsbModel, usb_dark_frame
-
+    f0 = UsbModel().dark_frame_batch(path(np.array([0.0])))[0]
     model = model or UsbModel()
-    phi1, phi2 = usb_dark_frame(path(np.array([0.0]))[0])
-    f0 = np.stack([phi1, phi2], axis=1)
     frames = eigenframe_path(model, path, USB_DARK_BLOCK, n_samples, initial_frame=f0)
     result = wilson_line(frames)
     result.eta_estimate = float(

@@ -7,8 +7,6 @@ are used throughout; determinism matters more than scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Tolerances (absolute, relative to max(1, scale) where noted).
@@ -52,10 +50,6 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    return max_abs(m - dagger(m))
-
-
 def norm_scale(m: np.ndarray) -> float:
     """Scale used for relative tolerances: max(1, largest entry magnitude)."""
     return max(1.0, max_abs(m))
@@ -75,58 +69,6 @@ def gauge_fix(v: np.ndarray) -> np.ndarray:
     mag = np.abs(pivot)
     phase = np.conjugate(pivot) / np.maximum(mag, RANK_TOL)
     return v * np.where(mag < RANK_TOL, 1.0, phase)
-
-
-@dataclass
-class EigenDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
-
-    eigenvalues are sorted ascending; eigenvectors[:, k] belongs to
-    eigenvalues[k] and carries the deterministic gauge of gauge_fix. Within
-    a degenerate cluster only the spanned subspace is meaningful; use
-    clusters() and treat each block as a frame.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-    def clusters(self, scale: float, tol: float = DEGENERACY_TOL) -> list[range]:
-        """Group eigenvalue indices whose gaps fall below tol * scale."""
-        gaps = np.diff(self.eigenvalues)
-        blocks: list[range] = []
-        start = 0
-        for i, g in enumerate(gaps):
-            if g >= tol * max(1.0, scale):
-                blocks.append(range(start, i + 1))
-                start = i + 1
-        blocks.append(range(start, self.dim))
-        return blocks
-
-
-def check_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    defect = hermiticity_defect(h)
-    bound = tol * norm_scale(h)
-    if defect >= bound:
-        raise NonHermitianError(defect, bound)
-    return h
-
-
-def eigh(h: np.ndarray) -> EigenDecomposition:
-    """Hermitian eigendecomposition with deterministic ordering and gauge.
-
-    Eigenvalues ascending (LAPACK order); each eigenvector rephased by
-    gauge_fix. Rejects non-Hermitian input with the measured defect.
-    """
-    h = check_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=gauge_fix(v.T).T)
 
 
 def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

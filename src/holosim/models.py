@@ -42,105 +42,32 @@ class ZeroFieldError(ValueError):
     """n = 0: the qubit levels are degenerate and its band states undefined."""
 
 
-@dataclass(frozen=True)
-class QubitDirection:
-    """A direction/field vector n in R^3 (energy units)."""
+def qubit_band_states(ns, band: int) -> np.ndarray:
+    """Closed-form eigenvectors of n . sigma for one band, (..., 3) -> (..., 2).
 
-    n: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", np.asarray(self.n, dtype=float).reshape(3))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.n))
-
-    @property
-    def theta(self) -> float:
-        """Polar angle from +z."""
-        return math.atan2(math.hypot(self.n[0], self.n[1]), self.n[2])
-
-    @property
-    def phi(self) -> float:
-        """Azimuthal angle in the xy plane."""
-        return math.atan2(self.n[1], self.n[0])
-
-
-def qubit_hamiltonian(n) -> np.ndarray:
-    """H = n_x sigma_x + n_y sigma_y + n_z sigma_z (eigenvalues +-|n|)."""
-    if isinstance(n, QubitDirection):
-        n = n.n
-    n = np.asarray(n, dtype=float).reshape(3)
-    return np.einsum("i,ijk->jk", n, PAULI)
-
-
-def qubit_ground_state(n) -> np.ndarray:
-    """Closed-form lower-band eigenvector of n . sigma.
-
-    For n with polar/azimuthal angles (theta, phi) this is
-    (sin(theta/2), -exp(i phi) cos(theta/2)). Loop quantities are gauge
-    invariant, so the particular phase choice here is only a convention.
+    With polar/azimuthal angles (theta, phi) of each n, band 0 (lower) is
+    (sin(theta/2), -e^{i phi} cos(theta/2)) and band 1 (upper) is
+    (cos(theta/2), e^{i phi} sin(theta/2)). Loop quantities are gauge
+    invariant, so this phase choice is only a convention.
     """
-    d = n if isinstance(n, QubitDirection) else QubitDirection(np.asarray(n))
-    if d.norm < RANK_TOL:
-        raise ZeroFieldError("qubit band state undefined at n = 0 (degenerate levels)")
-    half = 0.5 * d.theta
-    return np.array(
-        [math.sin(half), -np.exp(1j * d.phi) * math.cos(half)], dtype=complex
-    )
-
-
-def qubit_excited_state(n) -> np.ndarray:
-    """Closed-form upper-band eigenvector: (cos(theta/2), e^{i phi} sin(theta/2))."""
-    d = n if isinstance(n, QubitDirection) else QubitDirection(np.asarray(n))
-    if d.norm < RANK_TOL:
-        raise ZeroFieldError("qubit band state undefined at n = 0 (degenerate levels)")
-    half = 0.5 * d.theta
-    return np.array(
-        [math.cos(half), np.exp(1j * d.phi) * math.sin(half)], dtype=complex
-    )
-
-
-def usb_hamiltonian(p) -> np.ndarray:
-    """Four-level matrix: level 2 coupled to levels 1, 3, 4 by (P, S, Q)."""
-    pp, ss, qq = np.asarray(p, dtype=float).reshape(3)
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = h[1, 0] = pp
-    h[1, 2] = h[2, 1] = ss
-    h[1, 3] = h[3, 1] = qq
-    return h
-
-
-def usb_dark_angles(p) -> tuple[float, float]:
-    """(theta, phi) with tan theta = P/S and tan phi = Q/sqrt(P^2+S^2).
-
-    Principal branch from atan2; callers integrating along paths must
-    unwrap theta themselves. Raises when P = S = 0.
-    """
-    pp, ss, qq = np.asarray(p, dtype=float).reshape(3)
-    hyp = math.hypot(pp, ss)
-    if hyp < DARK_SINGULAR_TOL:
-        raise DarkFrameSingularError(
-            f"dark frame angle undefined: P^2 + S^2 = {hyp**2:.3e} at (P,S,Q)="
-            f"({pp}, {ss}, {qq})"
+    ns = np.asarray(ns, dtype=float)
+    zero = np.linalg.norm(ns, axis=-1) < RANK_TOL
+    if np.any(zero):
+        index = np.unravel_index(int(np.argmax(zero)), zero.shape)
+        raise ZeroFieldError(
+            f"qubit band state undefined at index [{', '.join(map(str, index))}]: "
+            "n = 0 (degenerate levels)"
         )
-    return math.atan2(pp, ss), math.atan2(qq, hyp)
-
-
-def usb_dark_frame(p) -> tuple[np.ndarray, np.ndarray]:
-    """The two zero-eigenvalue eigenvectors of the four-level Hamiltonian.
-
-    Phi1 = (cos t, 0, -sin t, 0) and
-    Phi2 = (sin f sin t, 0, sin f cos t, -cos f)
-    with (t, f) = usb_dark_angles(p); both satisfy H Phi = 0 exactly and
-    are orthonormal.
-    """
-    theta, phi = usb_dark_angles(p)
-    ct, st = math.cos(theta), math.sin(theta)
-    cf, sf = math.cos(phi), math.sin(phi)
-    phi1 = np.array([ct, 0.0, -st, 0.0], dtype=complex)
-    phi2 = np.array([sf * st, 0.0, sf * ct, -cf], dtype=complex)
-    return phi1, phi2
+    x, y, z = np.moveaxis(ns, -1, 0)
+    half = 0.5 * np.arctan2(np.hypot(x, y), z)
+    phase = np.exp(1j * np.arctan2(y, x))
+    if band == 0:
+        pair = (np.sin(half), -phase * np.cos(half))
+    elif band == 1:
+        pair = (np.cos(half), phase * np.sin(half))
+    else:
+        raise ValueError(f"qubit band must be 0 or 1, got {band}")
+    return np.stack(pair, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +262,8 @@ class HamiltonianModel:
     parameter_dim: int
     label: str
 
-    def evaluate(self, lam) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float).reshape(1, self.parameter_dim)
-        return self.evaluate_batch(lam)[0]
-
     def evaluate_batch(self, lams: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def energies(self, lam) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float).reshape(1, self.parameter_dim)
-        return self.energies_batch(lam)[0]
 
     def energies_batch(self, lams: np.ndarray) -> np.ndarray:
         w, _ = eigh_batch(self.evaluate_batch(lams))

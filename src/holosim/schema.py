@@ -11,6 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .linalg import RANK_TOL
 from .report import ConfigError
 
 
@@ -147,15 +148,26 @@ def Path(family: str, params: dict) -> Field:
     return section._replace(accepts=accepts, merge=merge_path)
 
 
+def NonZero(inner: Field) -> Field:
+    """`inner`, with not every entry zero: a norm of at least RANK_TOL."""
+
+    def ok(v, c) -> bool:
+        return inner.ok(v, c) and np.linalg.norm(np.asarray(v, dtype=float)) >= RANK_TOL
+
+    return inner._replace(accepts=f"{inner.accepts}; not all zero", ok=ok)
+
+
 def States(default: dict) -> Field:
-    """A cycle of states, given whole: Bloch directions or amplitudes."""
+    """A cycle of states, given whole: Bloch directions or amplitudes. A
+    zero state has no phase, so none may be all zero."""
     kinds = {
-        "bloch": List(List(Number(), length=3), min_len=3),
-        "amplitudes": List(List(List(Number(), length=2)), min_len=3, even=True),
+        "bloch": List(NonZero(List(Number(), length=3)), min_len=3),
+        "amplitudes": List(NonZero(List(List(Number(), length=2))), min_len=3, even=True),
     }
     return Field(
         default,
-        '{"bloch": [[x, y, z], ...]} or {"amplitudes": [[[re, im], ...], ...]}, 3 states or more',
+        '{"bloch": [[x, y, z], ...]} or {"amplitudes": [[[re, im], ...], ...]}, '
+        "3 states or more, none all zero",
         lambda v, _: isinstance(v, dict) and len(v) == 1 and set(v) <= set(kinds),
         fields=kinds,
         merge=lambda base, v, path: v,

@@ -32,8 +32,7 @@ def _verdict(num: str, name: str, ok: bool, detail: str) -> bool:
 def usb_sweep():
     model = models.UsbModel()
     loop = models.make_usb_loop("circle")
-    phi1, phi2 = models.usb_dark_frame(loop(np.array([0.0]))[0])
-    frame = np.stack([phi1, phi2], axis=1)
+    frame = models.UsbModel().dark_frame_batch(loop(np.array([0.0])))[0]
     t0 = time.perf_counter()
     sweep = adiabatic.convergence_sweep(
         model, loop, holonomy.USB_DARK_BLOCK, [50.0, 200.0, 800.0], initial_frame=frame
@@ -155,7 +154,7 @@ def test_c6b_adiabatic_convergence_slope_window(usb_sweep):
     # the qubit loop keeps the first-order window exercised.
     sweep, _, _ = usb_sweep
     loop = models.make_azimuthal_loop(math.pi / 3)
-    frame = models.qubit_ground_state(loop(np.array([0.0]))[0])[:, None]
+    frame = models.qubit_band_states(loop(np.array([0.0])), 0)[0][:, None]
     qubit_sweep = adiabatic.convergence_sweep(
         models.QubitModel(),
         loop,
@@ -219,8 +218,7 @@ def test_c8_gauge_invariance_suite():
         )
 
     loop = models.make_usb_loop("circle")
-    phi1, phi2 = models.usb_dark_frame(loop(np.array([0.0]))[0])
-    f0 = np.stack([phi1, phi2], axis=1)
+    f0 = models.UsbModel().dark_frame_batch(loop(np.array([0.0])))[0]
     v = holonomy.wilson_line(
         holonomy.eigenframe_path(
             models.UsbModel(), loop, holonomy.USB_DARK_BLOCK, 256, initial_frame=f0
@@ -261,8 +259,7 @@ def test_c9_orientation_suite():
     abelian_flip = abs(linalg.wrap_angle(fwd + bwd))
 
     loop = models.make_usb_loop("circle")
-    phi1, phi2 = models.usb_dark_frame(loop(np.array([0.0]))[0])
-    f0 = np.stack([phi1, phi2], axis=1)
+    f0 = models.UsbModel().dark_frame_batch(loop(np.array([0.0])))[0]
     v_fwd = holonomy.wilson_line(
         holonomy.eigenframe_path(
             models.UsbModel(), loop, holonomy.USB_DARK_BLOCK, 512, initial_frame=f0

@@ -10,8 +10,8 @@ QUBIT_LOOP_THETA = math.pi / 3
 
 def usb_setup():
     path = models.make_usb_loop("circle")
-    phi1, phi2 = models.usb_dark_frame(path(np.array([0.0]))[0])
-    return models.UsbModel(), path, np.stack([phi1, phi2], axis=1)
+    model = models.UsbModel()
+    return model, path, model.dark_frame_batch(path(np.array([0.0])))[0]
 
 
 def sequential_eigh_evolution(run):
@@ -31,7 +31,7 @@ def sequential_eigh_evolution(run):
 
 def qubit_setup():
     loop = models.make_azimuthal_loop(QUBIT_LOOP_THETA)
-    frame = models.qubit_ground_state(loop(np.array([0.0]))[0])[:, None]
+    frame = models.qubit_band_states(loop(np.array([0.0])), 0)[0][:, None]
     return models.QubitModel(), loop, frame
 
 
@@ -56,7 +56,7 @@ class TestEvolveSchrodinger:
 
     def test_stationary_eigenstate_collects_energy_phase(self):
         n0 = np.array([0.3, -0.2, 0.9])
-        g = models.qubit_ground_state(n0)
+        g = models.qubit_band_states(n0, 0)
         run = adiabatic.AdiabaticRun(
             models.QubitModel(), models.constant_path(n0), 7.0, 64, g
         )
@@ -107,7 +107,7 @@ class TestEvolveSchrodinger:
         # improving with T
         loop = models.make_azimuthal_loop(QUBIT_LOOP_THETA)
         model = models.QubitModel()
-        frame = models.qubit_ground_state(loop(np.array([0.0]))[0])[:, None]
+        frame = models.qubit_band_states(loop(np.array([0.0])), 0)[0][:, None]
         errs = {}
         for total_time in (200.0, 800.0):
             res = adiabatic.adiabatic_holonomy(
@@ -160,8 +160,7 @@ class TestAdiabaticHolonomy:
     def test_constant_loop_identity(self):
         model, _, frame = usb_setup()
         path = models.constant_path([0.0, 1.0, 0.5])
-        phi1, phi2 = models.usb_dark_frame(path(np.array([0.0]))[0])
-        frame = np.stack([phi1, phi2], axis=1)
+        frame = models.UsbModel().dark_frame_batch(path(np.array([0.0])))[0]
         res = adiabatic.adiabatic_holonomy(
             model, path, 20.0, holonomy.USB_DARK_BLOCK, 256, initial_frame=frame
         )
@@ -219,8 +218,7 @@ class TestConvergenceSweep:
     def test_constant_loop_all_zero(self):
         model, _, _ = usb_setup()
         path = models.constant_path([0.0, 1.0, 0.5])
-        phi1, phi2 = models.usb_dark_frame(path(np.array([0.0]))[0])
-        frame = np.stack([phi1, phi2], axis=1)
+        frame = models.UsbModel().dark_frame_batch(path(np.array([0.0])))[0]
         sweep = adiabatic.convergence_sweep(
             model,
             path,
@@ -286,7 +284,7 @@ class TestConvergenceSweep:
 
     def test_qubit_sweep_phase_error_first_order(self):
         loop = models.make_azimuthal_loop(QUBIT_LOOP_THETA)
-        frame = models.qubit_ground_state(loop(np.array([0.0]))[0])[:, None]
+        frame = models.qubit_band_states(loop(np.array([0.0])), 0)[0][:, None]
         sweep = adiabatic.convergence_sweep(
             models.QubitModel(),
             loop,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import holosim
-from holosim import abelian, experiments, models, schema
+from holosim import abelian, experiments, linalg, models, schema
 from holosim.report import ConfigError, read_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +46,16 @@ BAD_CONFIGS = [
         "pancharatnam",
         {"states": {"bloch": [[0, 0, 1], [1, 0, 0], [0, 1, 0]], "amplitudes": [[[1, 0]]] * 3}},
         "config.states",
+    ),
+    (
+        "pancharatnam",
+        {"states": {"bloch": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}},
+        "config.states.bloch",
+    ),
+    (
+        "pancharatnam",
+        {"states": {"amplitudes": [[[0, 0], [0, 0]], [[1, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+        "config.states.amplitudes",
     ),
 ]
 
@@ -361,6 +371,25 @@ class TestNoiseStudy:
         monkeypatch.setattr(abelian, "discrete_geometric_phase", broken)
         with pytest.raises(ValueError, match="not a domain error"):
             experiments.run_experiment("noise-study", config)
+
+    @pytest.mark.parametrize("band, sign", [(0, -1.0), (1, 1.0)])
+    def test_band_selects_the_tracked_band(self, monkeypatch, band, sign):
+        # the first chain is the undeformed loop: the band's phase is
+        # -+ pi (1 - cos theta0) (module docstring of abelian)
+        original = abelian.discrete_geometric_phase
+        phases = []
+
+        def spy(chain):
+            result = original(chain)
+            phases.append(result.phase)
+            return result
+
+        monkeypatch.setattr(abelian, "discrete_geometric_phase", spy)
+        config = {"samples": 256, "band": band, "noise": {"realizations": 8}}
+        experiments.run_experiment("noise-study", config)
+        theta0 = models.QUBIT_AZIMUTHAL_DEFAULTS["theta0"]
+        expected = sign * math.pi * (1.0 - math.cos(theta0))
+        assert abs(linalg.wrap_angle(phases[0] - expected)) < 1e-3
 
     def test_amplitude_bounds_validated(self):
         with pytest.raises(ConfigError, match=r"amplitude_ladder\[0\]"):

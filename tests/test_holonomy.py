@@ -18,8 +18,7 @@ def shipped_loop():
 
 
 def dark_initial_frame(path):
-    phi1, phi2 = models.usb_dark_frame(path(np.array([0.0]))[0])
-    return np.stack([phi1, phi2], axis=1)
+    return models.UsbModel().dark_frame_batch(path(np.array([0.0])))[0]
 
 
 def random_unitary(rng, dim):
@@ -313,7 +312,7 @@ class TestEta:
             return np.stack([0.5 * np.sin(w), 0.5 + 0.5 * np.cos(w), np.ones_like(w)], axis=1)
 
         path = models.ParameterPath(fn, 3, closed=True, label="touches-singularity")
-        with pytest.raises(ValueError, match="singular"):
+        with pytest.raises(models.DarkFrameSingularError, match="singular"):
             holonomy.usb_eta(path, 4096)
 
 

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from holosim import linalg
-from holosim.models import usb_hamiltonian
+from holosim.models import UsbModel
+
+
+def usb_matrix(p):
+    return UsbModel().evaluate_batch(np.asarray(p, dtype=float).reshape(1, 3))[0]
 
 
 def random_hermitian(rng, dim):
@@ -16,46 +20,52 @@ def random_unitary(rng, dim):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def eigh_gauged(h):
+    """eigh_batch with each eigenvector (column) in the gauge of gauge_fix."""
+    w, v = linalg.eigh_batch(h)
+    return w, linalg.gauge_fix(np.swapaxes(v, -1, -2)).swapaxes(-1, -2)
+
+
 class TestEigh:
     def test_sigma_z(self):
-        dec = linalg.eigh(np.diag([1.0, -1.0]).astype(complex))
-        assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
+        w, v = eigh_gauged(np.diag([1.0, -1.0]).astype(complex))
+        assert np.allclose(w, [-1.0, 1.0])
         # ascending order puts the -1 eigenvector first
-        assert abs(abs(dec.eigenvectors[1, 0]) - 1.0) < 1e-14
+        assert abs(abs(v[1, 0]) - 1.0) < 1e-14
 
     def test_identity(self):
-        dec = linalg.eigh(np.eye(2, dtype=complex))
-        assert np.allclose(dec.eigenvalues, [1.0, 1.0])
-        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
+        w, v = eigh_gauged(np.eye(2, dtype=complex))
+        assert np.allclose(w, [1.0, 1.0])
+        gram = v.conj().T @ v
         assert linalg.max_abs(gram - np.eye(2)) < 1e-12
 
     def test_four_level_at_unit_couplings(self):
-        h = usb_hamiltonian([1.0, 1.0, 1.0])
-        dec = linalg.eigh(h)
+        h = usb_matrix([1.0, 1.0, 1.0])
+        w, _ = eigh_gauged(h)
         r = np.sqrt(3.0)
-        assert np.allclose(dec.eigenvalues, [-r, 0.0, 0.0, r], atol=1e-12)
+        assert np.allclose(w, [-r, 0.0, 0.0, r], atol=1e-12)
         # independent root check: each eigenvalue must zero the
         # characteristic determinant (LU-based, not an eigensolver)
-        for ev in dec.eigenvalues:
+        for ev in w:
             assert abs(np.linalg.det(h - ev * np.eye(4))) < 1e-10
 
     def test_residual_and_orthonormality(self):
         rng = np.random.default_rng(7)
         for dim in range(1, 9):
             h = random_hermitian(rng, dim)
-            dec = linalg.eigh(h)
+            w, v = eigh_gauged(h)
             scale = linalg.max_abs(h)
-            res = h @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues
+            res = h @ v - v * w
             assert linalg.max_abs(res) < 1e-10 * max(1.0, scale)
-            gram = dec.eigenvectors.conj().T @ dec.eigenvectors
+            gram = v.conj().T @ v
             assert linalg.max_abs(gram - np.eye(dim)) < 1e-10
 
     def test_reconstruction(self):
         rng = np.random.default_rng(11)
         for dim in range(1, 9):
             h = random_hermitian(rng, dim)
-            dec = linalg.eigh(h)
-            rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
+            w, v = eigh_gauged(h)
+            rebuilt = (v * w) @ v.conj().T
             assert linalg.max_abs(rebuilt - h) <= 1e-10 * max(1.0, linalg.max_abs(h))
 
     def test_eigenvalues_invariant_under_conjugation(self):
@@ -63,22 +73,22 @@ class TestEigh:
         for dim in (2, 3, 5, 8):
             h = random_hermitian(rng, dim)
             u = random_unitary(rng, dim)
-            w1 = linalg.eigh(h).eigenvalues
-            w2 = linalg.eigh(u @ h @ u.conj().T).eigenvalues
+            w1, _ = eigh_gauged(h)
+            w2, _ = eigh_gauged(u @ h @ u.conj().T)
             assert np.max(np.abs(w1 - w2)) < 1e-10 * max(1.0, np.max(np.abs(w1)))
 
     def test_rejects_non_hermitian(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(linalg.NonHermitianError) as exc:
-            linalg.eigh(bad)
+            linalg.eigh_batch(bad)
         assert exc.value.defect == pytest.approx(1.0)
         assert "1.0" in str(exc.value) or "1.000" in str(exc.value)
 
     def test_gauge_is_deterministic(self):
         rng = np.random.default_rng(17)
         h = random_hermitian(rng, 4)
-        a = linalg.eigh(h).eigenvectors
-        b = linalg.eigh(h.copy()).eigenvectors
+        _, a = eigh_gauged(h)
+        _, b = eigh_gauged(h.copy())
         assert np.array_equal(a, b)
 
     def test_gauge_fix_stack_matches_per_vector_form(self):
@@ -99,9 +109,13 @@ class TestEigh:
         assert fixed[1, 1, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_degenerate_cluster_detection(self):
-        dec = linalg.eigh(usb_hamiltonian([1.0, 1.0, 1.0]))
-        blocks = dec.clusters(scale=np.sqrt(3.0))
-        assert [list(b) for b in blocks] == [[0], [1, 2], [3]]
+        # clusters [0], [1, 2], [3]: only a cut inside the dark pair closes a gap
+        w, _ = linalg.eigh_batch(usb_matrix([1.0, 1.0, 1.0])[None])
+        assert linalg.closed_gap(w, 1, 3) is None
+        assert linalg.closed_gap(w, 0, 1) is None
+        assert linalg.closed_gap(w, 3, 4) is None
+        k, gap = linalg.closed_gap(w, 1, 2)
+        assert k == 0 and abs(gap) <= linalg.DEGENERACY_TOL
 
 
 class TestNearestUnitary:

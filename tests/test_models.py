@@ -7,51 +7,109 @@ from holosim import linalg, models
 from holosim.report import ConfigError
 
 
+def qubit_h(ns):
+    return models.QubitModel().evaluate_batch(np.asarray(ns, dtype=float).reshape(-1, 3))
+
+
+def usb_h(ps):
+    return models.UsbModel().evaluate_batch(np.asarray(ps, dtype=float).reshape(-1, 3))
+
+
+def reference_band_state(n, band):
+    """Per-point closed form of one qubit band, one direction at a time."""
+    half = 0.5 * math.atan2(math.hypot(n[0], n[1]), n[2])
+    phase = np.exp(1j * math.atan2(n[1], n[0]))
+    if band == 0:
+        return np.array([math.sin(half), -phase * math.cos(half)], dtype=complex)
+    return np.array([math.cos(half), phase * math.sin(half)], dtype=complex)
+
+
+def dark_frame_from_angles(theta, phi):
+    """(Phi1, Phi2) as columns, from the dark-frame angles (theta, phi)."""
+    ct, st, cf, sf = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
+    return np.array([[ct, sf * st], [0.0, 0.0], [-st, sf * ct], [0.0, -cf]], dtype=complex)
+
+
 class TestQubitHamiltonian:
     def test_z_direction_gives_sigma_z(self):
-        assert np.array_equal(models.qubit_hamiltonian([0, 0, 1]), models.SIGMA_Z)
+        assert np.array_equal(qubit_h([0, 0, 1])[0], models.SIGMA_Z)
 
     def test_zero_vector_gives_zero_matrix(self):
-        assert np.array_equal(models.qubit_hamiltonian([0, 0, 0]), np.zeros((2, 2)))
+        assert np.array_equal(qubit_h([0, 0, 0])[0], np.zeros((2, 2)))
 
     def test_x_direction_gives_sigma_x(self):
-        assert np.array_equal(models.qubit_hamiltonian([1, 0, 0]), models.SIGMA_X)
+        assert np.array_equal(qubit_h([1, 0, 0])[0], models.SIGMA_X)
 
     def test_eigenvalues_are_plus_minus_norm(self):
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            n = rng.normal(size=3)
-            w = np.linalg.eigvalsh(models.qubit_hamiltonian(n))
-            r = np.linalg.norm(n)
-            assert np.allclose(w, [-r, r], atol=1e-12)
+        ns = rng.normal(size=(50, 3))
+        w = np.linalg.eigvalsh(qubit_h(ns))
+        r = np.linalg.norm(ns, axis=1)
+        assert np.allclose(w, np.stack([-r, r], axis=1), atol=1e-12)
 
     def test_band_states_are_eigenvectors(self):
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = rng.normal(size=3)
-            if np.linalg.norm(n) < 1e-6:
-                continue
-            h = models.qubit_hamiltonian(n)
-            g = models.qubit_ground_state(n)
-            e = models.qubit_excited_state(n)
-            r = np.linalg.norm(n)
-            assert np.linalg.norm(h @ g + r * g) < 1e-12
-            assert np.linalg.norm(h @ e - r * e) < 1e-12
-            assert abs(np.vdot(g, e)) < 1e-12
+        ns = rng.normal(size=(50, 3))
+        h = qubit_h(ns)
+        g = models.qubit_band_states(ns, 0)
+        e = models.qubit_band_states(ns, 1)
+        r = np.linalg.norm(ns, axis=1)[:, None]
+        assert np.max(np.linalg.norm(np.einsum("kij,kj->ki", h, g) + r * g, axis=1)) < 1e-12
+        assert np.max(np.linalg.norm(np.einsum("kij,kj->ki", h, e) - r * e, axis=1)) < 1e-12
+        assert np.max(np.abs(np.einsum("ki,ki->k", g.conj(), e))) < 1e-12
 
     def test_direction_accessors(self):
-        d = models.QubitDirection([1.0, 1.0, 0.0])
-        assert d.theta == pytest.approx(math.pi / 2)
-        assert d.phi == pytest.approx(math.pi / 4)
-        assert d.norm == pytest.approx(math.sqrt(2.0))
+        # n = (1, 1, 0) has theta = pi/2 and phi = pi/4 at any length
+        s = math.sqrt(0.5)
+        twist = np.exp(0.25j * math.pi)
+        for scale in (1.0, 3.0):
+            n = scale * np.array([1.0, 1.0, 0.0])
+            g, e = (models.qubit_band_states(n, band) for band in (0, 1))
+            assert np.allclose(g, [s, -twist * s], atol=1e-15)
+            assert np.allclose(e, [s, twist * s], atol=1e-15)
+
+
+class TestQubitBandStates:
+    def test_leading_axes_are_kept(self):
+        rng = np.random.default_rng(6)
+        ns = rng.normal(size=(4, 5, 3))
+        for band in (0, 1):
+            states = models.qubit_band_states(ns, band)
+            assert states.shape == (4, 5, 2)
+            flat = models.qubit_band_states(ns.reshape(-1, 3), band)
+            assert np.array_equal(states.reshape(-1, 2), flat)
+
+    def test_zero_field_names_first_index(self):
+        ns = np.ones((6, 3))
+        ns[[2, 4]] = 0.0
+        with pytest.raises(models.ZeroFieldError, match=r"index \[2\]"):
+            models.qubit_band_states(ns, 0)
+        grid = np.ones((4, 5, 3))
+        grid[1, 3] = 1e-13
+        grid[2, 0] = 0.0
+        with pytest.raises(models.ZeroFieldError, match=r"index \[1, 3\]"):
+            models.qubit_band_states(grid, 1)
+
+    def test_matches_per_point_reference(self):
+        rng = np.random.default_rng(8)
+        ns = rng.normal(size=(500, 3)) * rng.uniform(0.1, 10.0, size=(500, 1))
+        ns[:4] = [[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, -2, 0]]
+        for band in (0, 1):
+            states = models.qubit_band_states(ns, band)
+            reference = np.array([reference_band_state(n, band) for n in ns])
+            assert np.max(np.abs(states - reference)) <= 1e-15
+
+    def test_unknown_band_rejected(self):
+        with pytest.raises(ValueError, match="band must be 0 or 1"):
+            models.qubit_band_states([0.0, 0.0, 1.0], 2)
 
 
 class TestUsbHamiltonian:
     def test_zero_couplings(self):
-        assert np.array_equal(models.usb_hamiltonian([0, 0, 0]), np.zeros((4, 4)))
+        assert np.array_equal(usb_h([0, 0, 0])[0], np.zeros((4, 4)))
 
     def test_single_coupling_pattern(self):
-        h = models.usb_hamiltonian([1.0, 0.0, 0.0])
+        h = usb_h([1.0, 0.0, 0.0])[0]
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 1] = expected[1, 0] = 1.0
         assert np.array_equal(h, expected)
@@ -59,10 +117,8 @@ class TestUsbHamiltonian:
     def test_sparsity_pattern_and_hermiticity(self):
         rng = np.random.default_rng(7)
         coupled = {(0, 1), (1, 0), (1, 2), (2, 1), (1, 3), (3, 1)}
-        for _ in range(20):
-            p = rng.normal(size=3)
-            h = models.usb_hamiltonian(p)
-            assert linalg.hermiticity_defect(h) == 0.0
+        for h in usb_h(rng.normal(size=(20, 3))):
+            assert linalg.max_abs(h - linalg.dagger(h)) == 0.0
             for i in range(4):
                 for j in range(4):
                     if (i, j) not in coupled:
@@ -70,24 +126,25 @@ class TestUsbHamiltonian:
 
     def test_spectrum_is_symmetric_with_dark_pair(self):
         rng = np.random.default_rng(9)
-        for _ in range(200):
-            p = rng.normal(size=3) * 3.0
-            w = np.linalg.eigvalsh(models.usb_hamiltonian(p))
-            r = np.linalg.norm(p)
-            assert np.allclose(w, [-r, 0.0, 0.0, r], atol=1e-12 * max(1.0, r))
+        ps = rng.normal(size=(200, 3)) * 3.0
+        w = np.linalg.eigvalsh(usb_h(ps))
+        r = np.linalg.norm(ps, axis=1)[:, None]
+        zero = np.zeros_like(r)
+        expected = np.concatenate([-r, zero, zero, r], axis=1)
+        assert np.all(np.abs(w - expected) <= 1e-12 * np.maximum(1.0, r))
 
 
 class TestDarkFrame:
     def test_pure_s_coupling(self):
-        phi1, phi2 = models.usb_dark_frame([0.0, 1.0, 0.0])
-        assert np.allclose(phi1, [1, 0, 0, 0], atol=1e-15)
-        assert np.allclose(phi2, [0, 0, 0, -1], atol=1e-15)
+        frame = models.UsbModel().dark_frame_batch([0.0, 1.0, 0.0])[0]
+        assert np.allclose(frame[:, 0], [1, 0, 0, 0], atol=1e-15)
+        assert np.allclose(frame[:, 1], [0, 0, 0, -1], atol=1e-15)
 
     def test_equal_p_and_s(self):
-        phi1, phi2 = models.usb_dark_frame([1.0, 1.0, 0.0])
+        frame = models.UsbModel().dark_frame_batch([1.0, 1.0, 0.0])[0]
         s = 1.0 / math.sqrt(2.0)
-        assert np.allclose(phi1, [s, 0, -s, 0], atol=1e-15)
-        assert np.allclose(phi2, [0, 0, 0, -1], atol=1e-15)
+        assert np.allclose(frame[:, 0], [s, 0, -s, 0], atol=1e-15)
+        assert np.allclose(frame[:, 1], [0, 0, 0, -1], atol=1e-15)
 
     def test_null_space_property_bulk(self):
         # 10^4 random parameter points: H phi = 0 and orthonormality
@@ -106,15 +163,14 @@ class TestDarkFrame:
 
     def test_singular_at_zero_p_and_s(self):
         with pytest.raises(models.DarkFrameSingularError, match="undefined"):
-            models.usb_dark_frame([0.0, 0.0, 1.0])
+            models.UsbModel().dark_frame_batch([0.0, 0.0, 1.0])
 
     def test_angle_branches(self):
-        theta, phi = models.usb_dark_angles([1.0, 1.0, 0.0])
-        assert theta == pytest.approx(math.pi / 4)
-        assert phi == 0.0
-        theta, phi = models.usb_dark_angles([0.0, -1.0, 1.0])
-        assert theta == pytest.approx(math.pi)  # atan2(0, -1)
-        assert phi == pytest.approx(math.pi / 4)
+        # theta = atan2(P, S) and phi = atan2(Q, hypot(P, S)), principal branch
+        frames = models.UsbModel().dark_frame_batch([[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
+        assert np.allclose(frames[0], dark_frame_from_angles(math.pi / 4, 0.0), atol=1e-15)
+        # atan2(0, -1) = pi
+        assert np.allclose(frames[1], dark_frame_from_angles(math.pi, math.pi / 4), atol=1e-15)
 
 
 class TestParameterPaths:
@@ -193,13 +249,14 @@ class TestModelProviders:
     def test_qubit_model_matches_direct_construction(self):
         rng = np.random.default_rng(13)
         m = models.QubitModel()
-        for _ in range(10):
-            n = rng.normal(size=3)
-            assert np.allclose(m.evaluate(n), models.qubit_hamiltonian(n))
+        ns = rng.normal(size=(10, 3))
+        x, y, z = ns.T
+        direct = np.stack([np.stack([z, x - 1j * y], -1), np.stack([x + 1j * y, -z], -1)], 1)
+        assert np.allclose(m.evaluate_batch(ns), direct)
 
     def test_sphere_model_energies(self):
         m = models.SphereQubitModel(2.0)
-        w = m.energies([0.7, 1.3])
+        w = m.energies_batch([[0.7, 1.3]])[0]
         assert np.allclose(w, [-2.0, 2.0])
 
     def test_usb_model_energies_exact_zero_dark_pair(self):
@@ -221,7 +278,7 @@ class TestModelProviders:
                 out[:, 1, 1] = -lams[:, 0]
                 return out
 
-        w = Anisotropic().energies([2.0])
+        w = Anisotropic().energies_batch([[2.0]])[0]
         assert np.allclose(w, [-2.0, 2.0])
 
     def test_build_model_and_path_fragments(self):
@@ -262,9 +319,9 @@ class TestModelProviders:
             models.build_model_and_path({"model": model, "path": path})
 
     def test_zero_field_band_states_raise_typed_error(self):
-        for state in (models.qubit_ground_state, models.qubit_excited_state):
+        for band in (0, 1):
             with pytest.raises(models.ZeroFieldError, match="n = 0"):
-                state([0.0, 0.0, 0.0])
+                models.qubit_band_states([0.0, 0.0, 0.0], band)
 
     def test_build_model_and_path_rejects_unknown(self):
         with pytest.raises(ValueError, match="config.model"):
