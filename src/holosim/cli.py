@@ -86,8 +86,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.config is not None:
         try:
             user_config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            print(f"error: config file not found: {args.config}", file=sys.stderr)
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 2
         except json.JSONDecodeError as exc:
             print(f"error: config is not valid JSON: {exc}", file=sys.stderr)

@@ -364,7 +364,8 @@ def run_adiabatic_sweep(config: dict) -> ExperimentReport:
     report = _report("adiabatic-sweep", rows, config)
     report.diagnostics = {"integrator": [
         {"ramp_time": r.total_time, "steps": r.steps, "norm_drift": r.norm_drift,
-         "step_error_estimate": r.step_error_estimate}
+         "step_error_estimate": r.step_error_estimate,
+         "under_resolved": r.step_error_estimate > adiabatic.STEP_TOL}
         for r in sweep.rows
     ]}
     dists = sweep.distances()

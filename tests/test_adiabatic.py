@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,17 +16,28 @@ def usb_setup():
 
 
 def sequential_eigh_evolution(run):
-    """Reference integrator: the same midpoint rule, one eigendecomposed
-    propagator applied to the state per step, in time order."""
+    """Reference integrator: the same CF4:2 scheme, one eigendecomposed
+    exponential applied to the state at a time, in time order.
+
+    Each exponential acts as its increment U - I, so a step does not round
+    the state's O(1) part; a rounded U would drift by about one ulp per
+    exponential, coherently along the qubit's symmetric loop."""
     dt = run.total_time / run.steps
+    c = math.sqrt(3.0) / 6.0
     state = run.initial_state.copy()
-    for start in range(0, run.steps, 8192):
-        count = min(8192, run.steps - start)
-        s_mid = (np.arange(start, start + count) + 0.5) / run.steps
-        w, v = linalg.eigh_batch(run.model.evaluate_batch(run.path(s_mid)))
-        us = np.einsum("kij,kj,klj->kil", v, np.exp(-1j * w * dt), np.conjugate(v))
-        for u in us:
-            state = u @ state
+    for start in range(0, run.steps, 4096):
+        k = np.arange(start, min(start + 4096, run.steps))
+        h1 = run.model.evaluate_batch(run.path((k + 0.5 - c) / run.steps))
+        h2 = run.model.evaluate_batch(run.path((k + 0.5 + c) / run.steps))
+        increments = []
+        for a, b in ((0.25 + c, 0.25 - c), (0.25 - c, 0.25 + c)):
+            w, v = linalg.eigh_batch(a * h1 + b * h2)
+            # exp(-i w dt) - 1 without cancellation
+            phases = -2.0 * np.sin(0.5 * w * dt) ** 2 - 1j * np.sin(w * dt)
+            increments.append(np.einsum("kij,kj,klj->kil", v, phases, np.conjugate(v)))
+        for first, second in zip(*increments):
+            state = state + first @ state
+            state = state + second @ state
     return state
 
 
@@ -47,12 +59,47 @@ class TestEvolveSchrodinger:
     @pytest.mark.parametrize("setup", [usb_setup, qubit_setup])
     def test_norm_drift_at_longest_shipped_ramp(self, setup):
         # the qubit loop has constant |n|, so a per-step rounding of the
-        # propagator would repeat identically at every one of its 181,020 steps
+        # propagator would repeat identically at every one of its steps
         model, path, frame = setup()
-        run = adiabatic.AdiabaticRun(
-            model, path, 800.0, adiabatic.default_steps(800.0), frame
-        )
+        run = adiabatic.AdiabaticRun(model, path, 800.0, None, frame)
         assert adiabatic.evolve_schrodinger(run).norm_drift < 1e-12
+
+    @pytest.mark.parametrize("setup", [usb_setup, qubit_setup])
+    def test_fourth_order_convergence(self, setup):
+        # the error against a 2^18-step run falls 16-fold per doubling;
+        # swapping the two exponents' weights leaves a second-order scheme
+        model, path, frame = setup()
+
+        def final(steps):
+            run = adiabatic.AdiabaticRun(model, path, 800.0, steps, frame)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                return adiabatic.evolve_schrodinger(run).final_states
+
+        reference = final(2**18)
+        errors = [linalg.max_abs(final(n) - reference) for n in (1024, 2048, 4096)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 12.0 <= coarse / fine <= 20.0
+
+    @pytest.mark.parametrize("setup", [usb_setup, qubit_setup])
+    def test_chosen_steps_are_first_doubling_within_tolerance(self, setup):
+        model, path, frame = setup()
+
+        def evolve(steps):
+            run = adiabatic.AdiabaticRun(model, path, 200.0, steps, frame)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                return adiabatic.evolve_schrodinger(run), caught
+
+        chosen, caught = evolve(None)
+        assert not caught
+        assert chosen.step_error_estimate <= adiabatic.STEP_TOL
+        explicit, _ = evolve(chosen.steps)
+        assert np.array_equal(explicit.final_states, chosen.final_states)
+        assert explicit.step_error_estimate == chosen.step_error_estimate
+        halved, caught = evolve(chosen.steps // 2)
+        assert halved.step_error_estimate > adiabatic.STEP_TOL
+        assert [w.category for w in caught] == [RuntimeWarning]
 
     def test_stationary_eigenstate_collects_energy_phase(self):
         n0 = np.array([0.3, -0.2, 0.9])
@@ -115,7 +162,7 @@ class TestEvolveSchrodinger:
                 loop,
                 total_time,
                 holonomy.BandBlock(0, 1),
-                adiabatic.default_steps(total_time),
+                None,
                 initial_frame=frame,
             )
             phase = float(np.angle(res.overlap_matrix[0, 0]))
@@ -185,7 +232,7 @@ class TestAdiabaticHolonomy:
                 path,
                 total_time,
                 holonomy.USB_DARK_BLOCK,
-                adiabatic.default_steps(total_time),
+                None,
                 initial_frame=frame,
             )
             measured = linalg.nearest_unitary(res.overlap_matrix_raw)

@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import holosim
-from holosim import abelian, experiments, linalg, models, schema
+from holosim import abelian, adiabatic, experiments, linalg, models, schema
 from holosim.report import ConfigError, read_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -308,6 +309,26 @@ class TestAdiabaticSweep:
         assert all(0.0 < e["step_error_estimate"] < 1e-3 for e in entries)
         assert "diagnostics" not in experiments.run_experiment("pancharatnam").metadata()
 
+    def test_explicit_steps_echoed_in_csv_steps_column(self):
+        config = {"Ts": [10.0, 20.0, 40.0], "steps_per_T": [600, 1000, 2100],
+                  "reference_samples": 256}
+        report = experiments.run_experiment("adiabatic-sweep", config)
+        lines = report.csv_text().splitlines()
+        assert lines[0].split(",")[1] == "steps"
+        assert [int(line.split(",")[1]) for line in lines[1:]] == [600, 1000, 2100]
+
+    def test_under_resolved_flags_exactly_the_warned_ramps(self):
+        config = {"Ts": [10.0, 20.0, 40.0], "steps_per_T": [16, 1024, 2048],
+                  "reference_samples": 256}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = experiments.run_experiment("adiabatic-sweep", config)
+        entries = report.metadata()["diagnostics"]["integrator"]
+        assert [e["under_resolved"] for e in entries] == [True, False, False]
+        assert entries[0]["step_error_estimate"] > adiabatic.STEP_TOL
+        assert [str(w.message).startswith("integration may be under-resolved")
+                for w in caught] == [True]
+
     def test_bad_ts_rejected(self):
         with pytest.raises(ConfigError, match="ascending"):
             experiments.run_experiment("adiabatic-sweep", {"Ts": [100.0, 50.0, 200.0]})
@@ -530,6 +551,19 @@ class TestCli:
         proc = self.run_cli("berry-qubit", "--seed", "5", cwd=tmp_path)
         assert proc.returncode == 2
         assert "--seed does not apply to berry-qubit" in proc.stderr
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_exits_two(self, tmp_path, kind):
+        cfg = tmp_path / "cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b'{"ladder": [64], "tolerance": "\xff"}')
+        proc = self.run_cli("berry-qubit", "--config", str(cfg), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert f"error: cannot read config {cfg}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("*.csv"))
 
     def test_unknown_experiment_rejected(self, tmp_path):
