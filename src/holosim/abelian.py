@@ -19,12 +19,11 @@ import numpy as np
 from .linalg import (
     check_links,
     closed_gap,
-    eigh_batch,
     gauge_fix,
     link_overlaps,
     wrap_angle,
 )
-from .models import HamiltonianModel, ParameterPath, qubit_band_states
+from .models import HamiltonianModel, ParameterPath, ZeroFieldError, qubit_band_states
 
 OVERLAP_TOL = 1e-8
 ANTIPODAL_TOL = 1e-12
@@ -163,7 +162,10 @@ def band_state_chain(
 
 def _band_states(model: HamiltonianModel, lams, band: int, s_values=None) -> np.ndarray:
     """Eigenstates of one band at each point of lams; the band must stay gapped."""
-    w, v = eigh_batch(model.evaluate_batch(lams))
+    try:
+        w, states = model.band_states_batch(lams, band)
+    except ZeroFieldError:  # |n| < RANK_TOL is a closed gap too: reported below, with its s
+        w, states = model.energies_batch(lams), None
     closure = closed_gap(w, band, band + 1)
     if closure is not None:
         k, gap = closure
@@ -172,7 +174,7 @@ def _band_states(model: HamiltonianModel, lams, band: int, s_values=None) -> np.
             f"band {band} degenerate{where} (gap = {gap:.3e}); treat the "
             "cluster as a frame with holonomy.eigenframe_path/wilson_line"
         )
-    return v[:, :, band]
+    return states
 
 
 def berry_connection_fd(
@@ -262,7 +264,7 @@ def plaquette_flux_and_boundary(
     u_i = link_overlaps(states, closed=False)[..., 0, 0]
     u_j = link_overlaps(states.swapaxes(0, 1), closed=False)[..., 0, 0].T
     for links, step in ((u_i, nj + 1), (u_j, 1)):
-        bad = np.argwhere(np.abs(links) <= OVERLAP_TOL)
+        bad = np.argwhere(~(np.abs(links) > OVERLAP_TOL))
         if len(bad):
             p, q = bad[0]
             vertex = int(p) * (nj + 1) + int(q)  # the link's first vertex, row-major

@@ -314,14 +314,16 @@ def run_usb_holonomy(config: dict) -> ExperimentReport:
     eta_theta_ref, eta_line_ref = holonomy.usb_eta_pair(path, config["eta_samples"])
     b_ref = holonomy.usb_holonomy_closed_form(eta_theta_ref)
 
-    rows = []
+    rows, links = [], []
     for n in config["ladder"]:
         e_theta, e_line = holonomy.usb_eta_pair(path, n)
         result = holonomy.usb_wilson_line(path, n)
         dist = holonomy.holonomy_distance(result.matrix, b_ref)
         rows.append((n, e_theta, e_line, dist, result.unitarity_defect, result.eta_estimate))
+        links.append({"samples": n, "min_link_singular_value": result.min_link_singular_value})
 
     report = _report("usb-holonomy", rows, config)
+    report.diagnostics = {"links": links}
     dist_tol = float(config["distance_tolerance"])
     eta_tol = float(config["eta_tolerance"])
     final_dist = rows[-1][3]

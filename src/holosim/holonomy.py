@@ -1,11 +1,11 @@
 """Non-Abelian holonomy over degenerate eigenspaces.
 
 Frames spanning an eigenvalue cluster are tracked along a parameter path,
-gauge-smoothed by the polar factors of the batched raw links (one SVD,
-then one log-depth prefix product of the gauges), and their links are
-multiplied pairwise into a discretized Wilson line. For the four-level
-model the result is checked against the closed-form rotation B(eta) with
-eta = loop integral of sin(phi) d theta.
+gauge-smoothed by the polar factors of the batched raw links (closed form
+up to 2x2, see linalg.link_polar) and one log-depth prefix product of the
+gauges, and their links are multiplied pairwise into a discretized Wilson
+line. For the four-level model the result is checked against the
+closed-form rotation B(eta) with eta = loop integral of sin(phi) d theta.
 
 Link/product conventions: W_k = F_k^dag F_{k+1}; the Wilson line is
 W_0 W_1 ... W_{N-2} W_close with W_close = F_{N-1}^dag F_0, unitarized,
@@ -26,7 +26,7 @@ from .linalg import (
     dagger,
     eigh_batch,
     link_overlaps,
-    link_singular_values,
+    link_polar,
     max_abs,
     nearest_unitary,
     ordered_product,
@@ -130,7 +130,7 @@ def eigenframe_path(
     """Track the block's eigenframe along the path with smoothed gauge.
 
     The raw frames R_k carry the eigensolver's arbitrary gauge; the polar
-    factors P_k of the raw links R_k^dag R_{k+1} (one batched SVD) give the
+    factors P_k of the raw links R_k^dag R_{k+1} (linalg.link_polar) give the
     returned frames F_k = R_k G_k with G_k = P_{k-1}^dag ... P_0^dag G_0
     (one log-depth prefix product), so the link product keeps only the
     geometry. An explicit initial_frame F_0 (e.g. the analytic dark pair)
@@ -164,11 +164,10 @@ def eigenframe_path(
                 f"(projection residual {max_abs(residual):.3e})"
             )
 
-    u, s, vh = np.linalg.svd(link_overlaps(raw, path.closed))
-    sigma = s[:, -1]
+    polar, sigma = link_polar(link_overlaps(raw, path.closed))
     check_links(sigma, SUBSPACE_OVERLAP_TOL, IllConditionedLinkError)
     # (P_0 ... P_{k-1})^dag G_0 for k = 1 .. n-1
-    gauges = dagger(prefix_products(u[: n - 1] @ vh[: n - 1])) @ (dagger(raw[0]) @ f0)
+    gauges = dagger(prefix_products(polar[: n - 1])) @ (dagger(raw[0]) @ f0)
     frames = np.empty_like(raw)
     frames[0] = f0
     frames[1:] = raw[1:] @ gauges
@@ -192,7 +191,7 @@ def wilson_line(frame_path: FramePath) -> HolonomyResult:
     if not frame_path.path.closed:
         raise ValueError("the Wilson line is defined for closed paths only")
     links = link_overlaps(frame_path.frames, closed=True)
-    sigma = link_singular_values(links)
+    sigma = link_polar(links)[1]
     check_links(sigma, SUBSPACE_OVERLAP_TOL, IllConditionedLinkError)
     matrix = nearest_unitary(ordered_product(links))
     return HolonomyResult(

@@ -148,17 +148,37 @@ def link_overlaps(frames: np.ndarray, closed: bool) -> np.ndarray:
     return np.einsum("...im,...in->...mn", np.conjugate(cur), nxt)
 
 
-def link_singular_values(links: np.ndarray) -> np.ndarray:
-    """Smallest singular value of every link in a (..., m, m) stack (|z| if m = 1)."""
+def link_polar(links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polar factor and smallest singular value of each link of a (..., m, m) stack.
+
+    m = 1: z/|z| and |z|; m > 2: one batched SVD; m = 2 in closed form (Higham 1986):
+    for M = [[a, b], [c, d]] = U diag(s1, s2) V^dag, phase = det/|det| and
+    C = phase adj(M)^dag = U diag(s2, s1) V^dag, M +- C = [[p, q], [-phase q*, phase p*]]
+    with p = a +- phase d*, q = b -+ phase c*, so s1 +- s2 = hypot(|p|, |q|) (unlike
+    sqrt(||M||_F^2 - 2|det|), no cancellation near I), U V^dag = (M + C)/(s1 + s2) and
+    s2 = |det|/s1. Zero and singular links get sigma = 0, NaN links NaN, and no warning.
+    """
+    if links.shape[-1] > 2:
+        u, s, vh = np.linalg.svd(links)
+        return u @ vh, s[..., -1]
+    tiny = np.finfo(float).tiny  # + tiny turns 0/0 into 0 and moves no other sum
     if links.shape[-1] == 1:
-        return np.abs(links[..., 0, 0])
-    return np.linalg.svd(links, compute_uv=False)[..., -1]
+        return links * (1.0 / (np.abs(links) + tiny)), np.abs(links[..., 0, 0])
+    a, b, c, d = links[..., 0, 0], links[..., 0, 1], links[..., 1, 0], links[..., 1, 1]
+    det = a * d - b * c
+    abs_det = np.abs(det)
+    phase = det * (1.0 / (abs_det + tiny))
+    p, q = a + phase * np.conj(d), b - phase * np.conj(c)
+    s_sum = np.hypot(np.abs(p), np.abs(q)) + tiny
+    s_diff = np.hypot(np.abs(a - phase * np.conj(d)), np.abs(b + phase * np.conj(c)))
+    polar = np.stack([p, q, -phase * np.conj(q), phase * np.conj(p)], axis=-1)
+    polar *= (1.0 / s_sum)[..., None]
+    return polar.reshape(links.shape), abs_det / (0.5 * (s_sum + s_diff))
 
 
 def check_links(sigma: np.ndarray, tol: float, error: type[Exception]) -> None:
-    """Raise error(k, sigma[k]) for the first link k whose smallest singular
-    value sigma[k] is at or below tol; each caller passes its own typed error."""
-    bad = np.flatnonzero(sigma <= tol)
+    """Raise the caller's error(k, sigma[k]) at the first link k with sigma[k] not above tol."""
+    bad = np.flatnonzero(~(sigma > tol))
     if bad.size:
         raise error(int(bad[0]), float(sigma[bad[0]]))
 

@@ -131,12 +131,9 @@ def make_azimuthal_loop(theta0: float, radius: float = 1.0) -> ParameterPath:
     2 pi (1 - cos theta0) around the +z axis.
     """
     if not 0.0 < theta0 < math.pi:
-        raise ValueError(
-            f"theta0 = {theta0} gives a zero-area loop; use constant_path for "
-            "a fixed-direction path"
-        )
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+        raise ConfigError(f"config.path.params.theta0: {theta0} is not in (0, pi)")
+    if not radius > 0.0:
+        raise ConfigError(f"config.path.params.radius: {radius} is not positive")
     st, ct = math.sin(theta0), math.cos(theta0)
 
     def evaluate(s: np.ndarray) -> np.ndarray:
@@ -168,7 +165,7 @@ QUBIT_CONSTANT_DEFAULTS = {"n": [0.0, 0.0, 1.0]}
 def _family_params(family: str, params: dict, defaults: dict) -> dict:
     """A pulse family's parameters over its defaults, as floats (or float
     vectors where the default is one); unknown names and values of the
-    wrong shape are rejected."""
+    wrong shape or not finite are rejected."""
     unknown = set(params) - set(defaults)
     if unknown:
         raise ConfigError(
@@ -179,11 +176,11 @@ def _family_params(family: str, params: dict, defaults: dict) -> dict:
         shape = np.shape(defaults[key])
         try:
             arr = np.asarray(value)
-            ok = arr.dtype.kind in "iuf" and arr.shape == shape
+            ok = arr.dtype.kind in "iuf" and arr.shape == shape and np.isfinite(arr).all()
         except ValueError:  # ragged nesting
             ok = False
         if not ok:
-            want = f"{shape[0]} numbers" if shape else "a number"
+            want = f"{shape[0]} finite numbers" if shape else "a finite number"
             raise ConfigError(f"config.path.params.{key}: expected {want}, got {value!r}")
         cfg[key] = arr.astype(float) if shape else float(arr)
     return cfg
@@ -252,10 +249,10 @@ def make_usb_loop(
 class HamiltonianModel:
     """Provider of a Hermitian matrix H(lambda) for any parameter point.
 
-    Subclasses implement evaluate_batch; energies_batch defaults to dense
-    diagonalization but is overridden with closed forms where they are
-    exact (this is what makes the dark-band dynamical phase identically
-    zero rather than ~1e-16).
+    Subclasses implement evaluate_batch; energies_batch and
+    band_states_batch default to dense diagonalization but are overridden
+    with closed forms where they are exact (this is what makes the
+    dark-band dynamical phase identically zero rather than ~1e-16).
     """
 
     dim: int
@@ -266,8 +263,12 @@ class HamiltonianModel:
         raise NotImplementedError
 
     def energies_batch(self, lams: np.ndarray) -> np.ndarray:
-        w, _ = eigh_batch(self.evaluate_batch(lams))
-        return w
+        return self.band_states_batch(lams, 0)[0]
+
+    def band_states_batch(self, lams: np.ndarray, band: int) -> tuple[np.ndarray, np.ndarray]:
+        """Energies (k, dim), ascending, and one band's states (k, dim) in any gauge."""
+        w, v = eigh_batch(self.evaluate_batch(lams))
+        return w, v[:, :, band]
 
 
 class QubitModel(HamiltonianModel):
@@ -284,6 +285,9 @@ class QubitModel(HamiltonianModel):
     def energies_batch(self, lams: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(np.asarray(lams, dtype=float).reshape(-1, 3), axis=1)
         return np.stack([-r, r], axis=1)
+
+    def band_states_batch(self, lams: np.ndarray, band: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.energies_batch(lams), qubit_band_states(np.reshape(lams, (-1, 3)), band)
 
 
 class SphereQubitModel(HamiltonianModel):
@@ -314,6 +318,9 @@ class SphereQubitModel(HamiltonianModel):
         k = np.asarray(lams, dtype=float).reshape(-1, 2).shape[0]
         r = np.full(k, self.radius)
         return np.stack([-r, r], axis=1)
+
+    def band_states_batch(self, lams: np.ndarray, band: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.energies_batch(lams), qubit_band_states(self.directions(lams), band)
 
 
 class UsbModel(HamiltonianModel):

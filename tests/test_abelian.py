@@ -270,6 +270,13 @@ class TestBerryCurvature:
         assert exc.value.index == index
         assert pair in str(exc.value)
 
+    def test_tiling_rejects_nan_link(self):
+        with pytest.raises(abelian.OverlapTooSmallError) as exc:
+            abelian.plaquette_flux_and_boundary(
+                models.SphereQubitModel(), 0, [0.5, math.nan], (0, 1), (1.0, 1.0), (2, 2)
+            )
+        assert math.isnan(exc.value.overlap)
+
 
 class TestSolidAngle:
     def test_equatorial_circle_is_hemisphere(self):
@@ -336,6 +343,19 @@ class TestChainBuilding:
         )
         with pytest.raises(abelian.DegenerateBandError, match="s = 0.25"):
             abelian.band_state_chain(models.QubitModel(), path, 0, 64)
+
+    def test_qubit_band_states_take_no_dense_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve on a qubit path")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        chain = ground_chain(math.pi / 3, 256)
+        expected = -0.5 * abelian.solid_angle(models.make_azimuthal_loop(math.pi / 3).sample(4096))
+        assert abelian.discrete_geometric_phase(chain).phase == pytest.approx(expected, abs=1e-4)
+        sample = abelian.berry_curvature_plaquette(
+            models.SphereQubitModel(1.0), 0, [1.1, 0.7], (0, 1), 0.01
+        )
+        assert sample.value == pytest.approx(-0.5 * math.sin(1.1), rel=2e-2)
 
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError, match="zero state"):

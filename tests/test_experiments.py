@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import holosim
-from holosim import abelian, adiabatic, experiments, linalg, models, schema
+from holosim import abelian, adiabatic, experiments, holonomy, linalg, models, schema
 from holosim.report import ConfigError, read_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +57,16 @@ BAD_CONFIGS = [
         "pancharatnam",
         {"states": {"amplitudes": [[[0, 0], [0, 0]], [[1, 0], [0, 0]], [[0, 0], [1, 0]]]}},
         "config.states.amplitudes",
+    ),
+    ("usb-holonomy", {"path": {"params": {"q0": math.nan}}}, "config.path.params.q0"),
+    ("usb-holonomy", {"path": {"params": {"s0": -math.inf}}}, "config.path.params.s0"),
+    ("berry-qubit", {"path": {"params": {"theta0": math.nan}}}, "config.path.params.theta0"),
+    ("berry-qubit", {"path": {"params": {"theta0": 0.0}}}, "config.path.params.theta0"),
+    ("berry-qubit", {"path": {"params": {"radius": -1.0}}}, "config.path.params.radius"),
+    (
+        "adiabatic-sweep",
+        {"model": "qubit", "path": {"family": "constant", "params": {"n": [0, 0, math.nan]}}},
+        "config.path.params.n",
     ),
 ]
 
@@ -267,6 +277,14 @@ class TestUsbHolonomy:
         assert report.all_passed
         assert report.rows[0][1] == 0.0
         assert report.rows[0][3] < 1e-6
+
+    def test_reports_link_health_per_ladder_row(self):
+        report = experiments.run_experiment("usb-holonomy", {"ladder": [64, 256]})
+        entries = report.metadata()["diagnostics"]["links"]
+        assert [e["samples"] for e in entries] == [64, 256]
+        sigmas = [e["min_link_singular_value"] for e in entries]
+        # finer sampling: neighbouring dark frames overlap more
+        assert holonomy.SUBSPACE_OVERLAP_TOL < sigmas[0] < sigmas[1] <= 1.0
 
 
 class TestAdiabaticSweep:

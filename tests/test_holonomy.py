@@ -215,6 +215,27 @@ class TestWilsonLine:
         with pytest.raises(holonomy.IllConditionedLinkError):
             holonomy.wilson_line(fake)
 
+    def test_nan_link_rejected(self):
+        path = shipped_loop()
+        frames = holonomy.eigenframe_path(models.UsbModel(), path, holonomy.USB_DARK_BLOCK, 64)
+        frames.frames[5, 0, 0] = np.nan
+        with pytest.raises(holonomy.IllConditionedLinkError, match="link 4 ") as caught:
+            holonomy.wilson_line(frames)
+        assert math.isnan(caught.value.sigma_min)
+
+    def test_two_dimensional_links_take_no_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        holonomy.usb_wilson_line(shipped_loop(), 256)
+        # only nearest_unitary of the one 2x2 link product
+        assert calls == [(2, 2)]
+
     def test_basepoint_gauge_covariance(self):
         rng = np.random.default_rng(61)
         path = shipped_loop()

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -278,3 +281,62 @@ class TestProducts:
         es = 1e-2 * (rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3)))
         expected = linalg.ordered_product(es + np.eye(3)) - np.eye(3)
         assert linalg.max_abs(linalg.near_identity_product(es) - expected) < 1e-14
+
+
+class TestLinkPolar:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_svd_on_random_stacks(self, m):
+        rng = np.random.default_rng(61 + m)
+        links = rng.normal(size=(4, 64, m, m)) + 1j * rng.normal(size=(4, 64, m, m))
+        u, s, vh = np.linalg.svd(links)
+        polar, sigma = linalg.link_polar(links)
+        assert polar.shape == links.shape and sigma.shape == (4, 64)
+        assert linalg.max_abs(polar - u @ vh) < 1e-13
+        assert linalg.max_abs(sigma - s[..., -1]) < 1e-13
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_near_identity_links(self, m):
+        # overlaps of neighbouring frames: a unitary close to I times a
+        # contraction close to I, so sigma = 1 - O(1e-6)
+        rng = np.random.default_rng(67 + m)
+        hs = np.stack([random_hermitian(rng, m) for _ in range(256)])
+        unitary = np.eye(m) + linalg.propagator_increments(hs, 1e-3)
+        links = unitary @ (np.eye(m) - 1e-6 * hs @ hs)
+        u, s, vh = np.linalg.svd(links)
+        polar, sigma = linalg.link_polar(links)
+        assert linalg.max_abs(polar - u @ vh) < 1e-13
+        assert linalg.max_abs(sigma - s[:, -1]) < 1e-15
+
+    @pytest.mark.parametrize(
+        "link",
+        [[[0.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0, 1j], [1.0, 1j]],
+         np.zeros((3, 3))],
+    )
+    def test_zero_and_singular_links_give_exact_zero(self, link):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            polar, sigma = linalg.link_polar(np.asarray(link, dtype=complex)[None])
+        assert sigma[0] == 0.0
+        assert np.all(np.isfinite(polar))
+
+    def test_ill_conditioned_polar_no_worse_than_svd(self):
+        # the polar factor of a complex matrix has condition number
+        # 1/sigma_min, here 1e7; the closed form stays within SVD's error
+        rng = np.random.default_rng(71)
+        u = np.stack([random_unitary(rng, 2) for _ in range(256)])
+        v = np.stack([random_unitary(rng, 2) for _ in range(256)])
+        exact = u @ linalg.dagger(v)
+        links = u @ np.diag([1.0, 1e-7]) @ linalg.dagger(v)
+        su, _, svh = np.linalg.svd(links)
+        polar, sigma = linalg.link_polar(links)
+        assert linalg.max_abs(polar - exact) <= linalg.max_abs(su @ svh - exact)
+        assert linalg.max_abs(sigma - 1e-7) < 1e-15
+
+    def test_check_links_rejects_nan(self):
+        class LinkError(ValueError):
+            def __init__(self, index, sigma):
+                self.index, self.sigma = index, sigma
+
+        with pytest.raises(LinkError) as caught:
+            linalg.check_links(np.array([0.5, np.nan, 0.0]), 1e-6, LinkError)
+        assert caught.value.index == 1 and math.isnan(caught.value.sigma)

@@ -318,6 +318,23 @@ class TestModelProviders:
         with pytest.raises(ConfigError, match=rf"config\.path\.params\.{key}: expected"):
             models.build_model_and_path({"model": model, "path": path})
 
+    @pytest.mark.parametrize(
+        "model, lams",
+        [
+            (models.QubitModel(), np.random.default_rng(17).normal(size=(200, 3))),
+            (models.SphereQubitModel(2.5), np.random.default_rng(19).uniform(0, 6, (200, 2))),
+        ],
+    )
+    @pytest.mark.parametrize("band", [0, 1])
+    def test_closed_form_band_states_match_eigh(self, model, lams, band):
+        w, states = model.band_states_batch(lams, band)
+        w_ref, ref = models.HamiltonianModel.band_states_batch(model, lams, band)
+        assert linalg.max_abs(w - w_ref) < 1e-14 * max(1.0, linalg.max_abs(w_ref))
+        overlap = np.einsum("ki,ki->k", ref.conj(), states)
+        assert linalg.max_abs(np.abs(overlap) - 1.0) < 1e-14
+        phase = overlap / np.abs(overlap)
+        assert linalg.max_abs(states - phase[:, None] * ref) < 1e-14
+
     def test_zero_field_band_states_raise_typed_error(self):
         for band in (0, 1):
             with pytest.raises(models.ZeroFieldError, match="n = 0"):
