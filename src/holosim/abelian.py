@@ -1,6 +1,10 @@
 """Scalar geometric phases: cyclic overlap invariants, parallel transport,
 connection/curvature estimators, and the solid-angle oracle.
 
+A band is the one-dimensional block of the holonomy module: its states
+come from holonomy.block_frames and parallel_transport is
+holonomy.transport on 1-D frames.
+
 Sign convention (fixed once, everywhere): loop phases are reported as
 arg prod_k <psi_k|psi_{k+1}> with the chain ordered in increasing s and
 the wrap pair included. Under this convention the qubit *lower* band
@@ -16,14 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    check_links,
-    closed_gap,
-    gauge_fix,
-    link_overlaps,
-    wrap_angle,
-)
-from .models import HamiltonianModel, ParameterPath, ZeroFieldError, qubit_band_states
+from .holonomy import block_frames, transport
+from .linalg import check_links, gauge_fix, link_overlaps, wrap_angle
+from .models import BandBlock, HamiltonianModel, ParameterPath, qubit_band_states
 
 OVERLAP_TOL = 1e-8
 ANTIPODAL_TOL = 1e-12
@@ -90,11 +89,13 @@ class CurvatureSample:
     loop_phase: float
 
 
-def _overlaps(states: np.ndarray, closed: bool) -> np.ndarray:
-    """Consecutive overlaps <psi_k|psi_{k+1}> of a state stack, checked."""
-    overlaps = link_overlaps(states[..., None], closed)[..., 0, 0]
-    check_links(np.abs(overlaps), OVERLAP_TOL, OverlapTooSmallError)
-    return overlaps
+def _loop_phase(states: np.ndarray) -> tuple[float, np.ndarray]:
+    """arg prod_k <psi_k|psi_{k+1}> over the cyclic chain of an (n, dim)
+    state stack, and the checked |overlap| of each link."""
+    overlaps = link_overlaps(states[..., None], closed=True)[..., 0, 0]
+    magnitudes = np.abs(overlaps)
+    check_links(magnitudes, OVERLAP_TOL, OverlapTooSmallError)
+    return float(np.angle(np.prod(overlaps))), magnitudes
 
 
 def pancharatnam_phase(chain: StateChain) -> float:
@@ -107,8 +108,7 @@ def pancharatnam_phase(chain: StateChain) -> float:
     """
     if len(chain) < 3:
         raise ValueError(f"need at least 3 states, got {len(chain)}")
-    overlaps = _overlaps(chain.states, closed=True)
-    return float(np.angle(np.prod(overlaps)))
+    return _loop_phase(chain.states)[0]
 
 
 def discrete_geometric_phase(chain: StateChain) -> GeometricPhaseResult:
@@ -122,29 +122,20 @@ def discrete_geometric_phase(chain: StateChain) -> GeometricPhaseResult:
         raise ValueError("discrete geometric phase requires a closed chain")
     if len(chain) < 3:
         raise ValueError(f"need at least 3 states, got {len(chain)}")
-    overlaps = _overlaps(chain.states, closed=True)
-    phase = float(np.angle(np.prod(overlaps)))
-    return GeometricPhaseResult(
-        phase=phase,
-        min_overlap=float(np.min(np.abs(overlaps))),
-        samples=len(chain),
-    )
+    phase, magnitudes = _loop_phase(chain.states)
+    return GeometricPhaseResult(phase, float(np.min(magnitudes)), samples=len(chain))
 
 
 def parallel_transport(chain: StateChain) -> StateChain:
     """Rephase states so every consecutive overlap is real positive.
 
-    The first state is untouched and each state keeps its ray. For closed
-    chains the wrap overlap of the output carries the whole loop phase:
-    arg <out[-1]|out[0]> equals discrete_geometric_phase of the input.
+    The 1-D case of holonomy.transport. The first state is untouched and
+    each state keeps its ray. For closed chains the wrap overlap of the
+    output carries the whole loop phase: arg <out[-1]|out[0]> equals
+    discrete_geometric_phase of the input.
     """
-    states = chain.states
-    overlaps = _overlaps(states, closed=False)
-    # cumulative phase to undo: out_k = in_k * exp(-i sum_{j<k} arg w_j)
-    args = np.angle(overlaps)
-    cum = np.concatenate([[0.0], np.cumsum(args)])
-    out = states * np.exp(-1j * cum)[:, None]
-    return StateChain(out, closed=chain.closed)
+    out, _ = transport(chain.states[..., None], False, OVERLAP_TOL, OverlapTooSmallError)
+    return StateChain(out[..., 0], closed=chain.closed)
 
 
 def band_state_chain(
@@ -161,20 +152,15 @@ def band_state_chain(
 
 
 def _band_states(model: HamiltonianModel, lams, band: int, s_values=None) -> np.ndarray:
-    """Eigenstates of one band at each point of lams; the band must stay gapped."""
-    try:
-        w, states = model.band_states_batch(lams, band)
-    except ZeroFieldError:  # |n| < RANK_TOL is a closed gap too: reported below, with its s
-        w, states = model.energies_batch(lams), None
-    closure = closed_gap(w, band, band + 1)
-    if closure is not None:
-        k, gap = closure
-        where = f" at s = {s_values[k]:.6f}" if s_values is not None else ""
-        raise DegenerateBandError(
+    """States (k, dim) of one band at each point of lams; the band must stay gapped."""
+    def degenerate(s, gap):
+        where = f" at s = {s:.6f}" if s is not None else ""
+        return DegenerateBandError(
             f"band {band} degenerate{where} (gap = {gap:.3e}); treat the "
             "cluster as a frame with holonomy.eigenframe_path/wilson_line"
         )
-    return states
+
+    return block_frames(model, lams, BandBlock(band, band + 1), s_values, degenerate)[..., 0]
 
 
 def berry_connection_fd(
@@ -225,8 +211,7 @@ def berry_curvature_plaquette(
     ei[i] = a
     ej[j] = a
     corners = np.stack([lam, lam + ei, lam + ei + ej, lam + ej])
-    overlaps = _overlaps(_band_states(model, corners, band), closed=True)
-    loop_phase = float(np.angle(np.prod(overlaps)))
+    loop_phase = _loop_phase(_band_states(model, corners, band))[0]
     return CurvatureSample(
         point=lam,
         plane=(i, j),

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
-    dagger, eigh_batch, max_abs, nearest_unitary, near_identity_product,
-    propagator_increments, wrap_angle,
+    angle_distance, dagger, max_abs, nearest_unitary, near_identity_product, propagator_increments,
 )
 from .holonomy import (
-    BandBlock, HolonomyResult, eigenframe_path, holonomy_distance, wilson_line,
+    BandBlock, HolonomyResult, block_frames, eigenframe_path, holonomy_distance, wilson_line,
 )
 from .models import HamiltonianModel, ParameterPath
 
@@ -193,8 +192,10 @@ def adiabatic_holonomy(
     """
     if not loop.closed:
         raise ValueError("adiabatic holonomy is defined for closed loops")
+    # instantaneous eigenspace at the basepoint = target space for a loop
+    target = block_frames(model, loop(np.array([0.0])), block, [0.0])[0]
     if initial_frame is None:
-        frame0 = eigenframe_path(model, loop, block, 16).frames[0]
+        frame0 = target
     else:
         frame0 = np.asarray(initial_frame, dtype=complex)
         if frame0.ndim == 1:
@@ -213,9 +214,6 @@ def adiabatic_holonomy(
     raw = dagger(evolved) @ frame0
     stripped = np.exp(1j * delta) * raw
 
-    # instantaneous eigenspace at the basepoint = target space for a loop
-    w, v = eigh_batch(model.evaluate_batch(loop(np.array([0.0]))))
-    target = v[0][:, block.indices()]
     weights = np.linalg.norm(dagger(target) @ evolved, axis=0) ** 2
     leakage = float(np.mean(1.0 - np.clip(weights, 0.0, 1.0)))
 
@@ -241,7 +239,6 @@ class SweepResult:
     rows: list[SweepRow]
     reference: HolonomyResult
     slope: float
-    block: BandBlock = field(default=BandBlock(0, 1))
 
     def distances(self) -> list[float]:
         return [r.distance for r in self.rows]
@@ -288,12 +285,7 @@ def convergence_sweep(
         )
         measured = nearest_unitary(res.overlap_matrix)
         if block.size == 1:
-            dist = abs(
-                wrap_angle(
-                    float(np.angle(measured[0, 0]))
-                    - float(np.angle(reference.matrix[0, 0]))
-                )
-            )
+            dist = angle_distance(np.angle(measured[0, 0]), np.angle(reference.matrix[0, 0]))
         else:
             dist = holonomy_distance(measured, reference.matrix)
         rows.append(
@@ -310,4 +302,4 @@ def convergence_sweep(
     logs_t = np.log(np.array(total_times))
     logs_d = np.log(np.maximum([r.distance for r in rows], 1e-300))
     slope = float(np.polyfit(logs_t, logs_d, 1)[0])
-    return SweepResult(rows=rows, reference=reference, slope=slope, block=block)
+    return SweepResult(rows=rows, reference=reference, slope=slope)

@@ -342,18 +342,14 @@ def run_usb_holonomy(config: dict) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_block_and_frame(model, path):
-    start = path(np.array([0.0]))
-    if isinstance(model, models.UsbModel):
-        return holonomy.USB_DARK_BLOCK, model.dark_frame_batch(start)[0]
-    return holonomy.BandBlock(0, 1), models.qubit_band_states(start, 0)[0][:, None]
-
-
 def run_adiabatic_sweep(config: dict) -> ExperimentReport:
     """Exact-evolution vs Wilson-line distance across a ladder of ramp times."""
     validate("adiabatic-sweep", config)
     model, path = models.build_model_and_path(config)
-    block, frame0 = _sweep_block_and_frame(model, path)
+    # the four-level sweep is based at the analytic dark pair, the qubit's at its own state
+    block, frame0 = holonomy.BandBlock(0, 1), None
+    if isinstance(model, models.UsbModel):
+        block, frame0 = holonomy.USB_DARK_BLOCK, model.dark_frame_batch(path(np.array([0.0])))[0]
     if config["slope_window"] is None:
         config["slope_window"] = list(PREDICTED_SLOPE_WINDOW[config["model"]])
     lo, hi = (float(x) for x in config["slope_window"])

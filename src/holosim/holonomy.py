@@ -1,11 +1,13 @@
 """Non-Abelian holonomy over degenerate eigenspaces.
 
-Frames spanning an eigenvalue cluster are tracked along a parameter path,
-gauge-smoothed by the polar factors of the batched raw links (closed form
-up to 2x2, see linalg.link_polar) and one log-depth prefix product of the
-gauges, and their links are multiplied pairwise into a discretized Wilson
-line. For the four-level model the result is checked against the
-closed-form rotation B(eta) with eta = loop integral of sin(phi) d theta.
+Frames spanning a gapped eigenvalue block are sampled along a parameter
+path (block_frames), gauge-smoothed by the polar factors of the batched
+raw links (closed form up to 2x2, see linalg.link_polar) and one
+log-depth prefix product of the gauges (transport), and their links are
+multiplied pairwise into a discretized Wilson line. A scalar phase is
+the m = 1 case: the abelian module uses the same sampler and transport.
+For the four-level model the result is checked against the closed-form
+rotation B(eta) with eta = loop integral of sin(phi) d theta.
 
 Link/product conventions: W_k = F_k^dag F_{k+1}; the Wilson line is
 W_0 W_1 ... W_{N-2} W_close with W_close = F_{N-1}^dag F_0, unitarized,
@@ -24,7 +26,6 @@ from .linalg import (
     check_links,
     closed_gap,
     dagger,
-    eigh_batch,
     link_overlaps,
     link_polar,
     max_abs,
@@ -36,10 +37,12 @@ from .linalg import (
 )
 from .models import (
     DARK_SINGULAR_TOL,
+    BandBlock,
     DarkFrameSingularError,
     HamiltonianModel,
     ParameterPath,
     UsbModel,
+    ZeroFieldError,
 )
 
 SUBSPACE_OVERLAP_TOL = 1e-6
@@ -66,25 +69,6 @@ class IllConditionedLinkError(ValueError):
             f"link {index} overlap has smallest singular value {sigma_min:.3e} "
             f"<= {SUBSPACE_OVERLAP_TOL:.1e}; the tracked subspace is not continuous"
         )
-
-
-@dataclass(frozen=True)
-class BandBlock:
-    """Contiguous range [start, stop) of ascending-eigenvalue indices."""
-
-    start: int
-    stop: int
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.stop:
-            raise ValueError(f"invalid band block [{self.start}, {self.stop})")
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
-    def indices(self) -> slice:
-        return slice(self.start, self.stop)
 
 
 USB_DARK_BLOCK = BandBlock(1, 3)
@@ -120,6 +104,46 @@ class HolonomyResult:
     eta_estimate: float | None = None
 
 
+def block_frames(
+    model: HamiltonianModel, lams, block: BandBlock, s_values=None, error=GapClosureError
+) -> np.ndarray:
+    """The block's frames (k, dim, m) at each point of lams, in the model's gauge.
+
+    The block must stay gapped: where it is not, the caller's error(s, gap)
+    is raised with s from s_values (None without them).
+    """
+    if block.stop > model.dim:
+        raise ValueError(f"block [{block.start}, {block.stop}) out of range for dim {model.dim}")
+    try:
+        w, frames = model.band_states_batch(lams, block)
+    except ZeroFieldError:  # n = 0 is a closed gap too: reported below, with its s
+        w, frames = model.energies_batch(lams), None
+    closure = closed_gap(w, block.start, block.stop)
+    if closure is not None:
+        k, gap = closure
+        raise error(None if s_values is None else float(s_values[k]), gap)
+    return frames
+
+
+def transport(
+    raw: np.ndarray, closed: bool, tol: float, error: type[Exception], f0=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smoothed frames F_k = R_k G_k of an (n, dim, m) raw stack, and each raw
+    link's smallest singular value; a link with one not above tol raises the
+    caller's error(k, sigma), and closed paths add the wrap link. The gauges
+    G_k = P_{k-1}^dag ... P_0^dag G_0 come from the polar factors P_k of the raw
+    links R_k^dag R_{k+1} by one log-depth prefix product; F_0 = f0 (default R_0)."""
+    polar, sigma = link_polar(link_overlaps(raw, closed))
+    check_links(sigma, tol, error)
+    f0 = raw[0] if f0 is None else f0
+    # (P_0 ... P_{k-1})^dag G_0 for k = 1 .. n-1
+    gauges = dagger(prefix_products(polar[: len(raw) - 1])) @ (dagger(raw[0]) @ f0)
+    frames = np.empty_like(raw)
+    frames[0] = f0
+    frames[1:] = raw[1:] @ gauges
+    return frames, sigma
+
+
 def eigenframe_path(
     model: HamiltonianModel,
     path: ParameterPath,
@@ -129,54 +153,29 @@ def eigenframe_path(
 ) -> FramePath:
     """Track the block's eigenframe along the path with smoothed gauge.
 
-    The raw frames R_k carry the eigensolver's arbitrary gauge; the polar
-    factors P_k of the raw links R_k^dag R_{k+1} (linalg.link_polar) give the
-    returned frames F_k = R_k G_k with G_k = P_{k-1}^dag ... P_0^dag G_0
-    (one log-depth prefix product), so the link product keeps only the
-    geometry. An explicit initial_frame F_0 (e.g. the analytic dark pair)
-    fixes G_0 = R_0^dag F_0 and the basis the holonomy is reported in.
+    The model's raw frames R_k carry an arbitrary gauge; transport turns
+    them into F_k = R_k G_k, so the link product keeps only the geometry.
+    An explicit initial_frame F_0 (e.g. the analytic dark pair) fixes
+    G_0 = R_0^dag F_0 and the basis the holonomy is reported in.
     """
     if n_samples < 16:
         raise ValueError(f"need at least 16 samples, got {n_samples}")
     s_values = path.sample_s(n_samples)
-    w, v = eigh_batch(model.evaluate_batch(path(s_values)))
-    if block.stop > w.shape[1]:
-        raise ValueError(
-            f"block [{block.start}, {block.stop}) out of range for dim {w.shape[1]}"
-        )
-    closure = closed_gap(w, block.start, block.stop)
-    if closure is not None:
-        raise GapClosureError(float(s_values[closure[0]]), closure[1])
-
-    raw = v[:, :, block.indices()].copy()
-    del v  # the full eigenvector stack is the largest array here
-    n, dim, m = raw.shape
-    if initial_frame is None:
-        f0 = raw[0]
-    else:
-        f0 = np.asarray(initial_frame, dtype=complex).reshape(dim, m)
-        if max_abs(dagger(f0) @ f0 - np.eye(m)) > 1e-10:
+    raw = block_frames(model, path(s_values), block, s_values)
+    f0 = None
+    if initial_frame is not None:
+        f0 = np.asarray(initial_frame, dtype=complex).reshape(raw.shape[1:])
+        if max_abs(dagger(f0) @ f0 - np.eye(f0.shape[1])) > 1e-10:
             raise ValueError("initial_frame columns are not orthonormal")
-        residual = f0 - raw[0] @ (dagger(raw[0]) @ f0)
-        if max_abs(residual) > 1e-8:
+        residual = max_abs(f0 - raw[0] @ (dagger(raw[0]) @ f0))
+        if residual > 1e-8:
             raise ValueError(
                 "initial_frame does not span the requested eigenvalue block "
-                f"(projection residual {max_abs(residual):.3e})"
+                f"(projection residual {residual:.3e})"
             )
 
-    polar, sigma = link_polar(link_overlaps(raw, path.closed))
-    check_links(sigma, SUBSPACE_OVERLAP_TOL, IllConditionedLinkError)
-    # (P_0 ... P_{k-1})^dag G_0 for k = 1 .. n-1
-    gauges = dagger(prefix_products(polar[: n - 1])) @ (dagger(raw[0]) @ f0)
-    frames = np.empty_like(raw)
-    frames[0] = f0
-    frames[1:] = raw[1:] @ gauges
-    return FramePath(
-        frames=frames,
-        path=path,
-        block=block,
-        min_link_singular_value=float(np.min(sigma)),
-    )
+    frames, sigma = transport(raw, path.closed, SUBSPACE_OVERLAP_TOL, IllConditionedLinkError, f0)
+    return FramePath(frames, path, block, min_link_singular_value=float(np.min(sigma)))
 
 
 def wilson_line(frame_path: FramePath) -> HolonomyResult:
@@ -256,17 +255,15 @@ def usb_holonomy_closed_form(eta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def usb_wilson_line(
-    path: ParameterPath, n_samples: int, model: HamiltonianModel | None = None
-) -> HolonomyResult:
+def usb_wilson_line(path: ParameterPath, n_samples: int) -> HolonomyResult:
     """Wilson line over the dark pair, based at the analytic dark frame.
 
     The initial frame is pinned to the analytic (Phi1, Phi2) at the loop
     basepoint so the result is directly comparable to the closed-form
     rotation; eta_estimate is read off the matrix as atan2(V01, V00).
     """
-    f0 = UsbModel().dark_frame_batch(path(np.array([0.0])))[0]
-    model = model or UsbModel()
+    model = UsbModel()
+    f0 = model.dark_frame_batch(path(np.array([0.0])))[0]
     frames = eigenframe_path(model, path, USB_DARK_BLOCK, n_samples, initial_frame=f0)
     result = wilson_line(frames)
     result.eta_estimate = float(

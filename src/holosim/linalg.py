@@ -50,11 +50,6 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
 
 
-def norm_scale(m: np.ndarray) -> float:
-    """Scale used for relative tolerances: max(1, largest entry magnitude)."""
-    return max(1.0, max_abs(m))
-
-
 def gauge_fix(v: np.ndarray) -> np.ndarray:
     """Rephase each vector of a (..., dim) stack so its largest-magnitude
     component is real positive; (near-)zero vectors are left unchanged.
@@ -78,13 +73,28 @@ def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gauges themselves); returns (eigenvalues, eigenvectors) LAPACK-ordered.
     """
     hs = np.asarray(hs, dtype=complex)
-    _require_hermitian(hs, dagger(hs))
+    _require_hermitian(hs)
     return np.linalg.eigh(hs)
 
 
-def _require_hermitian(h: np.ndarray, h_dagger: np.ndarray) -> None:
-    defect = max_abs(h - h_dagger)
-    bound = HERMITIAN_TOL * norm_scale(h)
+def hermiticity_defect(h: np.ndarray) -> tuple[float, float]:
+    """max_abs(H - H^dag) and the scale max(1, max_abs(H)) of a (..., n, n) stack,
+    exactly, from (...)-shaped slices of each pair i <= j: |h_ij - conj(h_ji)|
+    (2 |Im h_ii| on the diagonal), so no temporary is as large as the stack."""
+    n = h.shape[-1]
+    defect, scale = np.zeros(h.shape[:-2]), np.zeros(h.shape[:-2])
+    for i in range(n):
+        for j in range(i, n):
+            a, b = h[..., i, j], h[..., j, i]
+            np.maximum(defect, np.abs(a - np.conjugate(b)), out=defect)
+            np.maximum(scale, np.abs(a), out=scale)
+            np.maximum(scale, np.abs(b), out=scale)
+    return max_abs(defect), max(1.0, max_abs(scale))
+
+
+def _require_hermitian(h: np.ndarray) -> None:
+    defect, scale = hermiticity_defect(h)
+    bound = HERMITIAN_TOL * scale
     if defect >= bound:
         raise NonHermitianError(defect, bound)
 
@@ -107,7 +117,7 @@ def propagator_increments(hs: np.ndarray, dt: float) -> np.ndarray:
     # the closed form works on a (d, d, k) copy: with the stack axis last,
     # every elementwise step runs along one long contiguous axis
     h = np.ascontiguousarray(np.moveaxis(hs, 0, -1))
-    _require_hermitian(h, np.conjugate(h.transpose(1, 0, 2)))
+    _require_hermitian(np.moveaxis(h, -1, 0))
     h2 = np.einsum("ijk,jlk->ilk", h, h)
     r2 = 0.5 * np.einsum("iik->k", h2).real
     defect = np.abs(np.einsum("ijk,jlk->ilk", h2, h) - r2 * h)

@@ -32,6 +32,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+_SIGNS = np.array([-1.0, 1.0])
 
 
 class DarkFrameSingularError(ValueError):
@@ -50,16 +51,16 @@ def qubit_band_states(ns, band: int) -> np.ndarray:
     (cos(theta/2), e^{i phi} sin(theta/2)). Loop quantities are gauge
     invariant, so this phase choice is only a convention.
     """
-    ns = np.asarray(ns, dtype=float)
-    zero = np.linalg.norm(ns, axis=-1) < RANK_TOL
+    x, y, z = np.moveaxis(np.asarray(ns, dtype=float), -1, 0)
+    rho = np.hypot(x, y)
+    zero = np.hypot(rho, z) < RANK_TOL
     if np.any(zero):
         index = np.unravel_index(int(np.argmax(zero)), zero.shape)
         raise ZeroFieldError(
             f"qubit band state undefined at index [{', '.join(map(str, index))}]: "
             "n = 0 (degenerate levels)"
         )
-    x, y, z = np.moveaxis(ns, -1, 0)
-    half = 0.5 * np.arctan2(np.hypot(x, y), z)
+    half = 0.5 * np.arctan2(rho, z)
     phase = np.exp(1j * np.arctan2(y, x))
     if band == 0:
         pair = (np.sin(half), -phase * np.cos(half))
@@ -246,6 +247,25 @@ def make_usb_loop(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class BandBlock:
+    """Contiguous range [start, stop) of ascending-eigenvalue indices."""
+
+    start: int
+    stop: int
+
+    def __post_init__(self):
+        if not 0 <= self.start < self.stop:
+            raise ValueError(f"invalid band block [{self.start}, {self.stop})")
+
+    @property
+    def size(self) -> int:
+        return self.stop - self.start
+
+    def indices(self) -> slice:
+        return slice(self.start, self.stop)
+
+
 class HamiltonianModel:
     """Provider of a Hermitian matrix H(lambda) for any parameter point.
 
@@ -263,37 +283,43 @@ class HamiltonianModel:
         raise NotImplementedError
 
     def energies_batch(self, lams: np.ndarray) -> np.ndarray:
-        return self.band_states_batch(lams, 0)[0]
+        return eigh_batch(self.evaluate_batch(lams))[0]
 
-    def band_states_batch(self, lams: np.ndarray, band: int) -> tuple[np.ndarray, np.ndarray]:
-        """Energies (k, dim), ascending, and one band's states (k, dim) in any gauge."""
+    def band_states_batch(self, lams: np.ndarray, block: BandBlock) -> tuple[np.ndarray, np.ndarray]:
+        """Energies (k, dim), ascending, and the block's frames (k, dim, m) in any gauge."""
         w, v = eigh_batch(self.evaluate_batch(lams))
-        return w, v[:, :, band]
+        # a copy, so the full eigenvector stack is freed on return
+        return w, v[:, :, block.indices()].copy()
 
 
 class QubitModel(HamiltonianModel):
-    """Qubit with Cartesian parameters lambda = n in R^3."""
+    """Qubit H = n . sigma with Cartesian parameters lambda = n in R^3."""
 
     dim = 2
     parameter_dim = 3
     label = "qubit"
 
+    def field(self, lams: np.ndarray) -> np.ndarray:
+        """The field n of each parameter point, (k, 3)."""
+        return np.asarray(lams, dtype=float).reshape(-1, 3)
+
     def evaluate_batch(self, lams: np.ndarray) -> np.ndarray:
-        lams = np.asarray(lams, dtype=float).reshape(-1, 3)
-        return np.einsum("ki,ijl->kjl", lams, PAULI)
+        return np.einsum("ki,ijl->kjl", self.field(lams), PAULI)
 
     def energies_batch(self, lams: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(np.asarray(lams, dtype=float).reshape(-1, 3), axis=1)
-        return np.stack([-r, r], axis=1)
+        return np.linalg.norm(self.field(lams), axis=1)[:, None] * _SIGNS
 
-    def band_states_batch(self, lams: np.ndarray, band: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.energies_batch(lams), qubit_band_states(np.reshape(lams, (-1, 3)), band)
+    def band_states_batch(self, lams: np.ndarray, block: BandBlock) -> tuple[np.ndarray, np.ndarray]:
+        ns = self.field(lams)
+        w = np.linalg.norm(ns, axis=1)[:, None] * _SIGNS
+        if block.size == 2:  # any basis is an eigenframe of the whole space, also at n = 0
+            return w, np.tile(np.eye(2, dtype=complex), (len(ns), 1, 1))
+        return w, qubit_band_states(ns, block.start)[:, :, None]
 
 
-class SphereQubitModel(HamiltonianModel):
+class SphereQubitModel(QubitModel):
     """Qubit pinned to |n| = radius with lambda = (theta, phi)."""
 
-    dim = 2
     parameter_dim = 2
 
     def __init__(self, radius: float = 1.0):
@@ -309,18 +335,8 @@ class SphereQubitModel(HamiltonianModel):
             [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1
         )
 
-    def evaluate_batch(self, lams: np.ndarray) -> np.ndarray:
-        return np.einsum(
-            "ki,ijl->kjl", self.radius * self.directions(lams), PAULI
-        )
-
-    def energies_batch(self, lams: np.ndarray) -> np.ndarray:
-        k = np.asarray(lams, dtype=float).reshape(-1, 2).shape[0]
-        r = np.full(k, self.radius)
-        return np.stack([-r, r], axis=1)
-
-    def band_states_batch(self, lams: np.ndarray, band: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.energies_batch(lams), qubit_band_states(self.directions(lams), band)
+    def field(self, lams: np.ndarray) -> np.ndarray:
+        return self.radius * self.directions(lams)
 
 
 class UsbModel(HamiltonianModel):

@@ -13,6 +13,15 @@ def ground_chain(theta0, n, radius=1.0):
     return abelian.band_state_chain(models.QubitModel(), loop, band=0, n_samples=n)
 
 
+def cumulative_angle_transport(chain):
+    """The phase-angle form of parallel transport:
+    out_k = in_k exp(-i sum_{j<k} arg <in_j|in_{j+1}>)."""
+    states = chain.states
+    overlaps = np.einsum("ki,ki->k", states[:-1].conj(), states[1:])
+    cum = np.concatenate([[0.0], np.cumsum(np.angle(overlaps))])
+    return abelian.StateChain(states * np.exp(-1j * cum)[:, None], closed=chain.closed)
+
+
 class TwoParamRealModel(models.HamiltonianModel):
     """H(a, b) = a sigma_z + b sigma_x: eigenvectors can be chosen real."""
 
@@ -154,6 +163,16 @@ class TestParallelTransport:
         mismatch = float(np.angle(np.vdot(out.states[-1], out.states[0])))
         assert abs(linalg.wrap_angle(mismatch + math.pi / 2)) < 1e-4
         assert abs(mismatch - expected) < 1e-12
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_matches_cumulative_angle_form(self, closed):
+        rng = np.random.default_rng(101 + closed)
+        for n, dim in ((2, 2), (3, 4), (257, 2), (1000, 3)):
+            states = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+            chain = abelian.StateChain(states, closed=closed)
+            out = abelian.parallel_transport(chain)
+            assert out.closed == closed
+            assert linalg.max_abs(out.states - cumulative_angle_transport(chain).states) < 1e-12
 
     def test_two_state_chain(self):
         rng = np.random.default_rng(47)

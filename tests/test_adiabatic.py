@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from holosim import adiabatic, holonomy, linalg, models
+from holosim import abelian, adiabatic, holonomy, linalg, models
 
 QUBIT_LOOP_THETA = math.pi / 3
 
@@ -259,6 +259,31 @@ class TestAdiabaticHolonomy:
             adiabatic.adiabatic_holonomy(
                 model, path, 10.0, holonomy.USB_DARK_BLOCK, 64, initial_frame=frame
             )
+
+
+class TestQubitPathsTakeNoDenseEigensolve:
+    def test_frames_holonomy_and_sweep(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve on a qubit path")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        model, block = models.QubitModel(), holonomy.BandBlock(0, 1)
+        loop = models.make_azimuthal_loop(QUBIT_LOOP_THETA)
+        frames = holonomy.eigenframe_path(model, loop, block, 256)
+        state0 = models.qubit_band_states(loop(np.array([0.0])), 0)[0]
+        assert np.array_equal(frames.frames[0, :, 0], state0)
+        res = adiabatic.adiabatic_holonomy(model, loop, 50.0, block, None)
+        assert res.final_states.shape == (2, 1)
+        assert 0.0 < res.leakage < 1e-2
+        sweep = adiabatic.convergence_sweep(
+            model, loop, block, [50.0, 200.0, 800.0], reference_samples=1024
+        )
+        d = sweep.distances()
+        assert d[0] > d[1] > d[2]
+        chi = abelian.discrete_geometric_phase(
+            abelian.band_state_chain(model, loop, 0, 1024)
+        ).phase
+        assert abs(np.angle(sweep.reference.matrix[0, 0]) - chi) < 1e-12
 
 
 class TestConvergenceSweep:

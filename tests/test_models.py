@@ -327,13 +327,21 @@ class TestModelProviders:
     )
     @pytest.mark.parametrize("band", [0, 1])
     def test_closed_form_band_states_match_eigh(self, model, lams, band):
-        w, states = model.band_states_batch(lams, band)
-        w_ref, ref = models.HamiltonianModel.band_states_batch(model, lams, band)
+        block = models.BandBlock(band, band + 1)
+        w, states = model.band_states_batch(lams, block)
+        w_ref, ref = models.HamiltonianModel.band_states_batch(model, lams, block)
+        states, ref = states[:, :, 0], ref[:, :, 0]
         assert linalg.max_abs(w - w_ref) < 1e-14 * max(1.0, linalg.max_abs(w_ref))
         overlap = np.einsum("ki,ki->k", ref.conj(), states)
         assert linalg.max_abs(np.abs(overlap) - 1.0) < 1e-14
         phase = overlap / np.abs(overlap)
         assert linalg.max_abs(states - phase[:, None] * ref) < 1e-14
+
+    def test_qubit_whole_space_block_is_the_identity_frame(self):
+        ns = np.array([[0.3, -1.2, 0.4], [0.0, 0.0, 0.0]])
+        w, frames = models.QubitModel().band_states_batch(ns, models.BandBlock(0, 2))
+        assert np.array_equal(w[1], [-0.0, 0.0])
+        assert np.array_equal(frames, np.stack([np.eye(2)] * 2))
 
     def test_zero_field_band_states_raise_typed_error(self):
         for band in (0, 1):
