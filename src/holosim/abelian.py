@@ -157,7 +157,7 @@ def _band_states(model: HamiltonianModel, lams, band: int, s_values=None) -> np.
         where = f" at s = {s:.6f}" if s is not None else ""
         return DegenerateBandError(
             f"band {band} degenerate{where} (gap = {gap:.3e}); treat the "
-            "cluster as a frame with holonomy.eigenframe_path/wilson_line"
+            "cluster as a frame with holonomy.wilson_line"
         )
 
     return block_frames(model, lams, BandBlock(band, band + 1), s_values, degenerate)[..., 0]

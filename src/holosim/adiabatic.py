@@ -19,9 +19,7 @@ import numpy as np
 from .linalg import (
     angle_distance, dagger, max_abs, nearest_unitary, near_identity_product, propagator_increments,
 )
-from .holonomy import (
-    BandBlock, HolonomyResult, block_frames, eigenframe_path, holonomy_distance, wilson_line,
-)
+from .holonomy import BandBlock, HolonomyResult, block_frames, holonomy_distance, wilson_line
 from .models import HamiltonianModel, ParameterPath
 
 _CHUNK = 8192  # exponentials per chunk (two per step); bounds its memory
@@ -256,7 +254,8 @@ def convergence_sweep(
     reference_samples: int = 8192,
     initial_frame: np.ndarray | None = None,
 ) -> SweepResult:
-    """Distance between exact evolution and the Wilson line versus T.
+    """Distance between exact evolution and the Wilson line versus T, both
+    based at initial_frame (default: the model's frame at s = 0).
 
     Rows are (T, distance, leakage); for one-dimensional blocks the
     distance column is the wrapped phase error (the global-phase-quotient
@@ -272,11 +271,10 @@ def convergence_sweep(
     if len(steps_per_t) != len(total_times):
         raise ValueError("steps_per_t must match total_times")
 
-    frames = eigenframe_path(
-        model, loop, block, reference_samples, initial_frame=initial_frame
-    )
-    reference = wilson_line(frames)
-    frame0 = frames.frames[0]
+    frame0 = initial_frame
+    if frame0 is None:
+        frame0 = block_frames(model, loop(np.array([0.0])), block, [0.0])[0]
+    reference = wilson_line(model, loop, block, reference_samples, initial_frame=frame0)
 
     rows = []
     for t, steps in zip(total_times, steps_per_t):

@@ -9,7 +9,8 @@ CSV table and a JSON metadata file (resolved config, tool version,
 elapsed ms, hard checks) next to it; the exit code is 0 iff every hard
 check passed, and failed checks are listed on standard error. Flag
 overrides win over the config file and are recorded in the echoed
-config; a flag the experiment has no knob for exits 2.
+config; a flag the experiment has no knob for exits 2, and so does a
+loop that meets a degeneracy (the error says where).
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .abelian import DegenerateBandError
 from .experiments import EXPERIMENTS, REGISTRY, run_experiment
+from .holonomy import GapClosureError
+from .models import DarkFrameSingularError, ZeroFieldError
 from .report import ConfigError
 
 
@@ -96,7 +100,9 @@ def main(argv: list[str] | None = None) -> int:
         report = run_experiment(
             args.experiment, user_config, seed=args.seed, samples=args.samples
         )
-    except ConfigError as exc:
+    except (
+        ConfigError, DegenerateBandError, GapClosureError, DarkFrameSingularError, ZeroFieldError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

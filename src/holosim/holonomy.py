@@ -1,18 +1,20 @@
 """Non-Abelian holonomy over degenerate eigenspaces.
 
 Frames spanning a gapped eigenvalue block are sampled along a parameter
-path (block_frames), gauge-smoothed by the polar factors of the batched
-raw links (closed form up to 2x2, see linalg.link_polar) and one
-log-depth prefix product of the gauges (transport), and their links are
-multiplied pairwise into a discretized Wilson line. A scalar phase is
-the m = 1 case: the abelian module uses the same sampler and transport.
-For the four-level model the result is checked against the closed-form
-rotation B(eta) with eta = loop integral of sin(phi) d theta.
+path in the model's gauge (block_frames), and their raw links are
+multiplied pairwise into a discretized Wilson line: a change of gauge at
+any frame but the basepoint cancels between neighbouring links. Tracked
+frames are gauge-smoothed by the polar factors of the raw links (closed
+form up to 2x2, see linalg.link_polar) and one log-depth prefix product
+(transport). A scalar phase is the m = 1 case: the abelian module uses
+the same sampler and transport. For the four-level model the result is
+checked against the closed-form rotation B(eta) with eta = loop integral
+of sin(phi) d theta.
 
-Link/product conventions: W_k = F_k^dag F_{k+1}; the Wilson line is
-W_0 W_1 ... W_{N-2} W_close with W_close = F_{N-1}^dag F_0, unitarized,
-expressed in the basis of the initial frame. An evolved frame G compared
-as G^dag F_0 converges to this product in the adiabatic limit.
+Link/product conventions: W_k = R_k^dag R_{k+1}; the Wilson line is
+W_0 W_1 ... W_{N-2} W_close with W_close = R_{N-1}^dag R_0, unitarized,
+expressed in the basis of the initial frame R_0. An evolved frame G
+compared as G^dag R_0 converges to this product in the adiabatic limit.
 """
 
 from __future__ import annotations
@@ -82,12 +84,10 @@ class FramePath:
     well conditioned (min_link_singular_value) and each smoothed link
     F_k^dag F_{k+1} is Hermitian positive up to the geometry's torsion.
     For closed paths the last frame is NOT re-aligned to the first: that
-    mismatch is the holonomy.
+    mismatch is the holonomy, which wilson_line takes from the raw links.
     """
 
     frames: np.ndarray
-    path: ParameterPath
-    block: BandBlock
     min_link_singular_value: float
 
     @property
@@ -126,43 +126,30 @@ def block_frames(
 
 
 def transport(
-    raw: np.ndarray, closed: bool, tol: float, error: type[Exception], f0=None
+    raw: np.ndarray, closed: bool, tol: float, error: type[Exception]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smoothed frames F_k = R_k G_k of an (n, dim, m) raw stack, and each raw
     link's smallest singular value; a link with one not above tol raises the
-    caller's error(k, sigma), and closed paths add the wrap link. The gauges
-    G_k = P_{k-1}^dag ... P_0^dag G_0 come from the polar factors P_k of the raw
-    links R_k^dag R_{k+1} by one log-depth prefix product; F_0 = f0 (default R_0)."""
+    caller's error(k, sigma), and closed paths add the wrap link. F_0 = R_0; the
+    gauges G_k = P_{k-1}^dag ... P_0^dag come from the polar factors P_k of the
+    raw links R_k^dag R_{k+1} by one log-depth prefix product (tracked frames only)."""
     polar, sigma = link_polar(link_overlaps(raw, closed))
     check_links(sigma, tol, error)
-    f0 = raw[0] if f0 is None else f0
-    # (P_0 ... P_{k-1})^dag G_0 for k = 1 .. n-1
-    gauges = dagger(prefix_products(polar[: len(raw) - 1])) @ (dagger(raw[0]) @ f0)
-    frames = np.empty_like(raw)
-    frames[0] = f0
-    frames[1:] = raw[1:] @ gauges
-    return frames, sigma
+    # (P_0 ... P_{k-1})^dag for k = 1 .. n-1
+    gauges = dagger(prefix_products(polar[: len(raw) - 1]))
+    return np.concatenate([raw[:1], raw[1:] @ gauges]), sigma
 
 
-def eigenframe_path(
-    model: HamiltonianModel,
-    path: ParameterPath,
-    block: BandBlock,
-    n_samples: int,
-    initial_frame: np.ndarray | None = None,
-) -> FramePath:
-    """Track the block's eigenframe along the path with smoothed gauge.
-
-    The model's raw frames R_k carry an arbitrary gauge; transport turns
-    them into F_k = R_k G_k, so the link product keeps only the geometry.
-    An explicit initial_frame F_0 (e.g. the analytic dark pair) fixes
-    G_0 = R_0^dag F_0 and the basis the holonomy is reported in.
-    """
+def _sample_frames(
+    model: HamiltonianModel, path: ParameterPath, block: BandBlock, n_samples: int, initial_frame
+) -> np.ndarray:
+    """The block's raw frames R_k at the path's n_samples points, with R_0
+    replaced by initial_frame when one is given (it must be orthonormal and
+    span the block there); R_0 fixes the basis the holonomy is reported in."""
     if n_samples < 16:
         raise ValueError(f"need at least 16 samples, got {n_samples}")
     s_values = path.sample_s(n_samples)
     raw = block_frames(model, path(s_values), block, s_values)
-    f0 = None
     if initial_frame is not None:
         f0 = np.asarray(initial_frame, dtype=complex).reshape(raw.shape[1:])
         if max_abs(dagger(f0) @ f0 - np.eye(f0.shape[1])) > 1e-10:
@@ -173,32 +160,48 @@ def eigenframe_path(
                 "initial_frame does not span the requested eigenvalue block "
                 f"(projection residual {residual:.3e})"
             )
+        raw[0] = f0
+    return raw
 
-    frames, sigma = transport(raw, path.closed, SUBSPACE_OVERLAP_TOL, IllConditionedLinkError, f0)
-    return FramePath(frames, path, block, min_link_singular_value=float(np.min(sigma)))
 
+def eigenframe_path(
+    model: HamiltonianModel, path: ParameterPath, block: BandBlock, n_samples: int,
+    initial_frame: np.ndarray | None = None,
+) -> FramePath:
+    """Track the block's eigenframe along the path with smoothed gauge.
 
-def wilson_line(frame_path: FramePath) -> HolonomyResult:
-    """Ordered product of link overlaps around a closed path, unitarized.
-
-    Discretizes the path-ordered holonomy as
-    nearest_unitary(W_0 W_1 ... W_close), multiplied pairwise; converges
-    to the continuum limit as the sampling is refined and reduces to
-    e^{i chi} with the chain phase chi for one-dimensional blocks.
-    Invariant under a change of gauge at every frame but the basepoint.
+    The model's raw frames R_k carry an arbitrary gauge; transport turns
+    them into F_k = R_k G_k, so that neighbouring frames differ only by the
+    geometry. An explicit initial_frame F_0 (e.g. the analytic dark pair)
+    replaces R_0 and fixes the basis of the tracked frames.
     """
-    if not frame_path.path.closed:
+    raw = _sample_frames(model, path, block, n_samples, initial_frame)
+    frames, sigma = transport(raw, path.closed, SUBSPACE_OVERLAP_TOL, IllConditionedLinkError)
+    return FramePath(frames, min_link_singular_value=float(np.min(sigma)))
+
+
+def wilson_line(
+    model: HamiltonianModel, path: ParameterPath, block: BandBlock, n_samples: int,
+    initial_frame: np.ndarray | None = None,
+) -> HolonomyResult:
+    """The block's Wilson line around a closed path, unitarized.
+
+    Discretizes the path-ordered holonomy as nearest_unitary(W_0 W_1 ...
+    W_close) over the raw links W_k = R_k^dag R_{k+1} of n_samples frames,
+    multiplied pairwise, in the basis of R_0 = initial_frame (default: the
+    model's frame at s = 0). Invariant under a change of gauge at every frame
+    but the basepoint, so the frames are not smoothed. Converges to the
+    continuum limit as the sampling is refined and reduces to e^{i chi} with
+    the chain phase chi for one-dimensional blocks.
+    """
+    if not path.closed:
         raise ValueError("the Wilson line is defined for closed paths only")
-    links = link_overlaps(frame_path.frames, closed=True)
+    raw = _sample_frames(model, path, block, n_samples, initial_frame)
+    links = link_overlaps(raw, closed=True)
     sigma = link_polar(links)[1]
     check_links(sigma, SUBSPACE_OVERLAP_TOL, IllConditionedLinkError)
     matrix = nearest_unitary(ordered_product(links))
-    return HolonomyResult(
-        matrix=matrix,
-        unitarity_defect=unitarity_defect(matrix),
-        samples=len(links),
-        min_link_singular_value=float(np.min(sigma)),
-    )
+    return HolonomyResult(matrix, unitarity_defect(matrix), len(links), float(np.min(sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +267,7 @@ def usb_wilson_line(path: ParameterPath, n_samples: int) -> HolonomyResult:
     """
     model = UsbModel()
     f0 = model.dark_frame_batch(path(np.array([0.0])))[0]
-    frames = eigenframe_path(model, path, USB_DARK_BLOCK, n_samples, initial_frame=f0)
-    result = wilson_line(frames)
+    result = wilson_line(model, path, USB_DARK_BLOCK, n_samples, initial_frame=f0)
     result.eta_estimate = float(
         math.atan2(result.matrix[0, 1].real, result.matrix[0, 0].real)
     )

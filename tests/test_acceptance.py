@@ -220,9 +220,7 @@ def test_c8_gauge_invariance_suite():
     loop = models.make_usb_loop("circle")
     f0 = models.UsbModel().dark_frame_batch(loop(np.array([0.0])))[0]
     v = holonomy.wilson_line(
-        holonomy.eigenframe_path(
-            models.UsbModel(), loop, holonomy.USB_DARK_BLOCK, 256, initial_frame=f0
-        )
+        models.UsbModel(), loop, holonomy.USB_DARK_BLOCK, 256, initial_frame=f0
     ).matrix
     worst_conj, worst_eig = 0.0, 0.0
     for _ in range(20):
@@ -230,13 +228,11 @@ def test_c8_gauge_invariance_suite():
         q, r = np.linalg.qr(m)
         g = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
         w = holonomy.wilson_line(
-            holonomy.eigenframe_path(
-                models.UsbModel(),
-                loop,
-                holonomy.USB_DARK_BLOCK,
-                256,
-                initial_frame=f0 @ g,
-            )
+            models.UsbModel(),
+            loop,
+            holonomy.USB_DARK_BLOCK,
+            256,
+            initial_frame=f0 @ g,
         ).matrix
         worst_conj = max(worst_conj, linalg.max_abs(w - g.conj().T @ v @ g))
         worst_eig = max(worst_eig, holonomy.eigenangle_distance(w, v))
@@ -261,18 +257,14 @@ def test_c9_orientation_suite():
     loop = models.make_usb_loop("circle")
     f0 = models.UsbModel().dark_frame_batch(loop(np.array([0.0])))[0]
     v_fwd = holonomy.wilson_line(
-        holonomy.eigenframe_path(
-            models.UsbModel(), loop, holonomy.USB_DARK_BLOCK, 512, initial_frame=f0
-        )
+        models.UsbModel(), loop, holonomy.USB_DARK_BLOCK, 512, initial_frame=f0
     ).matrix
     v_bwd = holonomy.wilson_line(
-        holonomy.eigenframe_path(
-            models.UsbModel(),
-            models.reversed_path(loop),
-            holonomy.USB_DARK_BLOCK,
-            512,
-            initial_frame=f0,
-        )
+        models.UsbModel(),
+        models.reversed_path(loop),
+        holonomy.USB_DARK_BLOCK,
+        512,
+        initial_frame=f0,
     ).matrix
     holo_flip = linalg.max_abs(v_bwd - v_fwd.conj().T)
     ok = abelian_flip < 1e-12 and holo_flip < 1e-10

@@ -361,6 +361,26 @@ class TestAdiabaticSweep:
             )
 
 
+class TestShippedWilsonLinesTakeRawLinks:
+    def test_no_gauge_transport(self, monkeypatch):
+        # a loop's Wilson line is the product of its raw links: smoothing the
+        # frames first (transport, eigenframe_path) is not on any shipped path
+        def refuse(*args, **kwargs):
+            raise AssertionError("gauge transport on a Wilson-line path")
+
+        monkeypatch.setattr(holonomy, "transport", refuse)
+        monkeypatch.setattr(holonomy, "eigenframe_path", refuse)
+        result = holonomy.usb_wilson_line(models.make_usb_loop("circle"), 1024)
+        assert result.unitarity_defect < 1e-8
+        qubit_sweep = {"model": "qubit", "path": {"family": "azimuthal", "params": {}}}
+        for experiment, config in [
+            ("usb-holonomy", None),
+            ("adiabatic-sweep", None),
+            ("adiabatic-sweep", qubit_sweep),
+        ]:
+            assert experiments.run_experiment(experiment, config).all_passed
+
+
 class TestNoiseStudy:
     def test_projected_slope_gate_passes(self):
         report = experiments.run_experiment("noise-study")
@@ -480,6 +500,10 @@ class TestPancharatnam:
             experiments.run_experiment("pancharatnam", {"states": {"angles": []}})
 
 
+QUBIT_AT_ZERO = {"family": "constant", "params": {"n": [0, 0, 0]}}
+USB_ON_Q_AXIS = {"family": "constant", "params": {"p": 0, "s": 0, "q": 1}}
+
+
 class TestCli:
     def run_cli(self, *args, cwd):
         # absolute, so the package imports from the subprocess's tmp_path cwd
@@ -559,6 +583,34 @@ class TestCli:
         proc = self.run_cli(experiment, "--config", str(cfg), cwd=tmp_path)
         assert proc.returncode == 2
         assert f"error: {field}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "experiment, config, message",
+        [
+            ("berry-qubit", {"path": QUBIT_AT_ZERO}, "band 0 degenerate at s = 0.000000"),
+            ("noise-study", {"path": QUBIT_AT_ZERO}, "n = 0"),
+            ("usb-holonomy", {"path": USB_ON_Q_AXIS}, "P=S=0 at s = 0.000000"),
+            (
+                "adiabatic-sweep",
+                {"model": "usb", "path": USB_ON_Q_AXIS},
+                "P=S=0 at s = 0.000000",
+            ),
+            (
+                "adiabatic-sweep",
+                {"model": "qubit", "path": QUBIT_AT_ZERO},
+                "loses its gap at s = 0.000000",
+            ),
+        ],
+        ids=["berry-qubit", "noise-study", "usb-holonomy", "sweep-usb", "sweep-qubit"],
+    )
+    def test_loop_through_degeneracy_exits_two(self, tmp_path, experiment, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        proc = self.run_cli(experiment, "--config", str(cfg), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "error: " in proc.stderr and message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("*.csv"))
 
