@@ -248,12 +248,10 @@ def plaquette_flux_and_boundary(
     # u_i[p, q] = <p, q|p + 1, q> and u_j[p, q] = <p, q|p, q + 1>
     u_i = link_overlaps(states, closed=False)[..., 0, 0]
     u_j = link_overlaps(states.swapaxes(0, 1), closed=False)[..., 0, 0].T
-    for links, step in ((u_i, nj + 1), (u_j, 1)):
-        bad = np.argwhere(~(np.abs(links) > OVERLAP_TOL))
-        if len(bad):
-            p, q = bad[0]
-            vertex = int(p) * (nj + 1) + int(q)  # the link's first vertex, row-major
-            raise OverlapTooSmallError(vertex, float(abs(links[p, q])), vertex + step)
+    # an error names the link's vertices, row-major: u_i's k-th link joins
+    # k and k + nj + 1, u_j's joins v = k + k // nj and v + 1
+    check_links(abs(u_i).ravel(), OVERLAP_TOL, lambda k, o: OverlapTooSmallError(k, o, k + nj + 1))
+    check_links(abs(u_j).ravel(), OVERLAP_TOL, lambda k, o: OverlapTooSmallError(k + k // nj, o))
 
     plaq = u_i[:, :-1] * u_j[1:] * np.conjugate(u_i[:, 1:]) * np.conjugate(u_j[:-1])
     flux = float(np.sum(np.angle(plaq)))

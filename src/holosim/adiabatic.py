@@ -6,6 +6,10 @@ Comput. Phys. 230, 5930 (2011)) with step-doubling error control. Its
 exponentials are unitary by construction, so leakage measures physics
 rather than solver drift. hbar = 1, couplings are dimensionless, total
 times T are in inverse coupling units, and the schedule is s(t) = t/T.
+
+The gap rule and the basepoint frame are the holonomy layer's
+(linalg.closed_gap, holonomy.basepoint_frame), so a run and the Wilson
+line it is compared with reject the same loops and frames.
 """
 
 from __future__ import annotations
@@ -17,9 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    angle_distance, dagger, max_abs, nearest_unitary, near_identity_product, propagator_increments,
+    angle_distance, closed_gap, dagger, max_abs, nearest_unitary, near_identity_product,
+    propagator_increments,
 )
-from .holonomy import BandBlock, HolonomyResult, block_frames, holonomy_distance, wilson_line
+from .holonomy import (
+    BandBlock, GapClosureError, HolonomyResult, basepoint_frame, block_frames, holonomy_distance,
+    wilson_line,
+)
 from .models import HamiltonianModel, ParameterPath
 
 _CHUNK = 8192  # exponentials per chunk (two per step); bounds its memory
@@ -75,6 +83,7 @@ class AdiabaticResult:
     leakage: float | None = None
     overlap_matrix: np.ndarray | None = None  # dynamical phase stripped
     overlap_matrix_raw: np.ndarray | None = None
+    distance: float | None = None  # to the Wilson line, set by convergence_sweep
 
     def final_state(self) -> np.ndarray:
         """The evolved state for single-column runs."""
@@ -142,34 +151,21 @@ def dynamical_phase(
     model: HamiltonianModel,
     path: ParameterPath,
     total_time: float,
-    band: int,
+    block: BandBlock,
     n_samples: int = 4096,
 ) -> float:
-    """delta = -integral of the band energy over [0, T], by quadrature.
+    """delta = -integral of the block's energy over [0, T], by quadrature.
 
-    Uses the model's band energies (closed-form where the model provides
-    them, so an identically-zero band yields exactly 0.0). The band must
-    stay gapped along the path.
+    A degenerate cluster is one block, whose levels share the model's energy
+    (closed form where provided: an identically-zero band yields exactly 0.0).
+    Where the block's gap closes on the path (linalg.closed_gap), GapClosureError names s.
     """
-    s = np.linspace(0.0, 1.0, n_samples + 1)
+    s = path.sample_s(n_samples, include_endpoint=True)
     w = model.energies_batch(path(s))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    tol = 1e-9 * scale
-    for neighbor in (band - 1, band + 1):
-        if not 0 <= neighbor < w.shape[1]:
-            continue
-        gap = np.abs(w[:, band] - w[:, neighbor])
-        # A persistently degenerate neighbor shares the band energy and is
-        # harmless; a gap that closes somewhere but is open elsewhere is a
-        # genuine crossing where the sorted branch loses its identity.
-        if np.min(gap) <= tol and np.max(gap) > 10.0 * tol:
-            k = int(np.argmin(gap))
-            raise ValueError(
-                f"band {band} crosses band {neighbor} at s = {s[k]:.6f}; the "
-                "dynamical phase of a single sorted branch is undefined there"
-            )
-    eps = w[:, band]
-    return float(-total_time * _trapezoid(eps, s))
+    closure = closed_gap(w, block.start, block.stop)
+    if closure is not None:
+        raise GapClosureError(float(s[closure[0]]), closure[1])
+    return float(-total_time * _trapezoid(w[:, block.start], s))
 
 
 def adiabatic_holonomy(
@@ -180,24 +176,20 @@ def adiabatic_holonomy(
     steps: int | None,
     initial_frame: np.ndarray | None = None,
 ) -> AdiabaticResult:
-    """Evolve an initial eigenframe around a closed loop and project back.
+    """Evolve the block's basepoint frame around a closed loop and project back.
 
-    The overlap matrix is (evolved frame)^dag (initial frame) with the
-    independently quadratured dynamical phase stripped as a scalar factor
-    e^{i delta}; as T grows its unitarization converges to the Wilson line
-    of the same loop. Leakage is the mean squared weight outside the
-    target eigenspace at the basepoint.
+    The frame is holonomy.basepoint_frame (initial_frame, checked as wilson_line
+    checks it, or the model's frame at s = 0). The overlap matrix is (evolved
+    frame)^dag (initial frame) with the block's independently quadratured
+    dynamical phase stripped as a scalar factor e^{i delta}; as T grows its
+    unitarization converges to the Wilson line of the same loop. Leakage is
+    the mean squared weight outside the block's eigenspace at the basepoint.
     """
     if not loop.closed:
         raise ValueError("adiabatic holonomy is defined for closed loops")
     # instantaneous eigenspace at the basepoint = target space for a loop
     target = block_frames(model, loop(np.array([0.0])), block, [0.0])[0]
-    if initial_frame is None:
-        frame0 = target
-    else:
-        frame0 = np.asarray(initial_frame, dtype=complex)
-        if frame0.ndim == 1:
-            frame0 = frame0[:, None]
+    frame0 = basepoint_frame(target, initial_frame)
     run = AdiabaticRun(
         model=model,
         path=loop,
@@ -208,7 +200,7 @@ def adiabatic_holonomy(
     result = evolve_schrodinger(run)
     evolved = result.final_states
 
-    delta = dynamical_phase(model, loop, total_time, band=block.start)
+    delta = dynamical_phase(model, loop, total_time, block)
     raw = dagger(evolved) @ frame0
     stripped = np.exp(1j * delta) * raw
 
@@ -223,18 +215,11 @@ def adiabatic_holonomy(
 
 
 @dataclass
-class SweepRow:
-    total_time: float
-    steps: int
-    distance: float
-    leakage: float
-    norm_drift: float
-    step_error_estimate: float
-
-
-@dataclass
 class SweepResult:
-    rows: list[SweepRow]
+    """The runs in T order, each with its distance to the reference Wilson
+    line set, that reference, and the log-log slope of distance versus T."""
+
+    rows: list[AdiabaticResult]
     reference: HolonomyResult
     slope: float
 
@@ -257,10 +242,10 @@ def convergence_sweep(
     """Distance between exact evolution and the Wilson line versus T, both
     based at initial_frame (default: the model's frame at s = 0).
 
-    Rows are (T, distance, leakage); for one-dimensional blocks the
-    distance column is the wrapped phase error (the global-phase-quotient
-    metric is identically zero there), for larger blocks it is
-    holonomy_distance of the unitarized overlap matrix.
+    Rows are the adiabatic_holonomy runs with their distance set: for
+    one-dimensional blocks the wrapped phase error (the global-phase-quotient
+    metric is identically zero there), for larger blocks holonomy_distance of
+    the unitarized overlap matrix.
     """
     if len(total_times) < 3:
         raise ValueError("need at least 3 T values")
@@ -271,31 +256,18 @@ def convergence_sweep(
     if len(steps_per_t) != len(total_times):
         raise ValueError("steps_per_t must match total_times")
 
-    frame0 = initial_frame
-    if frame0 is None:
-        frame0 = block_frames(model, loop(np.array([0.0])), block, [0.0])[0]
-    reference = wilson_line(model, loop, block, reference_samples, initial_frame=frame0)
+    reference = wilson_line(model, loop, block, reference_samples, initial_frame)
+    reference_phase = np.angle(reference.matrix[0, 0])
 
     rows = []
     for t, steps in zip(total_times, steps_per_t):
-        res = adiabatic_holonomy(
-            model, loop, t, block, steps, initial_frame=frame0
-        )
+        res = adiabatic_holonomy(model, loop, t, block, steps, initial_frame)
         measured = nearest_unitary(res.overlap_matrix)
         if block.size == 1:
-            dist = angle_distance(np.angle(measured[0, 0]), np.angle(reference.matrix[0, 0]))
+            res.distance = angle_distance(np.angle(measured[0, 0]), reference_phase)
         else:
-            dist = holonomy_distance(measured, reference.matrix)
-        rows.append(
-            SweepRow(
-                total_time=t,
-                steps=res.steps,
-                distance=dist,
-                leakage=res.leakage,
-                norm_drift=res.norm_drift,
-                step_error_estimate=res.step_error_estimate,
-            )
-        )
+            res.distance = holonomy_distance(measured, reference.matrix)
+        rows.append(res)
 
     logs_t = np.log(np.array(total_times))
     logs_d = np.log(np.maximum([r.distance for r in rows], 1e-300))

@@ -407,7 +407,7 @@ def run_noise_study(config: dict) -> ExperimentReport:
     the raw shift is reported without a bound.
     """
     validate("noise-study", config)
-    _, path = models.build_model_and_path(config)
+    model, path = models.build_model_and_path(config)
     n, noise = config["samples"], config["noise"]
     modes, seed = int(noise["modes"]), int(noise["seed"])
 
@@ -415,10 +415,11 @@ def run_noise_study(config: dict) -> ExperimentReport:
     base = path(s)
     scale = float(np.sqrt(np.mean(np.sum(base**2, axis=1))))
 
-    def chain_phase(points: np.ndarray) -> float:
-        states = models.qubit_band_states(points, config["band"])
-        chain = abelian.StateChain(states, closed=True)
-        return abelian.discrete_geometric_phase(chain).phase
+    def chain_phase(states: np.ndarray) -> float:
+        return abelian.discrete_geometric_phase(abelian.StateChain(states, closed=True)).phase
+
+    def deformed_phase(points: np.ndarray) -> float:
+        return chain_phase(models.qubit_band_states(points, config["band"]))
 
     def area(points: np.ndarray) -> float:
         dirs = points / np.linalg.norm(points, axis=1)[:, None]
@@ -427,7 +428,8 @@ def run_noise_study(config: dict) -> ExperimentReport:
     def area_rate(d: np.ndarray, h: float = 1e-4) -> float:
         return (area(base + h * scale * d) - area(base - h * scale * d)) / (2.0 * h)
 
-    chi0 = chain_phase(base)
+    # the undeformed loop through the model's sampler, which names s where a band is degenerate
+    chi0 = chain_phase(abelian._band_states(model, base, config["band"], s))
 
     # fixed area-changing reference direction: uniform polar push
     theta_hat = _polar_push(base)
@@ -453,8 +455,8 @@ def run_noise_study(config: dict) -> ExperimentReport:
         proj_devs, raw_devs = [], []
         for d, d_proj in deformations:
             try:
-                chi_raw = chain_phase(base + eps * scale * d)
-                chi_proj = chain_phase(base + eps * scale * d_proj)
+                chi_raw = deformed_phase(base + eps * scale * d)
+                chi_proj = deformed_phase(base + eps * scale * d_proj)
             except (models.ZeroFieldError, abelian.OverlapTooSmallError):
                 continue
             raw_devs.append(abs(linalg.wrap_angle(chi_raw - chi0)))

@@ -140,27 +140,34 @@ def transport(
     return np.concatenate([raw[:1], raw[1:] @ gauges]), sigma
 
 
+def basepoint_frame(frame: np.ndarray, initial_frame=None) -> np.ndarray:
+    """The basepoint frame a holonomy is reported in: the block's (dim, m)
+    frame at the basepoint, or initial_frame (a 1-D state is one column) once
+    its columns are checked orthonormal and to span the block there."""
+    if initial_frame is None:
+        return frame
+    f0 = np.asarray(initial_frame, dtype=complex).reshape(frame.shape)
+    if max_abs(dagger(f0) @ f0 - np.eye(f0.shape[1])) > 1e-10:
+        raise ValueError("initial_frame columns are not orthonormal")
+    residual = max_abs(f0 - frame @ (dagger(frame) @ f0))
+    if residual > 1e-8:
+        raise ValueError(
+            "initial_frame does not span the requested eigenvalue block "
+            f"(projection residual {residual:.3e})"
+        )
+    return f0
+
+
 def _sample_frames(
     model: HamiltonianModel, path: ParameterPath, block: BandBlock, n_samples: int, initial_frame
 ) -> np.ndarray:
-    """The block's raw frames R_k at the path's n_samples points, with R_0
-    replaced by initial_frame when one is given (it must be orthonormal and
-    span the block there); R_0 fixes the basis the holonomy is reported in."""
+    """The block's raw frames R_k at the path's n_samples points, with R_0 the
+    basepoint_frame; R_0 fixes the basis the holonomy is reported in."""
     if n_samples < 16:
         raise ValueError(f"need at least 16 samples, got {n_samples}")
     s_values = path.sample_s(n_samples)
     raw = block_frames(model, path(s_values), block, s_values)
-    if initial_frame is not None:
-        f0 = np.asarray(initial_frame, dtype=complex).reshape(raw.shape[1:])
-        if max_abs(dagger(f0) @ f0 - np.eye(f0.shape[1])) > 1e-10:
-            raise ValueError("initial_frame columns are not orthonormal")
-        residual = max_abs(f0 - raw[0] @ (dagger(raw[0]) @ f0))
-        if residual > 1e-8:
-            raise ValueError(
-                "initial_frame does not span the requested eigenvalue block "
-                f"(projection residual {residual:.3e})"
-            )
-        raw[0] = f0
+    raw[0] = basepoint_frame(raw[0], initial_frame)
     return raw
 
 

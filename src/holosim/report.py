@@ -99,20 +99,7 @@ class ExperimentReport:
 def _cell(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
-    if isinstance(x, (int,)):
-        return str(x)
-    if isinstance(x, float):
-        return repr(x)
-    text = str(x)
-    if any(ch in text for ch in ",\n\""):
-        # fall back to csv quoting rules for awkward strings
-        import io
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="")
-        w.writerow([text])
-        return buf.getvalue()
-    return text
+    return repr(x) if isinstance(x, float) else str(x)
 
 
 def _jsonable(x):

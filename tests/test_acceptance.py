@@ -177,9 +177,8 @@ def test_c6b_adiabatic_convergence_slope_window(usb_sweep):
 def test_c7_dark_space_dynamical_phase(usb_sweep):
     sweep, _, (model, loop, frame) = usb_sweep
     deltas = [
-        adiabatic.dynamical_phase(model, loop, total_time, band=band)
+        adiabatic.dynamical_phase(model, loop, total_time, holonomy.USB_DARK_BLOCK)
         for total_time in (1.0, 50.0, 800.0, 12345.0)
-        for band in (1, 2)
     ]
     exactly_zero = all(d == 0.0 for d in deltas)
 

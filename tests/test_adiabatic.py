@@ -174,7 +174,7 @@ class TestEvolveSchrodinger:
 class TestDynamicalPhase:
     def test_constant_energy(self):
         path = models.constant_path([0.0, 0.0, 1.5])
-        delta = adiabatic.dynamical_phase(models.QubitModel(), path, 10.0, band=1)
+        delta = adiabatic.dynamical_phase(models.QubitModel(), path, 10.0, holonomy.BandBlock(1, 2))
         assert delta == pytest.approx(-15.0, abs=1e-12)
 
     def test_dark_band_exactly_zero(self):
@@ -182,12 +182,12 @@ class TestDynamicalPhase:
         for params in ({}, {"q0": 0.3}):
             path = models.make_usb_loop("circle", params)
             for total_time in (1.0, 123.0, 4000.0):
-                assert adiabatic.dynamical_phase(model, path, total_time, band=1) == 0.0
-                assert adiabatic.dynamical_phase(model, path, total_time, band=2) == 0.0
+                delta = adiabatic.dynamical_phase(model, path, total_time, holonomy.USB_DARK_BLOCK)
+                assert delta == 0.0
 
     def test_constant_norm_loop(self):
         path = models.make_azimuthal_loop(1.1, radius=2.0)
-        delta = adiabatic.dynamical_phase(models.QubitModel(), path, 30.0, band=0)
+        delta = adiabatic.dynamical_phase(models.QubitModel(), path, 30.0, holonomy.BandBlock(0, 1))
         assert delta == pytest.approx(2.0 * 30.0, rel=1e-12)
 
     def test_crossing_rejected(self):
@@ -199,8 +199,8 @@ class TestDynamicalPhase:
             closed=True,
             label="through-origin",
         )
-        with pytest.raises(ValueError, match="crosses"):
-            adiabatic.dynamical_phase(models.QubitModel(), path, 10.0, band=0)
+        with pytest.raises(holonomy.GapClosureError, match=r"at s = 0\.250000"):
+            adiabatic.dynamical_phase(models.QubitModel(), path, 10.0, holonomy.BandBlock(0, 1))
 
 
 class TestAdiabaticHolonomy:
@@ -256,6 +256,23 @@ class TestAdiabaticHolonomy:
             label="open",
         )
         with pytest.raises(ValueError, match="closed"):
+            adiabatic.adiabatic_holonomy(
+                model, path, 10.0, holonomy.USB_DARK_BLOCK, 64, initial_frame=frame
+            )
+
+    @pytest.mark.parametrize(
+        "kind, message", [("bright", "does not span"), ("scaled", "not orthonormal")]
+    )
+    def test_initial_frame_checked_like_wilson_line(self, kind, message):
+        # a frame on the bright levels does not span the dark block, and
+        # 2 x the dark frame is not orthonormal
+        model, path, frame = usb_setup()
+        if kind == "bright":
+            h0 = model.evaluate_batch(path(np.array([0.0])))[0]
+            frame = np.linalg.eigh(h0)[1][:, [0, 3]]
+        else:
+            frame = 2.0 * frame
+        with pytest.raises(ValueError, match=message):
             adiabatic.adiabatic_holonomy(
                 model, path, 10.0, holonomy.USB_DARK_BLOCK, 64, initial_frame=frame
             )
@@ -342,7 +359,7 @@ class TestConvergenceSweep:
 
         _, path, frame = usb_setup()
         model = HubDetunedUsb()
-        assert adiabatic.dynamical_phase(model, path, 800.0, band=1) == 0.0
+        assert adiabatic.dynamical_phase(model, path, 800.0, holonomy.USB_DARK_BLOCK) == 0.0
         sweep = adiabatic.convergence_sweep(
             model,
             path,

@@ -590,7 +590,7 @@ class TestCli:
         "experiment, config, message",
         [
             ("berry-qubit", {"path": QUBIT_AT_ZERO}, "band 0 degenerate at s = 0.000000"),
-            ("noise-study", {"path": QUBIT_AT_ZERO}, "n = 0"),
+            ("noise-study", {"path": QUBIT_AT_ZERO}, "band 0 degenerate at s = 0.000000"),
             ("usb-holonomy", {"path": USB_ON_Q_AXIS}, "P=S=0 at s = 0.000000"),
             (
                 "adiabatic-sweep",
