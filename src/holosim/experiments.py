@@ -43,7 +43,7 @@ REGISTRY: dict[str, Experiment] = {
     "berry-qubit": Experiment(
         Section(
             model=Model("qubit"),
-            path=Path("azimuthal", models.QUBIT_AZIMUTHAL_DEFAULTS),
+            path=Path("azimuthal", models.PATH_FAMILIES["qubit"]["azimuthal"][1].default),
             band=Int(0, min=0, max=1),
             ladder=List(Int(min=8), [64, 256, 1024, 4096], knob=Knob("samples", lambda n: [n])),
             reverse=Bool(False),
@@ -100,7 +100,7 @@ REGISTRY: dict[str, Experiment] = {
     "noise-study": Experiment(
         Section(
             model=Model("qubit"),
-            path=Path("azimuthal", models.QUBIT_AZIMUTHAL_DEFAULTS),
+            path=Path("azimuthal", models.PATH_FAMILIES["qubit"]["azimuthal"][1].default),
             band=Int(0, min=0, max=1),
             samples=Int(2048, min=64, knob=Knob("samples")),
             noise=Section(

@@ -8,6 +8,9 @@ Two concrete families ship:
   couplings (P, S, Q), whose zero-eigenvalue pair ("dark space") carries
   the non-Abelian holonomy.
 
+A config names its loop by one of the model's families in PATH_FAMILIES, which
+declares each family's parameters as schema fields.
+
 Angle conventions used throughout: theta = atan2(P, S) and
 phi = atan2(Q, sqrt(P^2 + S^2)). With these, the dark vectors below are
 exact null vectors of the four-level Hamiltonian; theta must be unwrapped
@@ -22,8 +25,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import schema
 from .linalg import RANK_TOL, eigh_batch
 from .report import ConfigError
+from .schema import List, Number, Section
 
 CLOSURE_TOL = 1e-12
 DARK_SINGULAR_TOL = 1e-9
@@ -157,79 +162,68 @@ def reversed_path(path: ParameterPath) -> ParameterPath:
     )
 
 
-USB_CIRCLE_DEFAULTS = {"s0": 1.0, "a": 0.5, "q0": 0.5, "b": 0.25}
-USB_CONSTANT_DEFAULTS = {"p": 0.0, "s": 1.0, "q": 0.0}
-QUBIT_AZIMUTHAL_DEFAULTS = {"theta0": math.pi / 3, "radius": 1.0}
-QUBIT_CONSTANT_DEFAULTS = {"n": [0.0, 0.0, 1.0]}
+def _usb_circle(s0, a, q0, b) -> ParameterPath:
+    def evaluate(s: np.ndarray) -> np.ndarray:
+        w = 2.0 * math.pi * np.mod(s, 1.0)
+        return np.stack([a * np.sin(w), s0 + a * np.cos(w), q0 + b * np.sin(w)], axis=1)
+
+    label = f"usb-circle(s0={s0:g},a={a:g},q0={q0:g},b={b:g})"
+    return ParameterPath(evaluate, 3, closed=True, label=label)
 
 
-def _family_params(family: str, params: dict, defaults: dict) -> dict:
-    """A pulse family's parameters over its defaults, as floats (or float
-    vectors where the default is one); unknown names and values of the
-    wrong shape or not finite are rejected."""
-    unknown = set(params) - set(defaults)
-    if unknown:
+# Each model's path families: the builder, which takes the parameters by
+# name, and the declaration of those parameters. The first is the default.
+PATH_FAMILIES = {
+    "qubit": {
+        "azimuthal": (
+            make_azimuthal_loop, Section(theta0=Number(math.pi / 3), radius=Number(1.0))
+        ),
+        "constant": (
+            lambda n: constant_path(n, label="qubit-constant"),
+            Section(n=List(Number(), [0.0, 0.0, 1.0], length=3)),
+        ),
+    },
+    "usb": {
+        "circle": (
+            _usb_circle, Section(s0=Number(1.0), a=Number(0.5), q0=Number(0.5), b=Number(0.25))
+        ),
+        "constant": (
+            lambda p, s, q: constant_path([p, s, q], label="usb-constant"),
+            Section(p=Number(0.0), s=Number(1.0), q=Number(0.0)),
+        ),
+    },
+}
+
+
+def _family_path(model: str, family: str | None, params: dict | None) -> ParameterPath:
+    """The path of one of a model's families (None: its first), built from
+    the params laid over the family's defaults and checked against them."""
+    families = PATH_FAMILIES[model]
+    family = next(iter(families)) if family is None else family
+    if family not in families:
         raise ConfigError(
-            f"config.path.params: unknown {family}-family parameters: {sorted(unknown)}"
+            f"config.path.family: unknown {model} family '{family}' (expected {'|'.join(families)})"
         )
-    cfg = {**defaults, **params}
-    for key, value in cfg.items():
-        shape = np.shape(defaults[key])
-        try:
-            arr = np.asarray(value)
-            ok = arr.dtype.kind in "iuf" and arr.shape == shape and np.isfinite(arr).all()
-        except ValueError:  # ragged nesting
-            ok = False
-        if not ok:
-            want = f"{shape[0]} finite numbers" if shape else "a finite number"
-            raise ConfigError(f"config.path.params.{key}: expected {want}, got {value!r}")
-        cfg[key] = arr.astype(float) if shape else float(arr)
-    return cfg
+    build, fields = families[family]
+    cfg = schema.merge(fields, fields.default, params or {}, "config.path.params")
+    schema.check(fields, cfg, "config.path.params", f"the {family} family", cfg)
+    return build(**cfg)
 
 
-def make_usb_loop(
-    family: str = "circle",
-    params: dict | None = None,
-    validation_samples: int = 4096,
-) -> ParameterPath:
-    """Closed loop in (P, S, Q) space from a named pulse family.
+def make_usb_loop(family: str | None = None, params: dict | None = None) -> ParameterPath:
+    """Closed loop in (P, S, Q) space from a usb family of PATH_FAMILIES:
 
-    Families:
       circle   -- P = a sin(2 pi s), S = s0 + a cos(2 pi s),
                   Q = q0 + b sin(2 pi s); keeps P^2+S^2 >= (s0-a)^2 when
                   s0 > a > 0. This is the shipped default.
       constant -- fixed (p, s, q).
 
-    The dark frame must stay defined (P^2 + S^2 > 0); the family is
-    validated by dense sampling and rejected with the offending s.
+    The dark frame must stay defined (P^2 + S^2 > 0); the loop is checked
+    at 4097 points and rejected with the offending s.
     """
-    params = dict(params or {})
-    if family == "constant":
-        cfg = _family_params(family, params, USB_CONSTANT_DEFAULTS)
-        path = constant_path([cfg["p"], cfg["s"], cfg["q"]], label="usb-constant")
-    elif family == "circle":
-        cfg = _family_params(family, params, USB_CIRCLE_DEFAULTS)
-        s0, a, q0, b = cfg["s0"], cfg["a"], cfg["q0"], cfg["b"]
-
-        def evaluate(s: np.ndarray) -> np.ndarray:
-            w = 2.0 * math.pi * np.mod(s, 1.0)
-            return np.stack(
-                [a * np.sin(w), s0 + a * np.cos(w), q0 + b * np.sin(w)], axis=1
-            )
-
-        path = ParameterPath(
-            evaluate,
-            3,
-            closed=True,
-            label=f"usb-circle(s0={s0:g},a={a:g},q0={q0:g},b={b:g})",
-        )
-    else:
-        raise ConfigError(
-            f"config.path.family: unknown pulse family '{family}' (expected circle|constant)"
-        )
-
+    path = _family_path("usb", family, params)
     # odd point count so midpoints like s = 1/2 land on the grid exactly
-    sgrid = np.linspace(0.0, 1.0, validation_samples + 1)
+    sgrid = np.linspace(0.0, 1.0, 4097)
     lam = path(sgrid)
     hyp = np.hypot(lam[:, 0], lam[:, 1])
     floor = max(DARK_SINGULAR_TOL, 1e-3 * float(np.max(hyp)))
@@ -393,27 +387,13 @@ def build_model_and_path(fragment: dict) -> tuple[HamiltonianModel, ParameterPat
 
     Schema: {"model": "qubit"|"usb",
              "path": {"family": ..., "params": {...}}}
+    with a family of that model in PATH_FAMILIES (default: its first) and
+    params that are config values, laid over the family's defaults.
     """
-    name = fragment.get("model")
-    pathspec = fragment.get("path", {})
-    family = pathspec.get("family")
-    params = dict(pathspec.get("params", {}))
+    name, pathspec = fragment.get("model"), fragment.get("path", {})
+    family, params = pathspec.get("family"), pathspec.get("params")
     if name == "qubit":
-        model: HamiltonianModel = QubitModel()
-        if family in (None, "azimuthal"):
-            cfg = _family_params("azimuthal", params, QUBIT_AZIMUTHAL_DEFAULTS)
-            path = make_azimuthal_loop(cfg["theta0"], cfg["radius"])
-        elif family == "constant":
-            cfg = _family_params(family, params, QUBIT_CONSTANT_DEFAULTS)
-            path = constant_path(cfg["n"], label="qubit-constant")
-        else:
-            raise ConfigError(
-                f"config.path.family: unknown qubit family '{family}' "
-                "(expected azimuthal|constant)"
-            )
-    elif name == "usb":
-        model = UsbModel()
-        path = make_usb_loop(family or "circle", params)
-    else:
-        raise ConfigError(f"config.model: unknown model '{name}' (expected qubit|usb)")
-    return model, path
+        return QubitModel(), _family_path(name, family, params)
+    if name == "usb":
+        return UsbModel(), make_usb_loop(family, params)
+    raise ConfigError(f"config.model: unknown model '{name}' (expected qubit|usb)")

@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 
 
@@ -97,14 +99,12 @@ class ExperimentReport:
 
 
 def _cell(x) -> str:
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
-    return repr(x) if isinstance(x, float) else str(x)
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
 def _jsonable(x):
-    import numpy as np
-
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

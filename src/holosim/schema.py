@@ -129,8 +129,9 @@ def Section(**fields: Field) -> Field:
 
 def Path(family: str, params: dict) -> Field:
     """A parameter path. Its params merge key by key, and a new family
-    starts from empty params; models.build_model_and_path checks the
-    family against the model and the params against the family."""
+    starts from empty params. models.PATH_FAMILIES declares each model's
+    families and their params, and models.build_model_and_path lays the
+    params over the family's defaults and checks them there."""
     section = Section(
         family=Field(family, "a path family name", lambda v, _: isinstance(v, str)),
         params=Field(

@@ -181,6 +181,28 @@ class TestConfigResolution:
             for name, entry in experiments.REGISTRY.items()
         }
 
+    def test_formats_doc_path_families_match_declarations(self):
+        text = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+        section = text.split("## Path families")[1].split("## Config fields")[0]
+        documented = [
+            tuple(cell.strip() for cell in line.split("|")[1:6])
+            for line in section.splitlines()
+            if line.startswith("| `")
+        ]
+        declared = []
+        for model, families in models.PATH_FAMILIES.items():
+            for family, (_, params) in families.items():
+                declared += [
+                    (f"`{model}`", f"`{family}`", f"`{key}`", f"`{json.dumps(field.default)}`",
+                     field.accepts)
+                    for key, field in schema.leaves(params)
+                ]
+                built, path = models.build_model_and_path(
+                    {"model": model, "path": {"family": family}}
+                )
+                assert path.closed and path.parameter_dim == built.parameter_dim
+        assert documented == declared
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("experiment, config, field", BAD_CONFIGS)
@@ -446,7 +468,7 @@ class TestNoiseStudy:
         monkeypatch.setattr(abelian, "discrete_geometric_phase", spy)
         config = {"samples": 256, "band": band, "noise": {"realizations": 8}}
         experiments.run_experiment("noise-study", config)
-        theta0 = models.QUBIT_AZIMUTHAL_DEFAULTS["theta0"]
+        theta0 = models.PATH_FAMILIES["qubit"]["azimuthal"][1].default["theta0"]
         expected = sign * math.pi * (1.0 - math.cos(theta0))
         assert abs(linalg.wrap_angle(phases[0] - expected)) < 1e-3
 

@@ -227,11 +227,13 @@ class TestUsbLoops:
             models.make_usb_loop("circle", {"s0": 0.5, "a": 0.5})
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown pulse family"):
+        with pytest.raises(
+            ValueError, match=r"^config\.path\.family: unknown usb family 'sawtooth'"
+        ):
             models.make_usb_loop("sawtooth")
 
     def test_unknown_circle_parameter_rejected(self):
-        with pytest.raises(ValueError, match="unknown circle-family"):
+        with pytest.raises(ValueError, match=r"^config\.path\.params\.radius: unknown field"):
             models.make_usb_loop("circle", {"radius": 1.0})
 
     def test_shipped_default_keeps_dark_frame_defined(self):
@@ -293,6 +295,19 @@ class TestModelProviders:
         assert isinstance(model, models.UsbModel)
 
     @pytest.mark.parametrize(
+        "model, family, ints",
+        [("qubit", "azimuthal", {"theta0": 1}), ("usb", "circle", {"s0": 2, "a": 1})],
+    )
+    def test_integer_params_build_the_float_path(self, model, family, ints):
+        floats = {key: float(value) for key, value in ints.items()}
+        a, b = (
+            models.build_model_and_path({"model": model, "path": {"family": family, "params": p}})[1]
+            for p in (ints, floats)
+        )
+        assert np.array_equal(a.sample(64), b.sample(64))
+        assert a.label == b.label
+
+    @pytest.mark.parametrize(
         "model, path",
         [
             ("qubit", {"family": "azimuthal", "params": {"theta0": 1.0, "bogus": 3}}),
@@ -302,7 +317,9 @@ class TestModelProviders:
         ],
     )
     def test_unknown_path_parameters_rejected(self, model, path):
-        with pytest.raises(ConfigError, match=r"config\.path\.params: unknown .*-family"):
+        with pytest.raises(
+            ConfigError, match=r"^config\.path\.params\.(bogus|theta_0|m): unknown field"
+        ):
             models.build_model_and_path({"model": model, "path": path})
 
     @pytest.mark.parametrize(
@@ -315,7 +332,9 @@ class TestModelProviders:
         ],
     )
     def test_malformed_path_parameters_rejected(self, model, path, key):
-        with pytest.raises(ConfigError, match=rf"config\.path\.params\.{key}: expected"):
+        with pytest.raises(
+            ConfigError, match=rf"^config\.path\.params\.{key}(\[\d+\])?: the \w+ family requires"
+        ):
             models.build_model_and_path({"model": model, "path": path})
 
     @pytest.mark.parametrize(
