@@ -88,7 +88,8 @@ REGISTRY: dict[str, Experiment] = {
     "adiabatic-sweep": Experiment(
         Section(
             model=Model("usb", "qubit"),
-            path=Path("circle", {}),
+            # null: the model's first family, named in the echoed config
+            path=Path(None, {}),
             Ts=List(Positive(), [50.0, 200.0, 800.0], min_len=3, ascending=True),
             steps_per_T=Optional(List(Int(min=16), length="Ts")),
             reference_samples=Int(8192, min=256, knob=Knob("samples")),
@@ -345,6 +346,8 @@ def run_usb_holonomy(config: dict) -> ExperimentReport:
 def run_adiabatic_sweep(config: dict) -> ExperimentReport:
     """Exact-evolution vs Wilson-line distance across a ladder of ramp times."""
     validate("adiabatic-sweep", config)
+    if config["path"]["family"] is None:
+        config["path"]["family"] = next(iter(models.PATH_FAMILIES[config["model"]]))
     model, path = models.build_model_and_path(config)
     # the four-level sweep is based at the analytic dark pair, the qubit's at its own state
     block, frame0 = holonomy.BandBlock(0, 1), None

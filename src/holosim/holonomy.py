@@ -116,9 +116,13 @@ def block_frames(
         raise ValueError(f"block [{block.start}, {block.stop}) out of range for dim {model.dim}")
     try:
         w, frames = model.band_states_batch(lams, block)
-    except ZeroFieldError:  # n = 0 is a closed gap too: reported below, with its s
-        w, frames = model.energies_batch(lams), None
-    closure = closed_gap(w, block.start, block.stop)
+        closure = closed_gap(w, block.start, block.stop)
+    except ZeroFieldError:
+        # degenerate levels close the block's gap: reported below, with its s;
+        # a block that spans every level has no gap to report
+        closure = closed_gap(model.energies_batch(lams), block.start, block.stop)
+        if closure is None:
+            raise
     if closure is not None:
         k, gap = closure
         raise error(None if s_values is None else float(s_values[k]), gap)

@@ -1,8 +1,10 @@
-"""Dense complex linear algebra for small Hermitian problems.
+"""Batched complex linear algebra for small Hermitian problems.
 
-Everything here operates on plain numpy arrays (complex128). Matrices are
-small (dim <= 16 for the shipped models), so direct dense LAPACK routines
-are used throughout; determinism matters more than scale.
+Everything here operates on plain numpy arrays (complex128) of small
+matrices (dim <= 16 for the shipped models); determinism matters more
+than scale. Link polar factors and spectrum-{-R, 0, +R} propagators have
+closed forms; dense LAPACK (eigh_batch, a batched SVD) serves generic
+models and links larger than 2x2.
 """
 
 from __future__ import annotations
@@ -161,19 +163,28 @@ def link_overlaps(frames: np.ndarray, closed: bool) -> np.ndarray:
 def link_polar(links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polar factor and smallest singular value of each link of a (..., m, m) stack.
 
-    m = 1: z/|z| and |z|; m > 2: one batched SVD; m = 2 in closed form (Higham 1986):
-    for M = [[a, b], [c, d]] = U diag(s1, s2) V^dag, phase = det/|det| and
-    C = phase adj(M)^dag = U diag(s2, s1) V^dag, M +- C = [[p, q], [-phase q*, phase p*]]
-    with p = a +- phase d*, q = b -+ phase c*, so s1 +- s2 = hypot(|p|, |q|) (unlike
-    sqrt(||M||_F^2 - 2|det|), no cancellation near I), U V^dag = (M + C)/(s1 + s2) and
-    s2 = |det|/s1. Zero and singular links get sigma = 0, NaN links NaN, and no warning.
+    m = 1: z/|z| and |z|; m > 2: one batched SVD; m = 2 in closed form (see _polar).
+    Zero and singular links get sigma = 0, NaN links NaN, and no warning.
+    """
+    return _polar(links)[:2]
+
+
+def _polar(links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """link_polar's polar factors and smallest singular values, and the largest ones.
+
+    m = 2 in closed form (Higham 1986): for M = [[a, b], [c, d]] = U diag(s1, s2) V^dag,
+    phase = det/|det| and C = phase adj(M)^dag = U diag(s2, s1) V^dag,
+    M +- C = [[p, q], [-phase q*, phase p*]] with p = a +- phase d*, q = b -+ phase c*,
+    so s1 +- s2 = hypot(|p|, |q|) (unlike sqrt(||M||_F^2 - 2|det|), no cancellation
+    near I), U V^dag = (M + C)/(s1 + s2) and s2 = |det|/s1.
     """
     if links.shape[-1] > 2:
         u, s, vh = np.linalg.svd(links)
-        return u @ vh, s[..., -1]
+        return u @ vh, s[..., -1], s[..., 0]
     tiny = np.finfo(float).tiny  # + tiny turns 0/0 into 0 and moves no other sum
     if links.shape[-1] == 1:
-        return links * (1.0 / (np.abs(links) + tiny)), np.abs(links[..., 0, 0])
+        size = np.abs(links[..., 0, 0])
+        return links * (1.0 / (np.abs(links) + tiny)), size, size
     a, b, c, d = links[..., 0, 0], links[..., 0, 1], links[..., 1, 0], links[..., 1, 1]
     det = a * d - b * c
     abs_det = np.abs(det)
@@ -183,7 +194,8 @@ def link_polar(links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s_diff = np.hypot(np.abs(a - phase * np.conj(d)), np.abs(b + phase * np.conj(c)))
     polar = np.stack([p, q, -phase * np.conj(q), phase * np.conj(p)], axis=-1)
     polar *= (1.0 / s_sum)[..., None]
-    return polar.reshape(links.shape), abs_det / (0.5 * (s_sum + s_diff))
+    s_max = 0.5 * (s_sum + s_diff)
+    return polar.reshape(links.shape), abs_det / s_max, s_max
 
 
 def check_links(sigma: np.ndarray, tol: float, error: type[Exception]) -> None:
@@ -233,17 +245,18 @@ def prefix_products(mats: np.ndarray) -> np.ndarray:
 def nearest_unitary(m: np.ndarray) -> np.ndarray:
     """Polar factor of m: the unitary minimizing ||U - m||.
 
-    Computed from the SVD m = u s v^dag as U = u v^dag. Rejects matrices
-    whose smallest singular value is at the numerical-rank floor.
+    The one-link case of link_polar (closed form up to 2x2). Rejects
+    matrices whose smallest singular value is not above the numerical-rank
+    floor RANK_TOL * max(1, largest singular value).
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    u, s, vh = np.linalg.svd(m)
-    tol = RANK_TOL * max(1.0, float(s[0]))
-    if s[-1] <= tol:
-        raise RankDeficientError(float(s[-1]), tol)
-    return u @ vh
+    polar, s_min, s_max = _polar(m[None])
+    tol = RANK_TOL * max(1.0, float(s_max[0]))
+    if not s_min[0] > tol:
+        raise RankDeficientError(float(s_min[0]), tol)
+    return polar[0]
 
 
 def unitarity_defect(m: np.ndarray) -> float:

@@ -45,7 +45,8 @@ class DarkFrameSingularError(ValueError):
 
 
 class ZeroFieldError(ValueError):
-    """n = 0: the qubit levels are degenerate and its band states undefined."""
+    """n = 0 (qubit) or R = 0 (four-level): the levels are degenerate and the
+    closed-form band states undefined."""
 
 
 def qubit_band_states(ns, band: int) -> np.ndarray:
@@ -264,9 +265,11 @@ class HamiltonianModel:
     """Provider of a Hermitian matrix H(lambda) for any parameter point.
 
     Subclasses implement evaluate_batch; energies_batch and
-    band_states_batch default to dense diagonalization but are overridden
-    with closed forms where they are exact (this is what makes the
-    dark-band dynamical phase identically zero rather than ~1e-16).
+    band_states_batch default to dense diagonalization (linalg.eigh_batch).
+    Every shipped model overrides both with closed forms, which are exact
+    (this is what makes the dark-band dynamical phase identically zero
+    rather than ~1e-16) and take no dense eigensolve; the default serves
+    generic models.
     """
 
     dim: int
@@ -337,7 +340,9 @@ class UsbModel(HamiltonianModel):
     """Four-level star-coupled model, lambda = (P, S, Q).
 
     Spectrum is {-R, 0, 0, +R} with R = sqrt(P^2+S^2+Q^2); the middle
-    zero pair is the dark space.
+    zero pair is the dark space. Energies and every block's frames are in
+    closed form (band_states_batch); a subclass that overrides
+    evaluate_batch gets the dense frames of its own matrix.
     """
 
     dim = 4
@@ -358,6 +363,50 @@ class UsbModel(HamiltonianModel):
         r = np.linalg.norm(lams, axis=1)
         zero = np.zeros_like(r)
         return np.stack([-r, zero, zero, r], axis=1)
+
+    def band_states_batch(self, lams: np.ndarray, block: BandBlock) -> tuple[np.ndarray, np.ndarray]:
+        """Energies (k, 4) and the block's frames (k, 4, m), in closed form.
+
+        H = |1><c| + |c><1| with c = R b and b = (P, S, Q) / R on levels
+        (0, 2, 3). The bright pair (-+|1> + b) / sqrt(2) has energies -+R.
+        The dark pair is the columns j != k of the Householder reflector
+        I - 2 v v^T / v^T v with v = b + sign(b_k) e_k and k = argmax |b_k|
+        (Golub & Van Loan, Matrix Computations, 5.1), whose column k is
+        parallel to b. As v^T v = 2 (1 + |b_k|) >= 2, the pair has no
+        singularity at P = S = 0; its gauge jumps where k changes, which
+        raw links cancel. R = 0 raises ZeroFieldError. Built from (k,)
+        slices, so no (k, 4, 4) stack is formed.
+        """
+        if type(self).evaluate_batch is not UsbModel.evaluate_batch:
+            return super().band_states_batch(lams, block)
+        lams = np.asarray(lams, dtype=float).reshape(-1, 3)
+        w = UsbModel.energies_batch(self, lams)  # R from lams, whatever a subclass overrides
+        r = w[:, 3]
+        if np.any(r < RANK_TOL):
+            k = int(np.argmax(r < RANK_TOL))
+            raise ZeroFieldError(
+                f"four-level band states undefined at index [{k}]: R = 0 (degenerate levels)"
+            )
+        b = lams / r[:, None]
+        rows = np.arange(len(b))
+        pivot = np.argmax(np.abs(b), axis=1)
+        b_pivot = b[rows, pivot]
+        v = b.copy()
+        v[rows, pivot] += np.where(b_pivot < 0.0, -1.0, 1.0)
+        scale = 1.0 / (1.0 + np.abs(b_pivot))  # 2 / v^T v
+        # the reflector's columns other than the pivot, in ascending order
+        others = ((pivot == 0).astype(int), 2 - (pivot == 2))
+        frames = np.zeros((len(b), 4, block.size), dtype=complex)
+        for col, band in enumerate(range(block.start, block.stop)):
+            if band in (0, 3):
+                frames[:, [0, 2, 3], col] = math.sqrt(0.5) * b
+                frames[:, 1, col] = math.sqrt(0.5) * (1.0 if band == 3 else -1.0)
+            else:
+                j = others[band - 1]
+                column = -(scale * v[rows, j])[:, None] * v
+                column[rows, j] += 1.0
+                frames[:, [0, 2, 3], col] = column
+        return w, frames
 
     def dark_frame_batch(self, lams: np.ndarray) -> np.ndarray:
         """Analytic dark frames, shape (k, 4, 2); principal angle branch."""

@@ -127,13 +127,17 @@ def Section(**fields: Field) -> Field:
     return Field(default, "an object", lambda v, _: isinstance(v, dict), fields=fields)
 
 
-def Path(family: str, params: dict) -> Field:
+def Path(family: str | None, params: dict) -> Field:
     """A parameter path. Its params merge key by key, and a new family
     starts from empty params. models.PATH_FAMILIES declares each model's
     families and their params, and models.build_model_and_path lays the
-    params over the family's defaults and checks them there."""
+    params over the family's defaults and checks them there. A declared
+    null family (the model's first) is left for the runner to name."""
     section = Section(
-        family=Field(family, "a path family name", lambda v, _: isinstance(v, str)),
+        family=Field(
+            family, "a path family name" + (" or null" if family is None else ""),
+            lambda v, _: isinstance(v, str) or (v is None and family is None),
+        ),
         params=Field(
             params, "an object", lambda v, _: isinstance(v, dict),
             merge=lambda base, v, path: {**base, **as_object(v, path)},

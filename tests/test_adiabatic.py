@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from holosim import abelian, adiabatic, holonomy, linalg, models
+from holosim import abelian, adiabatic, experiments, holonomy, linalg, models
 
 QUBIT_LOOP_THETA = math.pi / 3
 
@@ -301,6 +301,25 @@ class TestQubitPathsTakeNoDenseEigensolve:
             abelian.band_state_chain(model, loop, 0, 1024)
         ).phase
         assert abs(np.angle(sweep.reference.matrix[0, 0]) - chi) < 1e-12
+
+
+class TestFourLevelPathsTakeNoDenseDecomposition:
+    def test_wilson_line_holonomy_run_and_sweep(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense decomposition on a four-level path")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        _, path, _ = usb_setup()
+        result = holonomy.usb_wilson_line(path, 1024)
+        eta = holonomy.usb_eta(path)
+        assert holonomy.holonomy_distance(
+            result.matrix, holonomy.usb_holonomy_closed_form(eta)
+        ) < 1e-3
+        for name in ("usb-holonomy", "adiabatic-sweep"):
+            report = experiments.run_experiment(name)
+            assert report.config["model"] == "usb"
+            assert not report.failed_checks()
 
 
 class TestConvergenceSweep:

@@ -598,6 +598,22 @@ class TestCli:
         assert field in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_sweep_model_alone_runs_the_models_first_family(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "qubit"}))
+        out = tmp_path / "sweep.csv"
+        proc = self.run_cli(
+            "adiabatic-sweep", "--config", str(cfg), "--out", str(out), cwd=tmp_path
+        )
+        assert proc.returncode == 0, proc.stderr
+        meta = json.loads((tmp_path / "sweep.json").read_text())
+        assert meta["config"]["path"] == {"family": "azimuthal", "params": {}}
+        named = experiments.run_experiment(
+            "adiabatic-sweep", {"model": "qubit", "path": {"family": "azimuthal"}}
+        )
+        _, rows = read_csv(out)
+        assert [[float(x) for x in row] for row in rows] == [list(r) for r in named.rows]
+
     @pytest.mark.parametrize("experiment, config, field", BAD_CONFIGS[::4])
     def test_bad_field_exits_two_without_traceback(self, tmp_path, experiment, config, field):
         cfg = tmp_path / "cfg.json"

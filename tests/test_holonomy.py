@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,20 @@ class TestEigenframePath:
             )
         assert exc.value.s == pytest.approx(0.25, abs=1e-6)
 
+    @pytest.mark.parametrize("block", [holonomy.USB_DARK_BLOCK, holonomy.BandBlock(0, 1)])
+    def test_four_level_zero_couplings_reported_with_location(self, block):
+        s_values = np.arange(8) / 8
+        lams = np.stack([np.ones(8), 2.0 * np.ones(8), np.zeros(8)], axis=1)
+        lams[5] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(holonomy.GapClosureError) as exc:
+                holonomy.block_frames(models.UsbModel(), lams, block, s_values)
+        assert exc.value.s == 0.625 and exc.value.gap == 0.0
+        # the whole space keeps its (absent) gap: the typed error of the frames stands
+        with pytest.raises(models.ZeroFieldError, match=r"index \[5\]"):
+            holonomy.block_frames(models.UsbModel(), lams, holonomy.BandBlock(0, 4), s_values)
+
     def test_minimum_sample_count(self):
         with pytest.raises(ValueError, match="16"):
             holonomy.eigenframe_path(
@@ -223,6 +238,18 @@ class TestWilsonLine:
             holonomy.wilson_line(FramesModel(frames.frames), path, holonomy.USB_DARK_BLOCK, 64)
         assert math.isnan(caught.value.sigma_min)
 
+    @pytest.mark.parametrize("n", [512, 8192])
+    def test_closed_form_frames_match_dense_frames(self, n):
+        class DenseUsb(models.UsbModel):
+            band_states_batch = models.HamiltonianModel.band_states_batch
+
+        path = shipped_loop()
+        f0 = dark_initial_frame(path)
+        closed = holonomy.wilson_line(models.UsbModel(), path, holonomy.USB_DARK_BLOCK, n, f0)
+        dense = holonomy.wilson_line(DenseUsb(), path, holonomy.USB_DARK_BLOCK, n, f0)
+        assert linalg.max_abs(closed.matrix - dense.matrix) < 1e-12
+        assert abs(closed.min_link_singular_value - dense.min_link_singular_value) < 1e-12
+
     def test_two_dimensional_links_take_no_svd(self, monkeypatch):
         calls = []
         svd = np.linalg.svd
@@ -233,8 +260,8 @@ class TestWilsonLine:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         holonomy.usb_wilson_line(shipped_loop(), 256)
-        # only nearest_unitary of the one 2x2 link product
-        assert calls == [(2, 2)]
+        # the links and their product are unitarized in closed form
+        assert calls == []
 
     def test_basepoint_gauge_covariance(self):
         rng = np.random.default_rng(61)

@@ -178,6 +178,27 @@ class TestNearestUnitary:
             linalg.nearest_unitary(m)
         assert exc.value.sigma_min == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_svd_polar_factor(self, m):
+        rng = np.random.default_rng(37 + m)
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        u, _, vh = np.linalg.svd(a)
+        assert linalg.max_abs(linalg.nearest_unitary(a) - u @ vh) < 1e-13
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_rank_floor_is_relative_to_largest_singular_value(self, m):
+        # 1e-7 is far above RANK_TOL, but not above RANK_TOL * 1e6
+        a = np.diag([1e6] + [1.0] * (m - 2) + [1e-7]).astype(complex)
+        with pytest.raises(linalg.RankDeficientError) as exc:
+            linalg.nearest_unitary(a)
+        assert exc.value.sigma_min == pytest.approx(1e-7, rel=1e-9)
+        b = np.diag([1.0] * (m - 1) + [1e-7]).astype(complex)
+        assert linalg.max_abs(linalg.nearest_unitary(b) - np.eye(m)) < 1e-15
+
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(linalg.RankDeficientError):
+            linalg.nearest_unitary(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
 
 class TestUnitarityDefect:
     def test_identity(self):

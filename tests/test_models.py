@@ -134,6 +134,74 @@ class TestUsbHamiltonian:
         assert np.all(np.abs(w - expected) <= 1e-12 * np.maximum(1.0, r))
 
 
+def usb_test_points(seed, k=400):
+    """Random couplings, with P = S = 0, Q = 0 and single-coupling points among them."""
+    ps = np.random.default_rng(seed).normal(size=(k, 3)) * 2.0
+    ps[:40, :2] = 0.0
+    ps[40:80, 2] = 0.0
+    for axis in range(3):
+        single = ps[80 + 20 * axis : 100 + 20 * axis]
+        single[:, [a for a in range(3) if a != axis]] = 0.0
+    ps[140:160] *= -1.0
+    return ps
+
+
+ALL_USB_BLOCKS = [models.BandBlock(a, b) for a in range(4) for b in range(a + 1, 5)]
+
+
+class TestUsbBandStates:
+    @pytest.mark.parametrize("block", ALL_USB_BLOCKS, ids=str)
+    def test_closed_form_frames_are_orthonormal_eigenframes(self, block):
+        ps = usb_test_points(43)
+        r = np.linalg.norm(ps, axis=1)
+        w, frames = models.UsbModel().band_states_batch(ps, block)
+        assert np.array_equal(w, models.UsbModel().energies_batch(ps))
+        assert frames.shape == (len(ps), 4, block.size)
+        residual = usb_h(ps) @ frames - frames * w[:, None, block.indices()]
+        assert np.all(np.max(np.abs(residual), axis=(1, 2)) <= 1e-14 * r)
+        gram = linalg.dagger(frames) @ frames
+        assert linalg.max_abs(gram - np.eye(block.size)) <= 1e-15
+
+    def test_bright_pair_and_dark_pair_in_closed_form(self):
+        ps = usb_test_points(47)
+        _, frames = models.UsbModel().band_states_batch(ps, models.BandBlock(0, 4))
+        b = ps / np.linalg.norm(ps, axis=1)[:, None]
+        for band, sign in ((0, -1.0), (3, 1.0)):
+            expected = np.zeros((len(ps), 4))
+            expected[:, [0, 2, 3]] = b
+            expected[:, 1] = sign
+            assert linalg.max_abs(frames[:, :, band] - expected / math.sqrt(2.0)) < 1e-15
+        # the dark pair spans b's complement on levels (0, 2, 3)
+        dark = frames[:, :, 1:3]
+        assert linalg.max_abs(dark[:, 1]) == 0.0
+        assert linalg.max_abs(np.einsum("ki,kim->km", b, dark[:, [0, 2, 3]])) < 1e-15
+
+    def test_zero_couplings_raise_typed_error(self):
+        ps = np.array([[0.3, 1.0, 0.2], [0.0, 0.0, 0.0]])
+        for block in ALL_USB_BLOCKS:
+            with pytest.raises(models.ZeroFieldError, match=r"index \[1\]: R = 0"):
+                models.UsbModel().band_states_batch(ps, block)
+
+    def test_subclass_with_its_own_matrix_gets_its_own_eigenframes(self):
+        class SpokeShifted(models.UsbModel):
+            def evaluate_batch(self, lams):
+                h = super().evaluate_batch(lams)
+                h[:, 2, 2] = 0.3
+                return h
+
+        model = SpokeShifted()
+        ps = usb_test_points(53)[160:]
+        h = model.evaluate_batch(ps)
+        for block in (models.BandBlock(0, 1), models.BandBlock(1, 3), models.BandBlock(3, 4)):
+            w, frames = model.band_states_batch(ps, block)
+            assert linalg.max_abs(w - np.linalg.eigvalsh(h)) < 1e-12
+            residual = h @ frames - frames * w[:, None, block.indices()]
+            assert linalg.max_abs(residual) < 1e-12
+            # not the star's frames: those are no eigenframes of this matrix
+            star = models.UsbModel().band_states_batch(ps, block)[1]
+            assert linalg.max_abs(h @ star - star * w[:, None, block.indices()]) > 1e-2
+
+
 class TestDarkFrame:
     def test_pure_s_coupling(self):
         frame = models.UsbModel().dark_frame_batch([0.0, 1.0, 0.0])[0]
