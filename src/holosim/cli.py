@@ -10,7 +10,7 @@ elapsed ms, hard checks) next to it; the exit code is 0 iff every hard
 check passed, and failed checks are listed on standard error. Flag
 overrides win over the config file and are recorded in the echoed
 config; a flag the experiment has no knob for exits 2, and so does a
-loop that meets a degeneracy (the error says where).
+loop that meets a degeneracy or an orthogonal link (the error says where).
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .abelian import DegenerateBandError
+from .abelian import DegenerateBandError, OverlapTooSmallError
 from .experiments import EXPERIMENTS, REGISTRY, run_experiment
-from .holonomy import GapClosureError
+from .holonomy import GapClosureError, IllConditionedLinkError
 from .models import DarkFrameSingularError, ZeroFieldError
 from .report import ConfigError
 
@@ -101,7 +101,8 @@ def main(argv: list[str] | None = None) -> int:
             args.experiment, user_config, seed=args.seed, samples=args.samples
         )
     except (
-        ConfigError, DegenerateBandError, GapClosureError, DarkFrameSingularError, ZeroFieldError
+        ConfigError, DegenerateBandError, GapClosureError, DarkFrameSingularError, ZeroFieldError,
+        OverlapTooSmallError, IllConditionedLinkError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,8 @@ Everything here operates on plain numpy arrays (complex128) of small
 matrices (dim <= 16 for the shipped models); determinism matters more
 than scale. Link polar factors and spectrum-{-R, 0, +R} propagators have
 closed forms; dense LAPACK (eigh_batch, a batched SVD) serves generic
-models and links larger than 2x2.
+models and links larger than 2x2. The log-depth products run on an
+(m, m, n) copy of each (n, m, m) stack, with the stack axis last.
 """
 
 from __future__ import annotations
@@ -116,13 +117,11 @@ def propagator_increments(hs: np.ndarray, dt: float) -> np.ndarray:
     V diag(exp(-i w dt) - 1) V^dag.
     """
     hs = np.asarray(hs, dtype=complex)
-    # the closed form works on a (d, d, k) copy: with the stack axis last,
-    # every elementwise step runs along one long contiguous axis
-    h = np.ascontiguousarray(np.moveaxis(hs, 0, -1))
+    h = np.moveaxis(hs, 0, -1).copy()  # the closed form works on a (d, d, k) copy (see _mul)
     _require_hermitian(np.moveaxis(h, -1, 0))
-    h2 = np.einsum("ijk,jlk->ilk", h, h)
+    h2 = _mul(h, h)
     r2 = 0.5 * np.einsum("iik->k", h2).real
-    defect = np.abs(np.einsum("ijk,jlk->ilk", h2, h) - r2 * h)
+    defect = np.abs(_mul(h2, h) - r2 * h)
     if np.all(np.max(defect, axis=(0, 1), initial=0.0) <= SPECTRUM_TOL * r2**1.5):
         # sin(x)/R = dt sinc(x) and (cos(x) - 1)/R^2 = -(dt^2/2) sinc(x/2)^2
         # at x = R dt (numpy's sinc takes x/pi); both stay finite at R = 0
@@ -205,24 +204,32 @@ def check_links(sigma: np.ndarray, tol: float, error: type[Exception]) -> None:
         raise error(int(bad[0]), float(sigma[bad[0]]))
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A_k B_k for every k of two (m, m, n) stacks, the stack-last copies the products
+    and the closed-form propagator work on: each entry is one elementwise pass along
+    the contiguous stack axis, where matmul over (n, m, m) makes n tiny products."""
+    return np.einsum("ijk,jlk->ilk", a, b)
+
+
 def _pairwise(mats: np.ndarray, pair) -> np.ndarray:
     """Reduce an (n, m, m) stack in order by combining neighbours in log depth."""
-    while len(mats) > 1:
-        paired = pair(mats[0 : len(mats) - 1 : 2], mats[1::2])
-        mats = np.concatenate([paired, mats[-1:]]) if len(mats) % 2 else paired
-    return mats[0]
+    mats = np.moveaxis(mats, 0, -1).copy()
+    while mats.shape[-1] > 1:
+        paired = pair(mats[..., :-1:2], mats[..., 1::2])
+        mats = np.concatenate([paired, mats[..., -1:]], -1) if mats.shape[-1] % 2 else paired
+    return mats[..., 0]
 
 
 def ordered_product(mats: np.ndarray) -> np.ndarray:
     """M_0 M_1 ... M_{n-1} of an (n, m, m) stack, multiplied pairwise in log depth."""
-    return _pairwise(mats, np.matmul)
+    return _pairwise(mats, _mul)
 
 
 def near_identity_product(es: np.ndarray) -> np.ndarray:
     """(I + E_0)(I + E_1) ... (I + E_{n-1}) - I of an (n, m, m) stack of
     increments, in log depth: (I + A)(I + B) - I = A + B + A B."""
     def pair(a, b):
-        out = a @ b
+        out = _mul(a, b)
         out += a
         out += b
         return out
@@ -234,12 +241,16 @@ def prefix_products(mats: np.ndarray) -> np.ndarray:
     """All prefixes M_0 M_1 ... M_k of an (n, m, m) stack, by a log-depth scan:
     the prefixes of the pair products M_{2j} M_{2j+1} are the odd prefixes,
     and each even prefix is the odd one before it times one more factor."""
-    out = mats.copy()
-    if len(mats) > 1:
-        odd = prefix_products(mats[0 : len(mats) - 1 : 2] @ mats[1::2])
-        out[1::2] = odd
-        out[2::2] = odd[: len(out[2::2])] @ mats[2::2]
-    return out
+    return np.moveaxis(_scan(np.moveaxis(mats, 0, -1).copy()), -1, 0).copy()
+
+
+def _scan(mats: np.ndarray) -> np.ndarray:
+    """prefix_products of an (m, m, n) stack, in place."""
+    if mats.shape[-1] > 1:
+        odd = _scan(_mul(mats[..., :-1:2], mats[..., 1::2]))
+        mats[..., 2::2] = _mul(odd[..., : (mats.shape[-1] - 1) // 2], mats[..., 2::2])
+        mats[..., 1::2] = odd
+    return mats
 
 
 def nearest_unitary(m: np.ndarray) -> np.ndarray:

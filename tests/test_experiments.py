@@ -640,8 +640,21 @@ class TestCli:
                 {"model": "qubit", "path": QUBIT_AT_ZERO},
                 "loses its gap at s = 0.000000",
             ),
+            (
+                "pancharatnam",
+                {"states": {"bloch": [[0, 0, 1], [0, 0, -1], [1, 0, 0]]}},
+                "consecutive states (0, 1)",
+            ),
+            (
+                "curvature-map",
+                {"tiling": {"theta": [0.0, math.pi], "phi": [0.0, 1.0], "cells": [1, 1]}},
+                "consecutive states (0, 2)",
+            ),
         ],
-        ids=["berry-qubit", "noise-study", "usb-holonomy", "sweep-usb", "sweep-qubit"],
+        ids=[
+            "berry-qubit", "noise-study", "usb-holonomy", "sweep-usb", "sweep-qubit",
+            "pancharatnam-orthogonal", "curvature-map-orthogonal",
+        ],
     )
     def test_loop_through_degeneracy_exits_two(self, tmp_path, experiment, config, message):
         cfg = tmp_path / "cfg.json"

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from holosim import linalg
+from holosim import adiabatic, holonomy, linalg, models
 from holosim.models import UsbModel
 
 
@@ -309,22 +309,77 @@ class TestPropagatorIncrements:
             linalg.propagator_increments(nilpotent, 0.1)
 
 
-class TestProducts:
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 101])
-    def test_ordered_product_matches_sequential(self, n):
-        rng = np.random.default_rng(53 + n)
-        mats = np.stack([random_unitary(rng, 3) for _ in range(n)])
-        expected = np.eye(3, dtype=complex)
-        for m in mats:
-            expected = expected @ m
-        assert linalg.max_abs(linalg.ordered_product(mats) - expected) < 1e-13
+def sequential_prefixes(mats):
+    acc, prefixes = np.eye(mats.shape[-1], dtype=complex), []
+    for mat in mats:
+        acc = acc @ mat
+        prefixes.append(acc)
+    return np.stack(prefixes)
 
+
+def matmul_pairwise(mats, pair=np.matmul):
+    """The log-depth reduction the products had before they went stack-last:
+    pair() applied by np.matmul to (n, m, m) stacks."""
+    while len(mats) > 1:
+        paired = pair(mats[0 : len(mats) - 1 : 2], mats[1::2])
+        mats = np.concatenate([paired, mats[-1:]]) if len(mats) % 2 else paired
+    return mats[0]
+
+
+def cf4_chunk(model, path, total_time, steps):
+    """The increments of _cf4's first chunk, in the order it multiplies them."""
+    k = np.arange(adiabatic._CHUNK // 2)
+    s = ((k[:, None] + adiabatic._NODES) / steps).ravel()
+    hs = model.evaluate_batch(path(s)).reshape(len(k), 2, -1)
+    exponents = (adiabatic._WEIGHTS @ hs).reshape(-1, model.dim, model.dim)
+    return linalg.propagator_increments(exponents, total_time / steps)[::-1]
+
+
+class TestProducts:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 101])
-    def test_near_identity_product_matches_ordered_product(self, n):
-        rng = np.random.default_rng(59 + n)
-        es = 1e-2 * (rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3)))
-        expected = linalg.ordered_product(es + np.eye(3)) - np.eye(3)
-        assert linalg.max_abs(linalg.near_identity_product(es) - expected) < 1e-14
+    def test_ordered_product_matches_sequential(self, n, m):
+        rng = np.random.default_rng((53, n, m))
+        mats = np.stack([random_unitary(rng, m) for _ in range(n)])
+        for stack in (mats, mats[::-1]):
+            expected = sequential_prefixes(stack)[-1]
+            assert linalg.max_abs(linalg.ordered_product(stack) - expected) < 1e-13
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 101])
+    def test_near_identity_product_matches_ordered_product(self, n, m):
+        rng = np.random.default_rng((59, n, m))
+        es = 1e-2 * (rng.normal(size=(n, m, m)) + 1j * rng.normal(size=(n, m, m)))
+        # a reversed view is what _cf4 passes
+        for stack in (es, es[::-1]):
+            expected = linalg.ordered_product(stack + np.eye(m)) - np.eye(m)
+            assert linalg.max_abs(linalg.near_identity_product(stack) - expected) < 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 101])
+    def test_prefix_products_match_sequential(self, n, m):
+        rng = np.random.default_rng((67, n, m))
+        mats = np.stack([random_unitary(rng, m) for _ in range(n)])
+        before = mats.copy()
+        prefixes = linalg.prefix_products(mats)
+        assert prefixes.shape == mats.shape and np.array_equal(mats, before)
+        assert linalg.max_abs(prefixes - sequential_prefixes(mats)) < 1e-13
+
+    def test_wilson_line_product_matches_matmul_reduction(self):
+        model, path = UsbModel(), models.make_usb_loop("circle")
+        f0 = model.dark_frame_batch(path(np.array([0.0])))[0]
+        raw = holonomy._sample_frames(model, path, holonomy.USB_DARK_BLOCK, 2**16, f0)
+        links = linalg.link_overlaps(raw, closed=True)
+        expected = matmul_pairwise(links)
+        assert linalg.max_abs(linalg.ordered_product(links) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["usb", "qubit"])
+    def test_cf4_chunk_product_matches_matmul_reduction(self, name):
+        model, path = models.build_model_and_path({"model": name})
+        es = cf4_chunk(model, path, 200.0, 2**12)
+        assert len(es) == adiabatic._CHUNK
+        expected = matmul_pairwise(es, lambda a, b: a @ b + a + b)
+        assert linalg.max_abs(linalg.near_identity_product(es) - expected) <= 1e-12
 
 
 class TestLinkPolar:
