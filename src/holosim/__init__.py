@@ -9,6 +9,8 @@ Library layout:
                curvature, solid-angle oracle
 * holonomy  -- frame tracking, Wilson lines, closed-form dark-space rotation
 * adiabatic -- Schrodinger integration, dynamical phases, convergence sweeps
+* schema    -- config field declarations: defaults, checks, documented values
+* report    -- CSV/JSON report serialization
 * experiments / cli -- reproducible experiment runners with CSV/JSON reports
 """
 

@@ -283,7 +283,10 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
         raise ValueError("direction chain contains a zero vector")
     dirs = dirs / norms[:, None]
     ref = np.asarray(reference, dtype=float).ravel()
-    ref = ref / np.linalg.norm(ref)
+    ref_norm = float(np.linalg.norm(ref))
+    if ref.shape != (3,) or not ref_norm >= 1e-12:
+        raise ValueError(f"`reference` must be a nonzero 3-vector, got {reference!r}")
+    ref = ref / ref_norm
 
     nxt = np.roll(dirs, -1, axis=0)
     pair_gap = np.linalg.norm(dirs + nxt, axis=1)

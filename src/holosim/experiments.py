@@ -261,6 +261,11 @@ def run_curvature_map(config: dict) -> ExperimentReport:
     th_lo, th_hi = (float(x) for x in grid["theta"])
     ph_lo, ph_hi = (float(x) for x in grid["phi"])
     n_th, n_ph = grid["cells"]
+    if a >= min(th_hi - th_lo, ph_hi - ph_lo):
+        raise ConfigError(
+            f"config.plaquette_edge: {a:g} must be below the grid's theta extent "
+            f"{th_hi - th_lo:g} and phi extent {ph_hi - ph_lo:g}"
+        )
 
     thetas = np.linspace(th_lo, th_hi - a, n_th)
     phis = np.linspace(ph_lo, ph_hi - a, n_ph, endpoint=False)

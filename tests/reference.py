@@ -1,0 +1,236 @@
+"""Naive references for the fast kernels, one element at a time.
+
+Each function is the slow, obvious form of a holosim kernel (or a random
+input the tests share). test_differential.py checks every kernel against
+its reference within a stated bound; a kernel rewrite adds a row there.
+Imports only math, numpy and holosim.
+"""
+
+import math
+
+import numpy as np
+
+from holosim import abelian, linalg, models
+
+
+def random_hermitian(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return m + m.conj().T
+
+
+def random_unitary(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(m)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def eigh_gauged(h):
+    """eigh_batch with each eigenvector (column) in the gauge of gauge_fix."""
+    w, v = linalg.eigh_batch(h)
+    return w, linalg.gauge_fix(np.swapaxes(v, -1, -2)).swapaxes(-1, -2)
+
+
+def gauge_fixed_vector(v):
+    """gauge_fix of one vector: its largest component made real positive."""
+    k = int(np.argmax(np.abs(v)))
+    if abs(v[k]) < linalg.RANK_TOL:
+        return v.copy()
+    return v * (np.conjugate(v[k]) / abs(v[k]))
+
+
+def eigh_propagators(hs, dt):
+    """The diagonalization form exp(-i H dt) = V diag(exp(-i w dt)) V^dag."""
+    w, v = np.linalg.eigh(hs)
+    return np.einsum("kij,kj,klj->kil", v, np.exp(-1j * w * dt), np.conjugate(v))
+
+
+def sequential_prefixes(mats):
+    acc, prefixes = np.eye(mats.shape[-1], dtype=complex), []
+    for mat in mats:
+        acc = acc @ mat
+        prefixes.append(acc)
+    return np.stack(prefixes)
+
+
+def sequential_near_identity(es):
+    """(I + E_0)(I + E_1) ... (I + E_{n-1}) - I, one factor at a time."""
+    eye = np.eye(es.shape[-1])
+    return sequential_prefixes(es + eye)[-1] - eye
+
+
+def matmul_pairwise(mats, pair=np.matmul):
+    """The log-depth reduction the products had before they went stack-last:
+    pair() applied by np.matmul to (n, m, m) stacks."""
+    while len(mats) > 1:
+        paired = pair(mats[0 : len(mats) - 1 : 2], mats[1::2])
+        mats = np.concatenate([paired, mats[-1:]]) if len(mats) % 2 else paired
+    return mats[0]
+
+
+def sequential_eigh_evolution(run):
+    """Reference integrator: the same CF4:2 scheme, one eigendecomposed
+    exponential applied to the state at a time, in time order.
+
+    Each exponential acts as its increment U - I, so a step does not round
+    the state's O(1) part; a rounded U would drift by about one ulp per
+    exponential, coherently along the qubit's symmetric loop."""
+    dt = run.total_time / run.steps
+    c = math.sqrt(3.0) / 6.0
+    state = run.initial_state.copy()
+    for start in range(0, run.steps, 4096):
+        k = np.arange(start, min(start + 4096, run.steps))
+        h1 = run.model.evaluate_batch(run.path((k + 0.5 - c) / run.steps))
+        h2 = run.model.evaluate_batch(run.path((k + 0.5 + c) / run.steps))
+        increments = []
+        for a, b in ((0.25 + c, 0.25 - c), (0.25 - c, 0.25 + c)):
+            w, v = linalg.eigh_batch(a * h1 + b * h2)
+            # exp(-i w dt) - 1 without cancellation
+            phases = -2.0 * np.sin(0.5 * w * dt) ** 2 - 1j * np.sin(w * dt)
+            increments.append(np.einsum("kij,kj,klj->kil", v, phases, np.conjugate(v)))
+        for first, second in zip(*increments):
+            state = state + first @ state
+            state = state + second @ state
+    return state
+
+
+def reference_band_state(n, band):
+    """Per-point closed form of one qubit band, one direction at a time."""
+    half = 0.5 * math.atan2(math.hypot(n[0], n[1]), n[2])
+    phase = np.exp(1j * math.atan2(n[1], n[0]))
+    if band == 0:
+        return np.array([math.sin(half), -phase * math.cos(half)], dtype=complex)
+    return np.array([math.cos(half), phase * math.sin(half)], dtype=complex)
+
+
+def cumulative_angle_transport(chain):
+    """The phase-angle form of parallel transport:
+    out_k = in_k exp(-i sum_{j<k} arg <in_j|in_{j+1}>)."""
+    states = chain.states
+    overlaps = np.einsum("ki,ki->k", states[:-1].conj(), states[1:])
+    cum = np.concatenate([[0.0], np.cumsum(np.angle(overlaps))])
+    return abelian.StateChain(states * np.exp(-1j * cum)[:, None], closed=chain.closed)
+
+
+def reference_frames(model, path, block, n, f0):
+    """The sequential smoothing loop: each raw frame times the dagger of the
+    polar factor of its overlap with the previous smoothed frame."""
+    _, v = np.linalg.eigh(model.evaluate_batch(path(path.sample_s(n))))
+    raw = v[:, :, block.indices()]
+    frames = np.empty_like(raw)
+    frames[0] = f0
+    for k in range(1, n):
+        overlap = frames[k - 1].conj().T @ raw[k]
+        frames[k] = raw[k] @ linalg.nearest_unitary(overlap).conj().T
+    return frames
+
+
+def reference_wilson_line(frames):
+    """The link loop: W_0 W_1 ... W_close multiplied one link at a time."""
+    product = np.eye(frames.shape[2], dtype=complex)
+    for k in range(len(frames)):
+        product = product @ (frames[k].conj().T @ frames[(k + 1) % len(frames)])
+    return linalg.nearest_unitary(product)
+
+
+def reference_link_polar(links):
+    """Polar factor U V^dag and smallest singular value, one SVD per link."""
+    polar, sigma = np.empty_like(links), np.empty(links.shape[:-2])
+    for k in np.ndindex(links.shape[:-2]):
+        u, s, vh = np.linalg.svd(links[k])
+        polar[k], sigma[k] = u @ vh, s[-1]
+    return polar, sigma
+
+
+def reference_loop_phase(states):
+    """arg prod_k <psi_k|psi_{k+1}> around a closed chain, one np.vdot at a time."""
+    product = 1.0 + 0.0j
+    for k in range(len(states)):
+        product *= np.vdot(states[k], states[(k + 1) % len(states)])
+    return math.atan2(product.imag, product.real)
+
+
+def reference_flux_and_boundary(model, band, origin, plane, extents, cells):
+    """plaquette_flux_and_boundary one cell at a time: the summed loop phases of
+    each cell's four corners, and the loop phase of the patch's edge. Each
+    corner gets its own np.linalg.eigh, so no two cells share a gauge."""
+
+    def state(p, q):
+        lam = np.array(origin, dtype=float)
+        lam[list(plane)] += (extents[0] * p / cells[0], extents[1] * q / cells[1])
+        return np.linalg.eigh(model.evaluate_batch(lam[None])[0])[1][:, band]
+
+    (ni, nj), square = cells, ((0, 0), (1, 0), (1, 1), (0, 1))
+    flux = sum(reference_loop_phase([state(p + a, q + b) for a, b in square])
+               for p in range(ni) for q in range(nj))
+    edge = [(p, 0) for p in range(ni)] + [(ni, q) for q in range(nj)]
+    edge += [(p, nj) for p in range(ni, 0, -1)] + [(0, q) for q in range(nj, 0, -1)]
+    return flux, reference_loop_phase([state(p, q) for p, q in edge])
+
+
+def reference_solid_angle(directions, reference=(0.0, 0.0, 1.0)):
+    """Signed solid angle of a closed chain of directions: one van Oosterom-
+    Strackee triangle (reference, a, b) at a time, in math."""
+    vectors = [reference] + np.asarray(directions, dtype=float).tolist()
+    r, *dirs = ([x / math.hypot(*v) for x in v] for v in vectors)
+    total = 0.0
+    for a, b in zip(dirs, dirs[1:] + dirs[:1]):
+        # (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}
+        det = sum(r[i] * (a[i - 2] * b[i - 1] - a[i - 1] * b[i - 2]) for i in range(3))
+        denom = 1.0 + sum(a[i] * r[i] + a[i] * b[i] + b[i] * r[i] for i in range(3))
+        total += 2.0 * math.atan2(det, denom)
+    return total
+
+
+def reference_usb_eta_pair(path, n_samples):
+    """eta by both trapezoid sums, one sample interval at a time, in math:
+    sin(phi) d theta, with d theta the angle that (S, P) turns through, and
+    the line integrand Q (S dP - P dS) / ((P^2 + S^2) R)."""
+    lams = path.sample(n_samples, include_endpoint=True).tolist()
+    eta_theta = eta_line = 0.0
+    for (p0, s0, q0), (p1, s1, q1) in zip(lams, lams[1:]):
+        h0, h1 = p0 * p0 + s0 * s0, p1 * p1 + s1 * s1
+        r0, r1 = math.sqrt(h0 + q0 * q0), math.sqrt(h1 + q1 * q1)
+        eta_theta += 0.5 * (q0 / r0 + q1 / r1) * math.atan2(s0 * p1 - p0 * s1, s0 * s1 + p0 * p1)
+        f0, f1 = q0 / (h0 * r0), q1 / (h1 * r1)
+        eta_line += 0.5 * ((f0 * s0 + f1 * s1) * (p1 - p0) - (f0 * p0 + f1 * p1) * (s1 - s0))
+    return eta_theta, eta_line
+
+
+def reference_holonomy_distance(u, v, n=2**16):
+    """min of max |e^{ia} U - V| over the phases a = 2 pi k / n, one entry at a
+    time and unrefined. An entry of a unitary U moves by at most |da|, so the
+    distance lies within pi / n below this scan."""
+    phases = np.exp(2j * np.pi * np.arange(n) / n)
+    worst = np.zeros(n)
+    for (i, j), u_ij in np.ndenumerate(u):
+        np.maximum(worst, np.abs(phases * u_ij - v[i, j]), out=worst)
+    return float(worst.min())
+
+
+class DenseUsb(models.UsbModel):
+    band_states_batch = models.HamiltonianModel.band_states_batch  # one eigh_batch
+
+
+class DenseQubit(models.QubitModel):
+    band_states_batch = models.HamiltonianModel.band_states_batch  # one eigh_batch
+
+
+class HubDetunedUsb(models.UsbModel):
+    """The four-level model with a hub detuning D = H[1, 1]: the bright levels
+    move to (D +- sqrt(D^2 + 4R^2))/2, breaking the +-R symmetry, while the
+    dark pair, its Wilson line and B(eta) stay put. Its frames are dense."""
+
+    detuning = 0.5
+
+    def evaluate_batch(self, lams):
+        h = super().evaluate_batch(lams)
+        h[:, 1, 1] = self.detuning
+        return h
+
+    def energies_batch(self, lams):
+        r = np.linalg.norm(np.asarray(lams, dtype=float).reshape(-1, 3), axis=1)
+        root = np.sqrt(self.detuning**2 + 4.0 * r**2)
+        zero = np.zeros_like(r)
+        lower = 0.5 * (self.detuning - root)
+        upper = 0.5 * (self.detuning + root)
+        return np.stack([lower, zero, zero, upper], axis=1)

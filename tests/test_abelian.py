@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import cumulative_angle_transport
 
 from holosim import abelian, linalg, models
 
@@ -11,15 +12,6 @@ OCTANT = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 def ground_chain(theta0, n, radius=1.0):
     loop = models.make_azimuthal_loop(theta0, radius)
     return abelian.band_state_chain(models.QubitModel(), loop, band=0, n_samples=n)
-
-
-def cumulative_angle_transport(chain):
-    """The phase-angle form of parallel transport:
-    out_k = in_k exp(-i sum_{j<k} arg <in_j|in_{j+1}>)."""
-    states = chain.states
-    overlaps = np.einsum("ki,ki->k", states[:-1].conj(), states[1:])
-    cum = np.concatenate([[0.0], np.cumsum(np.angle(overlaps))])
-    return abelian.StateChain(states * np.exp(-1j * cum)[:, None], closed=chain.closed)
 
 
 class TwoParamRealModel(models.HamiltonianModel):
@@ -339,6 +331,11 @@ class TestSolidAngle:
         dirs = np.array([[0, 0, -1.0], [1e-5, 0, -1.0], [0, 1e-5, -1.0]])
         with pytest.raises(ValueError, match="reference"):
             abelian.solid_angle(dirs)
+
+    @pytest.mark.parametrize("reference", [(0.0, 0.0, 0.0), (0.0, 1.0)])
+    def test_bad_reference_rejected(self, reference):
+        with pytest.raises(ValueError, match="`reference` must be a nonzero 3-vector"):
+            abelian.solid_angle(OCTANT, reference=reference)
 
     def test_custom_reference_branch(self):
         # small loop around -z: from +z the representative is ~4 pi - area,

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from reference import HubDetunedUsb
 
 from holosim import abelian, adiabatic, experiments, holonomy, linalg, models
 
@@ -15,32 +16,6 @@ def usb_setup():
     return model, path, model.dark_frame_batch(path(np.array([0.0])))[0]
 
 
-def sequential_eigh_evolution(run):
-    """Reference integrator: the same CF4:2 scheme, one eigendecomposed
-    exponential applied to the state at a time, in time order.
-
-    Each exponential acts as its increment U - I, so a step does not round
-    the state's O(1) part; a rounded U would drift by about one ulp per
-    exponential, coherently along the qubit's symmetric loop."""
-    dt = run.total_time / run.steps
-    c = math.sqrt(3.0) / 6.0
-    state = run.initial_state.copy()
-    for start in range(0, run.steps, 4096):
-        k = np.arange(start, min(start + 4096, run.steps))
-        h1 = run.model.evaluate_batch(run.path((k + 0.5 - c) / run.steps))
-        h2 = run.model.evaluate_batch(run.path((k + 0.5 + c) / run.steps))
-        increments = []
-        for a, b in ((0.25 + c, 0.25 - c), (0.25 - c, 0.25 + c)):
-            w, v = linalg.eigh_batch(a * h1 + b * h2)
-            # exp(-i w dt) - 1 without cancellation
-            phases = -2.0 * np.sin(0.5 * w * dt) ** 2 - 1j * np.sin(w * dt)
-            increments.append(np.einsum("kij,kj,klj->kil", v, phases, np.conjugate(v)))
-        for first, second in zip(*increments):
-            state = state + first @ state
-            state = state + second @ state
-    return state
-
-
 def qubit_setup():
     loop = models.make_azimuthal_loop(QUBIT_LOOP_THETA)
     frame = models.qubit_band_states(loop(np.array([0.0])), 0)[0][:, None]
@@ -48,14 +23,6 @@ def qubit_setup():
 
 
 class TestEvolveSchrodinger:
-    @pytest.mark.parametrize("setup", [usb_setup, qubit_setup])
-    @pytest.mark.parametrize("total_time, steps", [(50.0, 4096), (200.0, 22628)])
-    def test_matches_sequential_eigh_loop(self, setup, total_time, steps):
-        model, path, frame = setup()
-        run = adiabatic.AdiabaticRun(model, path, total_time, steps, frame)
-        final = adiabatic.evolve_schrodinger(run).final_states
-        assert linalg.max_abs(final - sequential_eigh_evolution(run)) <= 1e-12
-
     @pytest.mark.parametrize("setup", [usb_setup, qubit_setup])
     def test_norm_drift_at_longest_shipped_ramp(self, setup):
         # the qubit loop has constant |n|, so a per-step rounding of the
@@ -356,26 +323,9 @@ class TestConvergenceSweep:
         assert leaks[0] > leaks[1] > leaks[2]
 
     def test_hub_detuned_usb_sweep_falls_back_to_first_order(self):
-        # Control for the second-order rate above: a hub detuning moves the
-        # bright levels to (D +- sqrt(D^2 + 4R^2))/2, breaking the +-R
-        # symmetry, while the dark pair, its Wilson line and B(eta) stay put.
-        # Without the cancellation the sweep is first order again.
-        class HubDetunedUsb(models.UsbModel):
-            detuning = 0.5
-
-            def evaluate_batch(self, lams):
-                h = super().evaluate_batch(lams)
-                h[:, 1, 1] = self.detuning
-                return h
-
-            def energies_batch(self, lams):
-                r = np.linalg.norm(np.asarray(lams, dtype=float).reshape(-1, 3), axis=1)
-                root = np.sqrt(self.detuning**2 + 4.0 * r**2)
-                zero = np.zeros_like(r)
-                lower = 0.5 * (self.detuning - root)
-                upper = 0.5 * (self.detuning + root)
-                return np.stack([lower, zero, zero, upper], axis=1)
-
+        # Control for the second-order rate above: the hub detuning breaks the
+        # +-R symmetry and keeps the dark pair. Without the cancellation the
+        # sweep is first order again.
         _, path, frame = usb_setup()
         model = HubDetunedUsb()
         assert adiabatic.dynamical_phase(model, path, 800.0, holonomy.USB_DARK_BLOCK) == 0.0

@@ -1,0 +1,255 @@
+"""Every fast kernel against its naive reference from reference.py.
+
+A row names the kernel, its reference, the inputs both take, the seed those
+are drawn with and the bound on max_abs(kernel - reference). A kernel
+rewrite adds a row. Rows that take a model run on the shipped loops and on
+the hub-detuned four-level model, whose frames are dense. The four-level
+matrix is real, so its loop phases are 0 or pi: the qubit rows carry the rest.
+"""
+
+import json
+import math
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+import reference as ref
+
+from holosim import abelian, adiabatic, holonomy, linalg, models
+
+
+class Row(NamedTuple):
+    kernel: Callable  # the fast code: inputs -> an array, or a tuple of arrays
+    reference: Callable  # its naive form, on the same inputs
+    inputs: Callable  # rng -> the arguments of both
+    seed: object  # of the rng given to inputs; None where they draw nothing
+    bound: float | tuple  # on max_abs(kernel - reference), or one per output
+    one_sided: bool = False  # the kernel may also not exceed its reference
+
+
+MODELS = {"usb": models.UsbModel, "qubit": models.QubitModel, "hub": ref.HubDetunedUsb}
+
+
+def shipped(name, n=None):
+    """The model, its shipped loop and block, n, and the basepoint frame:
+    the arguments of eigenframe_path and wilson_line."""
+    if name == "qubit":
+        path = models.make_azimuthal_loop(math.pi / 3)
+        frame = models.qubit_band_states(path(0.0), 0).T
+        return models.QubitModel(), path, models.BandBlock(0, 1), n, frame
+    path = models.make_usb_loop("circle")
+    frame = models.UsbModel().dark_frame_batch(path(0.0))[0]
+    return MODELS[name](), path, holonomy.USB_DARK_BLOCK, n, frame
+
+
+def links(name, n):
+    return linalg.link_overlaps(holonomy._sample_frames(*shipped(name, n)), closed=True)
+
+
+def hamiltonians(name, dt):
+    model, path = shipped(name)[:2]
+    return model.evaluate_batch(path.sample(512)), dt
+
+
+def evolution(name, total_time, steps):
+    model, path, _, _, frame = shipped(name)
+    return (adiabatic.AdiabaticRun(model, path, total_time, steps, frame),)
+
+
+def cf4_chunk(name, total_time=200.0, steps=2**12):
+    """The increments of _cf4's first chunk, in the order it multiplies them."""
+    model, path = shipped(name)[:2]
+    k = np.arange(adiabatic._CHUNK // 2)
+    s = ((k[:, None] + adiabatic._NODES) / steps).ravel()
+    hs = model.evaluate_batch(path(s)).reshape(len(k), 2, -1)
+    exponents = (adiabatic._WEIGHTS @ hs).reshape(-1, model.dim, model.dim)
+    es = linalg.propagator_increments(exponents, total_time / steps)[::-1]
+    assert len(es) == adiabatic._CHUNK
+    return (es,)
+
+
+def near_identity_links(rng, m):
+    # overlaps of neighbouring frames: a unitary close to I times a
+    # contraction close to I, so sigma = 1 - O(1e-6)
+    hs = np.stack([ref.random_hermitian(rng, m) for _ in range(256)])
+    unitary = np.eye(m) + linalg.propagator_increments(hs, 1e-3)
+    return (unitary @ (np.eye(m) - 1e-6 * hs @ hs),)
+
+
+def random_chain(rng, closed):
+    states = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
+    return (abelian.StateChain(states, closed),)
+
+
+def both_ways(product):
+    """A product of a stack and of its reversed view, which _cf4 passes."""
+    return lambda mats: (product(mats), product(mats[::-1]))
+
+
+def tracked(*args):
+    return holonomy.eigenframe_path(*args).frames, holonomy.wilson_line(*args).matrix
+
+
+def tracked_reference(*args):
+    frames = ref.reference_frames(*args)
+    return frames, ref.reference_wilson_line(frames)
+
+
+def frame_checks(model, path, block, n, f0):
+    """The block's eigen-residual and projector, and the Wilson line built from its frames."""
+    lams = path.sample(n)
+    w, frames = model.band_states_batch(lams, block)
+    residual = model.evaluate_batch(lams) @ frames - frames * w[:, None, block.indices()]
+    line = holonomy.wilson_line(model, path, block, n, f0)
+    return residual, frames @ linalg.dagger(frames), line.matrix, line.min_link_singular_value
+
+
+ROWS = {}
+for n, m in ((n, m) for n in (1, 2, 7, 64, 101) for m in (1, 2, 3, 4)):
+    ROWS[f"ordered_product-n{n}-m{m}"] = Row(
+        both_ways(linalg.ordered_product), both_ways(lambda s: ref.sequential_prefixes(s)[-1]),
+        lambda rng, n=n, m=m: (np.stack([ref.random_unitary(rng, m) for _ in range(n)]),),
+        (53, n, m), 1e-13,
+    )
+    ROWS[f"near_identity_product-n{n}-m{m}"] = Row(
+        both_ways(linalg.near_identity_product), both_ways(ref.sequential_near_identity),
+        lambda rng, n=n, m=m: (
+            1e-2 * (rng.normal(size=(n, m, m)) + 1j * rng.normal(size=(n, m, m))),
+        ),
+        (59, n, m), 1e-14,
+    )
+ROWS["ordered_product-usb-links-65536"] = Row(
+    linalg.ordered_product, ref.matmul_pairwise, lambda rng: (links("usb", 2**16),), None, 1e-12
+)
+for m in (1, 2, 3):
+    ROWS[f"nearest_unitary-random-m{m}"] = Row(
+        linalg.nearest_unitary, lambda a: ref.reference_link_polar(a[None])[0][0],
+        lambda rng, m=m: (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)),), 37 + m, 1e-13,
+    )
+    ROWS[f"link_polar-near-identity-m{m}"] = Row(
+        linalg.link_polar, ref.reference_link_polar, lambda rng, m=m: near_identity_links(rng, m),
+        67 + m, (1e-13, 1e-15),
+    )
+for name in MODELS:
+    ROWS[f"link_polar-{name}-links"] = Row(
+        linalg.link_polar, ref.reference_link_polar,
+        lambda rng, k=name: (links(k, 512),), None, 1e-13,
+    )
+    ROWS[f"prefix_products-{name}-polar-factors"] = Row(
+        linalg.prefix_products, ref.sequential_prefixes,
+        lambda rng, k=name: (linalg.link_polar(links(k, 512))[0][:-1],), None, 1e-13,
+    )
+    ROWS[f"propagator_increments-{name}"] = Row(
+        lambda hs, dt: linalg.propagator_increments(hs, dt) + np.eye(hs.shape[-1]),
+        ref.eigh_propagators, lambda rng, k=name: hamiltonians(k, 0.37), None, 1e-14,
+    )
+    ROWS[f"cf4_chunk-{name}"] = Row(
+        linalg.near_identity_product,
+        lambda es: ref.matmul_pairwise(es, lambda a, b: a @ b + a + b),
+        lambda rng, k=name: cf4_chunk(k), None, 1e-12,
+    )
+    for n in (512, 8192) if name == "usb" else (512,):
+        ROWS[f"eigenframe_path-wilson_line-{name}-{n}"] = Row(
+            tracked, tracked_reference, lambda rng, k=name, n=n: shipped(k, n), None, 1e-12
+        )
+    for total_time, steps in ((50.0, 4096), (200.0, 22628))[: 1 if name == "hub" else 2]:
+        ROWS[f"evolve_schrodinger-{name}-T{total_time:g}-{steps}"] = Row(
+            lambda run: adiabatic.evolve_schrodinger(run).final_states,
+            ref.sequential_eigh_evolution,
+            lambda rng, a=(name, total_time, steps): evolution(*a), None, 1e-12,
+        )
+for name, dense, ns in (("usb", ref.DenseUsb, (512, 8192)), ("qubit", ref.DenseQubit, (512,))):
+    for n in ns:
+        ROWS[f"block_frames-closed-vs-dense-{name}-{n}"] = Row(
+            frame_checks, lambda model, *a, dense=dense: frame_checks(dense(), *a),
+            lambda rng, k=name, n=n: shipped(k, n), None, 1e-12,
+        )
+for m in (1, 2, 3, 4):
+    # a phase scan at 2^16 points brackets the distance: it lies within pi / 2^16 below it
+    ROWS[f"holonomy_distance-m{m}"] = Row(
+        lambda pairs: [holonomy.holonomy_distance(u, v) for u, v in pairs],
+        lambda pairs: [ref.reference_holonomy_distance(u, v) for u, v in pairs],
+        lambda rng, m=m: ([[ref.random_unitary(rng, m) for _ in "uv"] for _ in range(15)],),
+        (67, m), math.pi / 2**16, one_sided=True,
+    )
+ROWS["qubit_band_states-random"] = Row(
+    lambda ns: tuple(models.qubit_band_states(ns, band) for band in (0, 1)),
+    lambda ns: tuple(np.array([ref.reference_band_state(n, band) for n in ns]) for band in (0, 1)),
+    lambda rng: (np.concatenate([
+        [[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, -2, 0]],
+        (rng.normal(size=(500, 3)) * rng.uniform(0.1, 10.0, size=(500, 1)))[4:],
+    ]),),
+    8, 1e-15,
+)
+for key, kernel, reference, closed in (
+    ("discrete_geometric_phase", lambda c: abelian.discrete_geometric_phase(c).phase,
+     lambda c: ref.reference_loop_phase(c.states), True),
+    ("parallel_transport", lambda c: abelian.parallel_transport(c).states,
+     lambda c: ref.cumulative_angle_transport(c).states, False),
+):
+    ROWS[f"{key}-qubit-band-4096"] = Row(
+        kernel, reference,
+        lambda rng: (abelian.band_state_chain(*shipped("qubit")[:2], 0, 4096),), None, 1e-12,
+    )
+    ROWS[f"{key}-random"] = Row(
+        kernel, reference, lambda rng, c=closed: random_chain(rng, c), 97, 1e-12
+    )
+for key, args in (
+    ("sphere", (models.SphereQubitModel(1.0), 0, [0.5, 0.3], (0, 1), (1.0, 1.5), (4, 6))),
+    ("qubit", (models.QubitModel(), 1, [0.3, -0.2, 1.0], (0, 1), (1.0, 0.8), (3, 3))),
+    ("hub", (ref.HubDetunedUsb(), 0, [0.3, 1.0, 0.5], (0, 2), (0.8, 0.6), (3, 4))),
+):
+    ROWS[f"plaquette_flux_and_boundary-{key}"] = Row(
+        abelian.plaquette_flux_and_boundary, ref.reference_flux_and_boundary,
+        lambda rng, a=args: a, None, 1e-12,
+    )
+for key, inputs, seed in (
+    ("azimuthal", lambda rng: (models.make_azimuthal_loop(1.0).sample(4096),), None),
+    ("usb-loop", lambda rng: (models.make_usb_loop("circle").sample(4096),), None),
+    ("south-cap", lambda rng: (models.make_azimuthal_loop(2.9).sample(4096), (0, 0, -1.0)), None),
+):
+    ROWS[f"solid_angle-{key}-4096"] = Row(
+        abelian.solid_angle, ref.reference_solid_angle, inputs, seed, 1e-12
+    )
+for key, params in (("shipped", {}), ("q0-b", {"q0": 0.3, "b": 0.15}), ("a", {"a": 0.4})):
+    ROWS[f"usb_eta_pair-{key}-4096"] = Row(
+        holonomy.usb_eta_pair, ref.reference_usb_eta_pair,
+        lambda rng, p=params: (models.make_usb_loop("circle", p), 2**12), None, 1e-12,
+    )
+
+
+@pytest.mark.parametrize("row", ROWS.values(), ids=list(ROWS))
+def test_kernel_matches_reference(row):
+    args = row.inputs(np.random.default_rng(row.seed))
+    got, expected = row.kernel(*args), row.reference(*args)
+    if not isinstance(got, tuple):
+        got, expected = (got,), (expected,)
+    bounds = row.bound if isinstance(row.bound, tuple) else (row.bound,) * len(got)
+    for a, b, bound in zip(got, expected, bounds, strict=True):
+        deviation = np.subtract(a, b)
+        assert linalg.max_abs(deviation) < bound
+        assert not row.one_sided or np.all(deviation <= 0.0)
+
+
+OCTANT = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+class TestReferences:
+    """The new references against closed forms, so that no row passes on a wrong copy."""
+
+    def test_solid_angle_octant_and_azimuthal_loops(self):
+        assert ref.reference_solid_angle(OCTANT) == pytest.approx(math.pi / 2, abs=1e-14)
+        for theta0 in (0.3, math.pi / 3, math.pi / 2, 2.2, 2.8):
+            omega = ref.reference_solid_angle(models.make_azimuthal_loop(theta0).sample(4096))
+            assert abs(omega - 2.0 * math.pi * (1.0 - math.cos(theta0))) < 1e-5
+
+    def test_usb_eta_pair_matches_golden(self):
+        golden = json.loads((Path(__file__).parent / "golden_usb_eta.json").read_text("utf-8"))
+        eta = ref.reference_usb_eta_pair(models.make_usb_loop("circle"), golden["n_samples"])
+        assert abs(eta[0] - golden["eta_theta"]) < 1e-10
+        assert abs(eta[1] - golden["eta_line"]) < 1e-10
+
+    def test_loop_phase_octant_triple(self):
+        states = abelian.bloch_chain(OCTANT).states
+        assert ref.reference_loop_phase(states) == pytest.approx(-math.pi / 4, abs=1e-12)

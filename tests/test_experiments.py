@@ -68,6 +68,9 @@ BAD_CONFIGS = [
         {"model": "qubit", "path": {"family": "constant", "params": {"n": [0, 0, math.nan]}}},
         "config.path.params.n",
     ),
+    # the cells' base points run from lo to hi - edge
+    ("curvature-map", {"plaquette_edge": 2.5, "grid": {"cells": [3, 3]}}, "config.plaquette_edge"),
+    ("curvature-map", {"plaquette_edge": 1.0, "grid": {"phi": [0.0, 1.0]}}, "config.plaquette_edge"),
 ]
 
 
@@ -614,7 +617,7 @@ class TestCli:
         _, rows = read_csv(out)
         assert [[float(x) for x in row] for row in rows] == [list(r) for r in named.rows]
 
-    @pytest.mark.parametrize("experiment, config, field", BAD_CONFIGS[::4])
+    @pytest.mark.parametrize("experiment, config, field", BAD_CONFIGS[::4] + BAD_CONFIGS[-2:])
     def test_bad_field_exits_two_without_traceback(self, tmp_path, experiment, config, field):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

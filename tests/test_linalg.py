@@ -3,30 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from reference import eigh_gauged, eigh_propagators, gauge_fixed_vector, random_hermitian
+from reference import random_unitary, reference_link_polar, sequential_prefixes
 
-from holosim import adiabatic, holonomy, linalg, models
+from holosim import linalg
 from holosim.models import UsbModel
 
 
 def usb_matrix(p):
     return UsbModel().evaluate_batch(np.asarray(p, dtype=float).reshape(1, 3))[0]
-
-
-def random_hermitian(rng, dim):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return m + m.conj().T
-
-
-def random_unitary(rng, dim):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(m)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def eigh_gauged(h):
-    """eigh_batch with each eigenvector (column) in the gauge of gauge_fix."""
-    w, v = linalg.eigh_batch(h)
-    return w, linalg.gauge_fix(np.swapaxes(v, -1, -2)).swapaxes(-1, -2)
 
 
 class TestEigh:
@@ -118,19 +103,13 @@ class TestEigh:
         assert np.array_equal(a, b)
 
     def test_gauge_fix_stack_matches_per_vector_form(self):
-        def per_vector(v):
-            k = int(np.argmax(np.abs(v)))
-            if abs(v[k]) < linalg.RANK_TOL:
-                return v.copy()
-            return v * (np.conjugate(v[k]) / abs(v[k]))
-
         rng = np.random.default_rng(19)
         stack = rng.normal(size=(6, 5, 3)) + 1j * rng.normal(size=(6, 5, 3))
         stack[0, 0] = 0.0
         stack[1, 1] = [0.5, -0.5j, 0.5]  # tie: the lowest index is the pivot
         fixed = linalg.gauge_fix(stack)
         for idx in np.ndindex(stack.shape[:-1]):
-            assert linalg.max_abs(fixed[idx] - per_vector(stack[idx])) <= 1e-15
+            assert linalg.max_abs(fixed[idx] - gauge_fixed_vector(stack[idx])) <= 1e-15
         assert np.array_equal(fixed[0, 0], np.zeros(3))
         assert fixed[1, 1, 0] == pytest.approx(0.5, abs=1e-15)
 
@@ -178,13 +157,6 @@ class TestNearestUnitary:
             linalg.nearest_unitary(m)
         assert exc.value.sigma_min == pytest.approx(0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_matches_svd_polar_factor(self, m):
-        rng = np.random.default_rng(37 + m)
-        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        u, _, vh = np.linalg.svd(a)
-        assert linalg.max_abs(linalg.nearest_unitary(a) - u @ vh) < 1e-13
-
     @pytest.mark.parametrize("m", [2, 3])
     def test_rank_floor_is_relative_to_largest_singular_value(self, m):
         # 1e-7 is far above RANK_TOL, but not above RANK_TOL * 1e6
@@ -227,12 +199,6 @@ class TestAngles:
         assert linalg.angle_distance(np.pi - 1e-3, -np.pi + 1e-3) == pytest.approx(
             2e-3, abs=1e-12
         )
-
-
-def eigh_propagators(hs, dt):
-    """The diagonalization form exp(-i H dt) = V diag(exp(-i w dt)) V^dag."""
-    w, v = np.linalg.eigh(hs)
-    return np.einsum("kij,kj,klj->kil", v, np.exp(-1j * w * dt), np.conjugate(v))
 
 
 def star_stack(rng, k, dim=4, hub=1):
@@ -309,52 +275,7 @@ class TestPropagatorIncrements:
             linalg.propagator_increments(nilpotent, 0.1)
 
 
-def sequential_prefixes(mats):
-    acc, prefixes = np.eye(mats.shape[-1], dtype=complex), []
-    for mat in mats:
-        acc = acc @ mat
-        prefixes.append(acc)
-    return np.stack(prefixes)
-
-
-def matmul_pairwise(mats, pair=np.matmul):
-    """The log-depth reduction the products had before they went stack-last:
-    pair() applied by np.matmul to (n, m, m) stacks."""
-    while len(mats) > 1:
-        paired = pair(mats[0 : len(mats) - 1 : 2], mats[1::2])
-        mats = np.concatenate([paired, mats[-1:]]) if len(mats) % 2 else paired
-    return mats[0]
-
-
-def cf4_chunk(model, path, total_time, steps):
-    """The increments of _cf4's first chunk, in the order it multiplies them."""
-    k = np.arange(adiabatic._CHUNK // 2)
-    s = ((k[:, None] + adiabatic._NODES) / steps).ravel()
-    hs = model.evaluate_batch(path(s)).reshape(len(k), 2, -1)
-    exponents = (adiabatic._WEIGHTS @ hs).reshape(-1, model.dim, model.dim)
-    return linalg.propagator_increments(exponents, total_time / steps)[::-1]
-
-
 class TestProducts:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 101])
-    def test_ordered_product_matches_sequential(self, n, m):
-        rng = np.random.default_rng((53, n, m))
-        mats = np.stack([random_unitary(rng, m) for _ in range(n)])
-        for stack in (mats, mats[::-1]):
-            expected = sequential_prefixes(stack)[-1]
-            assert linalg.max_abs(linalg.ordered_product(stack) - expected) < 1e-13
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 101])
-    def test_near_identity_product_matches_ordered_product(self, n, m):
-        rng = np.random.default_rng((59, n, m))
-        es = 1e-2 * (rng.normal(size=(n, m, m)) + 1j * rng.normal(size=(n, m, m)))
-        # a reversed view is what _cf4 passes
-        for stack in (es, es[::-1]):
-            expected = linalg.ordered_product(stack + np.eye(m)) - np.eye(m)
-            assert linalg.max_abs(linalg.near_identity_product(stack) - expected) < 1e-14
-
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 101])
     def test_prefix_products_match_sequential(self, n, m):
@@ -365,46 +286,17 @@ class TestProducts:
         assert prefixes.shape == mats.shape and np.array_equal(mats, before)
         assert linalg.max_abs(prefixes - sequential_prefixes(mats)) < 1e-13
 
-    def test_wilson_line_product_matches_matmul_reduction(self):
-        model, path = UsbModel(), models.make_usb_loop("circle")
-        f0 = model.dark_frame_batch(path(np.array([0.0])))[0]
-        raw = holonomy._sample_frames(model, path, holonomy.USB_DARK_BLOCK, 2**16, f0)
-        links = linalg.link_overlaps(raw, closed=True)
-        expected = matmul_pairwise(links)
-        assert linalg.max_abs(linalg.ordered_product(links) - expected) <= 1e-12
-
-    @pytest.mark.parametrize("name", ["usb", "qubit"])
-    def test_cf4_chunk_product_matches_matmul_reduction(self, name):
-        model, path = models.build_model_and_path({"model": name})
-        es = cf4_chunk(model, path, 200.0, 2**12)
-        assert len(es) == adiabatic._CHUNK
-        expected = matmul_pairwise(es, lambda a, b: a @ b + a + b)
-        assert linalg.max_abs(linalg.near_identity_product(es) - expected) <= 1e-12
-
 
 class TestLinkPolar:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_svd_on_random_stacks(self, m):
         rng = np.random.default_rng(61 + m)
         links = rng.normal(size=(4, 64, m, m)) + 1j * rng.normal(size=(4, 64, m, m))
-        u, s, vh = np.linalg.svd(links)
+        ref_polar, ref_sigma = reference_link_polar(links)
         polar, sigma = linalg.link_polar(links)
         assert polar.shape == links.shape and sigma.shape == (4, 64)
-        assert linalg.max_abs(polar - u @ vh) < 1e-13
-        assert linalg.max_abs(sigma - s[..., -1]) < 1e-13
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_near_identity_links(self, m):
-        # overlaps of neighbouring frames: a unitary close to I times a
-        # contraction close to I, so sigma = 1 - O(1e-6)
-        rng = np.random.default_rng(67 + m)
-        hs = np.stack([random_hermitian(rng, m) for _ in range(256)])
-        unitary = np.eye(m) + linalg.propagator_increments(hs, 1e-3)
-        links = unitary @ (np.eye(m) - 1e-6 * hs @ hs)
-        u, s, vh = np.linalg.svd(links)
-        polar, sigma = linalg.link_polar(links)
-        assert linalg.max_abs(polar - u @ vh) < 1e-13
-        assert linalg.max_abs(sigma - s[:, -1]) < 1e-15
+        assert linalg.max_abs(polar - ref_polar) < 1e-13
+        assert linalg.max_abs(sigma - ref_sigma) < 1e-13
 
     @pytest.mark.parametrize(
         "link",
@@ -426,9 +318,9 @@ class TestLinkPolar:
         v = np.stack([random_unitary(rng, 2) for _ in range(256)])
         exact = u @ linalg.dagger(v)
         links = u @ np.diag([1.0, 1e-7]) @ linalg.dagger(v)
-        su, _, svh = np.linalg.svd(links)
         polar, sigma = linalg.link_polar(links)
-        assert linalg.max_abs(polar - exact) <= linalg.max_abs(su @ svh - exact)
+        svd_polar = reference_link_polar(links)[0]
+        assert linalg.max_abs(polar - exact) <= linalg.max_abs(svd_polar - exact)
         assert linalg.max_abs(sigma - 1e-7) < 1e-15
 
     def test_check_links_rejects_nan(self):

@@ -15,15 +15,6 @@ def usb_h(ps):
     return models.UsbModel().evaluate_batch(np.asarray(ps, dtype=float).reshape(-1, 3))
 
 
-def reference_band_state(n, band):
-    """Per-point closed form of one qubit band, one direction at a time."""
-    half = 0.5 * math.atan2(math.hypot(n[0], n[1]), n[2])
-    phase = np.exp(1j * math.atan2(n[1], n[0]))
-    if band == 0:
-        return np.array([math.sin(half), -phase * math.cos(half)], dtype=complex)
-    return np.array([math.cos(half), phase * math.sin(half)], dtype=complex)
-
-
 def dark_frame_from_angles(theta, phi):
     """(Phi1, Phi2) as columns, from the dark-frame angles (theta, phi)."""
     ct, st, cf, sf = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
@@ -89,15 +80,6 @@ class TestQubitBandStates:
         grid[2, 0] = 0.0
         with pytest.raises(models.ZeroFieldError, match=r"index \[1, 3\]"):
             models.qubit_band_states(grid, 1)
-
-    def test_matches_per_point_reference(self):
-        rng = np.random.default_rng(8)
-        ns = rng.normal(size=(500, 3)) * rng.uniform(0.1, 10.0, size=(500, 1))
-        ns[:4] = [[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, -2, 0]]
-        for band in (0, 1):
-            states = models.qubit_band_states(ns, band)
-            reference = np.array([reference_band_state(n, band) for n in ns])
-            assert np.max(np.abs(states - reference)) <= 1e-15
 
     def test_unknown_band_rejected(self):
         with pytest.raises(ValueError, match="band must be 0 or 1"):
