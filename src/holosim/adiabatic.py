@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    angle_distance, closed_gap, dagger, max_abs, nearest_unitary, near_identity_product,
-    propagator_increments,
+    angle_distance, closed_gap, dagger, max_abs, nearest_unitary, near_identity_product_last,
 )
 from .holonomy import (
     BandBlock, GapClosureError, HolonomyResult, basepoint_frame, block_frames, holonomy_distance,
@@ -57,8 +56,8 @@ class AdiabaticRun:
     initial_state: np.ndarray
 
     def __post_init__(self):
-        if self.total_time <= 0.0:
-            raise ValueError("total_time must be positive")
+        if not 0.0 < self.total_time < math.inf:
+            raise ValueError("total_time must be positive and finite")
         if self.steps is not None and self.steps < 16:
             raise ValueError("need at least 16 integration steps")
         state = np.asarray(self.initial_state, dtype=complex)
@@ -79,6 +78,7 @@ class AdiabaticResult:
     steps: int
     norm_drift: float
     step_error_estimate: float
+    steps_integrated: int  # over every CF4 run, step doubling's included
     dynamical_phase: float | None = None
     leakage: float | None = None
     overlap_matrix: np.ndarray | None = None  # dynamical phase stripped
@@ -95,23 +95,19 @@ class AdiabaticResult:
 def _cf4(run: AdiabaticRun, steps: int) -> np.ndarray:
     """The initial frame after `steps` CF4:2 steps over [0, T].
 
-    A chunk's exponentials are kept as increments U - I (closed form for
-    the shipped models: a real combination of two traceless 2x2 matrices,
-    or of two zero-hub stars, keeps the {-R, 0, +R} spectrum) and
+    A chunk's exponentials come from the model as increments U - I
+    (HamiltonianModel.propagator_increments: closed form for the shipped
+    models, dense otherwise), stack-last and latest first, and are
     multiplied in log depth before they act on the state, so no step
     rounds 1 + O(dt^2) and the norm drift stays at a few eps per chunk.
     """
     dt = run.total_time / steps
-    dim = run.model.dim
     state = run.initial_state.copy()
     for start in range(0, steps, _CHUNK // 2):
         k = np.arange(start, min(start + _CHUNK // 2, steps))
-        s = ((k[:, None] + _NODES) / steps).ravel()
-        hs = run.model.evaluate_batch(run.path(s)).reshape(len(k), 2, dim * dim)
-        # exponents in time order, W[0] . (H1, H2) then W[1] . (H1, H2) per
-        # step; later exponentials act from the left
-        exponents = (_WEIGHTS @ hs).reshape(-1, dim, dim)
-        chunk = near_identity_product(propagator_increments(exponents, dt)[::-1])
+        # per step, the Gauss-node pair (H1, H2), weighted by W[0] then W[1]
+        lams = run.path(((k[:, None] + _NODES) / steps).ravel()).reshape(len(k), 2, -1)
+        chunk = near_identity_product_last(run.model.propagator_increments(lams, _WEIGHTS, dt))
         state = state + chunk @ state
     return state
 
@@ -122,28 +118,29 @@ def evolve_schrodinger(run: AdiabaticRun) -> AdiabaticResult:
     The error of the returned frame psi_N is estimated by step doubling
     as max |psi_N - psi_{N//2}| / 15 (the scheme is fourth order). With
     run.steps = None, N doubles from 2 * 64 until that estimate is at most
-    STEP_TOL, or N reaches 2^20; an explicit run.steps is N itself. The
-    run warns when the returned estimate exceeds STEP_TOL.
+    STEP_TOL, is not finite, or N reaches 2^20; an explicit run.steps is N
+    itself. The run warns unless the returned estimate is at most STEP_TOL.
     """
     steps = 2 * _FIRST_STEPS if run.steps is None else run.steps
-    coarse = _cf4(run, steps // 2)
+    coarse, integrated = _cf4(run, steps // 2), steps // 2
     while True:
-        state = _cf4(run, steps)
+        state, integrated = _cf4(run, steps), integrated + steps
         error = max_abs(state - coarse) / 15.0
-        if run.steps is not None or error <= STEP_TOL or steps >= _MAX_STEPS:
+        if run.steps is not None or not STEP_TOL < error < math.inf or steps >= _MAX_STEPS:
             break
         coarse, steps = state, 2 * steps
 
-    if error > STEP_TOL:
+    if not error <= STEP_TOL:
         warnings.warn(
             f"integration may be under-resolved: step-doubling error estimate {error:.2e} at "
-            f"{steps} steps exceeds {STEP_TOL:.0e}; increase steps", RuntimeWarning, stacklevel=2,
+            f"{steps} steps is not at most {STEP_TOL:.0e}; increase steps", RuntimeWarning,
+            stacklevel=2,
         )
     initial_norms = np.linalg.norm(run.initial_state, axis=0)
     drift = float(np.max(np.abs(np.linalg.norm(state, axis=0) - initial_norms)))
     return AdiabaticResult(
         final_states=state, total_time=run.total_time, steps=steps, norm_drift=drift,
-        step_error_estimate=error,
+        step_error_estimate=error, steps_integrated=integrated,
     )
 
 

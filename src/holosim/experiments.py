@@ -369,9 +369,9 @@ def run_adiabatic_sweep(config: dict) -> ExperimentReport:
     rows = [(r.total_time, r.steps, r.distance, r.leakage) for r in sweep.rows]
     report = _report("adiabatic-sweep", rows, config)
     report.diagnostics = {"integrator": [
-        {"ramp_time": r.total_time, "steps": r.steps, "norm_drift": r.norm_drift,
-         "step_error_estimate": r.step_error_estimate,
-         "under_resolved": r.step_error_estimate > adiabatic.STEP_TOL}
+        {"ramp_time": r.total_time, "steps": r.steps, "steps_integrated": r.steps_integrated,
+         "norm_drift": r.norm_drift, "step_error_estimate": r.step_error_estimate,
+         "under_resolved": not r.step_error_estimate <= adiabatic.STEP_TOL}
         for r in sweep.rows
     ]}
     dists = sweep.distances()

@@ -2,10 +2,10 @@
 
 Everything here operates on plain numpy arrays (complex128) of small
 matrices (dim <= 16 for the shipped models); determinism matters more
-than scale. Link polar factors and spectrum-{-R, 0, +R} propagators have
-closed forms; dense LAPACK (eigh_batch, a batched SVD) serves generic
-models and links larger than 2x2. The log-depth products run on an
-(m, m, n) copy of each (n, m, m) stack, with the stack axis last.
+than scale. Link polar factors up to 2x2 have closed forms; dense LAPACK
+(eigh_batch, a batched SVD) serves generic models and larger links. The
+log-depth products run with the stack axis last: on an (m, m, n) stack
+as given, or on one (m, m, n) copy of an (n, m, m) stack.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 RANK_TOL = 1e-12
-# relative defect |H^3 - R^2 H| / R^3 below which propagator_increments
-# uses the closed form; floating-point evaluation of an exact {-R, 0, +R}
-# stack leaves a few eps
-SPECTRUM_TOL = 1e-13
 
 
 class NonHermitianError(ValueError):
@@ -76,7 +72,9 @@ def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gauges themselves); returns (eigenvalues, eigenvectors) LAPACK-ordered.
     """
     hs = np.asarray(hs, dtype=complex)
-    _require_hermitian(hs)
+    defect, scale = hermiticity_defect(hs)
+    if defect >= HERMITIAN_TOL * scale:
+        raise NonHermitianError(defect, HERMITIAN_TOL * scale)
     return np.linalg.eigh(hs)
 
 
@@ -95,39 +93,14 @@ def hermiticity_defect(h: np.ndarray) -> tuple[float, float]:
     return max_abs(defect), max(1.0, max_abs(scale))
 
 
-def _require_hermitian(h: np.ndarray) -> None:
-    defect, scale = hermiticity_defect(h)
-    bound = HERMITIAN_TOL * scale
-    if defect >= bound:
-        raise NonHermitianError(defect, bound)
-
-
 def propagator_increments(hs: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) - I for every H of a (k, d, d) Hermitian stack.
+    """exp(-i H dt) - I = V diag(exp(-i w dt) - 1) V^dag for every H of a (k, d, d)
+    Hermitian stack: the generic form of HamiltonianModel.propagator_increments.
 
     The identity is left out so that a product of many near-identity steps
     (near_identity_product) never rounds 1 + O(dt^2) per step, which would
     bias the norm by up to half an ulp per step.
-
-    If every H satisfies H^3 = R^2 H with R^2 = tr(H^2)/2, its spectrum lies
-    in {-R, 0, +R} and the Rodrigues form
-    -i (sin(R dt)/R) H + ((cos(R dt) - 1)/R^2) H^2 is exact. That holds for
-    every traceless 2x2 and for a star-coupled matrix with a zero hub
-    diagonal. Any other stack is diagonalized:
-    V diag(exp(-i w dt) - 1) V^dag.
     """
-    hs = np.asarray(hs, dtype=complex)
-    h = np.moveaxis(hs, 0, -1).copy()  # the closed form works on a (d, d, k) copy (see _mul)
-    _require_hermitian(np.moveaxis(h, -1, 0))
-    h2 = _mul(h, h)
-    r2 = 0.5 * np.einsum("iik->k", h2).real
-    defect = np.abs(_mul(h2, h) - r2 * h)
-    if np.all(np.max(defect, axis=(0, 1), initial=0.0) <= SPECTRUM_TOL * r2**1.5):
-        # sin(x)/R = dt sinc(x) and (cos(x) - 1)/R^2 = -(dt^2/2) sinc(x/2)^2
-        # at x = R dt (numpy's sinc takes x/pi); both stay finite at R = 0
-        x = np.sqrt(r2) * (dt / np.pi)
-        e = (-0.5 * dt**2) * np.sinc(0.5 * x) ** 2 * h2 - (1j * dt) * np.sinc(x) * h
-        return np.ascontiguousarray(np.moveaxis(e, -1, 0))
     w, v = eigh_batch(hs)
     # exp(-i a) - 1 = -2 sin^2(a/2) - i sin(a), without cancellation
     steps = -2.0 * np.sin(0.5 * w * dt) ** 2 - 1j * np.sin(w * dt)
@@ -205,15 +178,15 @@ def check_links(sigma: np.ndarray, tol: float, error: type[Exception]) -> None:
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A_k B_k for every k of two (m, m, n) stacks, the stack-last copies the products
-    and the closed-form propagator work on: each entry is one elementwise pass along
-    the contiguous stack axis, where matmul over (n, m, m) makes n tiny products."""
+    """A_k B_k for every k of two (m, m, n) stacks, which the products take as they
+    are or as one stack-last copy of an (n, m, m) stack: each entry is one elementwise
+    pass along the stack axis, where matmul over (n, m, m) makes n tiny products."""
     return np.einsum("ijk,jlk->ilk", a, b)
 
 
 def _pairwise(mats: np.ndarray, pair) -> np.ndarray:
-    """Reduce an (n, m, m) stack in order by combining neighbours in log depth."""
-    mats = np.moveaxis(mats, 0, -1).copy()
+    """Reduce an (m, m, n) stack in order by combining neighbours in log depth;
+    mats itself is neither copied nor written."""
     while mats.shape[-1] > 1:
         paired = pair(mats[..., :-1:2], mats[..., 1::2])
         mats = np.concatenate([paired, mats[..., -1:]], -1) if mats.shape[-1] % 2 else paired
@@ -222,19 +195,18 @@ def _pairwise(mats: np.ndarray, pair) -> np.ndarray:
 
 def ordered_product(mats: np.ndarray) -> np.ndarray:
     """M_0 M_1 ... M_{n-1} of an (n, m, m) stack, multiplied pairwise in log depth."""
-    return _pairwise(mats, _mul)
+    return _pairwise(np.moveaxis(mats, 0, -1).copy(), _mul)
 
 
 def near_identity_product(es: np.ndarray) -> np.ndarray:
     """(I + E_0)(I + E_1) ... (I + E_{n-1}) - I of an (n, m, m) stack of
-    increments, in log depth: (I + A)(I + B) - I = A + B + A B."""
-    def pair(a, b):
-        out = _mul(a, b)
-        out += a
-        out += b
-        return out
+    increments, in log depth."""
+    return near_identity_product_last(np.moveaxis(es, 0, -1).copy())
 
-    return _pairwise(es, pair)
+
+def near_identity_product_last(es: np.ndarray) -> np.ndarray:
+    """near_identity_product of an (m, m, n) stack: (I + A)(I + B) - I = A B + A + B."""
+    return _pairwise(es, lambda a, b: _mul(a, b) + a + b)
 
 
 def prefix_products(mats: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import schema
-from .linalg import RANK_TOL, eigh_batch
+from .linalg import RANK_TOL, eigh_batch, propagator_increments
 from .report import ConfigError
 from .schema import List, Number, Section
 
@@ -38,6 +38,7 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 _SIGNS = np.array([-1.0, 1.0])
+_SPOKES = [0, 2, 3]  # the four-level model's levels that (P, S, Q) couple to its hub, 1
 
 
 class DarkFrameSingularError(ValueError):
@@ -264,13 +265,11 @@ class BandBlock:
 class HamiltonianModel:
     """Provider of a Hermitian matrix H(lambda) for any parameter point.
 
-    Subclasses implement evaluate_batch; energies_batch and
-    band_states_batch default to dense diagonalization (linalg.eigh_batch).
-    Every shipped model overrides both with closed forms, which are exact
-    (this is what makes the dark-band dynamical phase identically zero
-    rather than ~1e-16) and take no dense eigensolve; the default serves
-    generic models.
-    """
+    Subclasses implement evaluate_batch. energies_batch, band_states_batch and
+    propagator_increments default to dense diagonalization (linalg.eigh_batch);
+    every shipped model overrides all three with closed forms, which are exact (the
+    dark-band dynamical phase is identically zero rather than ~1e-16) and take no
+    dense eigensolve."""
 
     dim: int
     parameter_dim: int
@@ -288,9 +287,29 @@ class HamiltonianModel:
         # a copy, so the full eigenvector stack is freed on return
         return w, v[:, :, block.indices()].copy()
 
+    def propagator_increments(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
+        """exp(-i dt A) - I of each exponent A = sum_q weights[e, q] H(lams[j, q]) of a
+        (k, q, p) stack of parameter points, as a (dim, dim, k e) stack, latest (j, e)
+        first. Dense by default: linalg.propagator_increments, copied stack-last."""
+        hs = self.evaluate_batch(lams.reshape(-1, lams.shape[-1])).reshape(*lams.shape[:2], -1)
+        exponents = (weights @ hs).reshape(-1, self.dim, self.dim)
+        return np.moveaxis(propagator_increments(exponents, dt)[::-1], 0, -1).copy()
+
+
+def _rodrigues(couplings: np.ndarray, weights: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
+    """For H linear in a (k, q, c) coupling stack: the (c, k e) rows sum_q w_q c_q of
+    propagator_increments' exponents, latest first; R^2; and, as exp(-i dt H) - I =
+    -i (sin(R dt)/R) H + ((cos(R dt) - 1)/R^2) H^2 wherever H^3 = R^2 H, those two
+    coefficients: dt sinc(x) and -(dt^2/2) sinc(x/2)^2 at x = R dt / pi, finite at R = 0."""
+    c = np.ascontiguousarray((weights @ couplings).reshape(-1, couplings.shape[-1])[::-1].T)
+    r2 = np.einsum("in,in->n", c, c)
+    x = np.sqrt(r2) * (dt / np.pi)
+    return c, r2, dt * np.sinc(x), (-0.5 * dt**2) * np.sinc(0.5 * x) ** 2
+
 
 class QubitModel(HamiltonianModel):
-    """Qubit H = n . sigma with Cartesian parameters lambda = n in R^3."""
+    """Qubit H = n . sigma with Cartesian parameters lambda = n in R^3, with
+    energies, band states and propagator_increments in closed form."""
 
     dim = 2
     parameter_dim = 3
@@ -312,6 +331,20 @@ class QubitModel(HamiltonianModel):
         if block.size == 2:  # any basis is an eigenframe of the whole space, also at n = 0
             return w, np.tile(np.eye(2, dtype=complex), (len(ns), 1, 1))
         return w, qubit_band_states(ns, block.start)[:, :, None]
+
+    def propagator_increments(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
+        """In closed form from the combined fields n: H^2 = R^2 I. A subclass that
+        overrides evaluate_batch gets the dense propagators of its own matrix."""
+        if type(self).evaluate_batch is not QubitModel.evaluate_batch:
+            return super().propagator_increments(lams, weights, dt)
+        n, r2, sin_r, cos_r = _rodrigues(self.field(lams).reshape(*lams.shape[:2], 3), weights, dt)
+        sx, sy, sz = sin_r * n
+        e = np.empty((2, 2, len(r2)), dtype=complex)
+        e.real[0, 0] = e.real[1, 1] = cos_r * r2
+        e.imag[0, 0], e.imag[1, 1] = -sz, sz
+        e.real[0, 1], e.real[1, 0] = -sy, sy
+        e.imag[0, 1] = e.imag[1, 0] = -sx
+        return e
 
 
 class SphereQubitModel(QubitModel):
@@ -340,9 +373,10 @@ class UsbModel(HamiltonianModel):
     """Four-level star-coupled model, lambda = (P, S, Q).
 
     Spectrum is {-R, 0, 0, +R} with R = sqrt(P^2+S^2+Q^2); the middle
-    zero pair is the dark space. Energies and every block's frames are in
-    closed form (band_states_batch); a subclass that overrides
-    evaluate_batch gets the dense frames of its own matrix.
+    zero pair is the dark space. Energies, every block's frames
+    (band_states_batch) and propagator_increments are in closed form; a
+    subclass that overrides evaluate_batch gets the dense frames and
+    propagators of its own matrix.
     """
 
     dim = 4
@@ -351,11 +385,8 @@ class UsbModel(HamiltonianModel):
 
     def evaluate_batch(self, lams: np.ndarray) -> np.ndarray:
         lams = np.asarray(lams, dtype=float).reshape(-1, 3)
-        k = lams.shape[0]
-        h = np.zeros((k, 4, 4), dtype=complex)
-        h[:, 0, 1] = h[:, 1, 0] = lams[:, 0]
-        h[:, 1, 2] = h[:, 2, 1] = lams[:, 1]
-        h[:, 1, 3] = h[:, 3, 1] = lams[:, 2]
+        h = np.zeros((len(lams), 4, 4), dtype=complex)
+        h[:, 1, _SPOKES] = h[:, _SPOKES, 1] = lams
         return h
 
     def energies_batch(self, lams: np.ndarray) -> np.ndarray:
@@ -399,14 +430,26 @@ class UsbModel(HamiltonianModel):
         frames = np.zeros((len(b), 4, block.size), dtype=complex)
         for col, band in enumerate(range(block.start, block.stop)):
             if band in (0, 3):
-                frames[:, [0, 2, 3], col] = math.sqrt(0.5) * b
+                frames[:, _SPOKES, col] = math.sqrt(0.5) * b
                 frames[:, 1, col] = math.sqrt(0.5) * (1.0 if band == 3 else -1.0)
             else:
                 j = others[band - 1]
                 column = -(scale * v[rows, j])[:, None] * v
                 column[rows, j] += 1.0
-                frames[:, [0, 2, 3], col] = column
+                frames[:, _SPOKES, col] = column
         return w, frames
+
+    def propagator_increments(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
+        """In closed form from the combined couplings: H = |1><c| + |c><1| with
+        c = (P, 0, S, Q), so H^2 = R^2 |1><1| + |c><c|."""
+        if type(self).evaluate_batch is not UsbModel.evaluate_batch:
+            return super().propagator_increments(lams, weights, dt)
+        c, r2, sin_r, cos_r = _rodrigues(np.asarray(lams, dtype=float), weights, dt)
+        e = np.zeros((4, 4, len(r2)), dtype=complex)
+        e.real[1, 1] = cos_r * r2
+        e.imag[1, _SPOKES] = e.imag[_SPOKES, 1] = -sin_r * c
+        e.real[np.ix_(_SPOKES, _SPOKES)] = c[:, None] * c * cos_r
+        return e
 
     def dark_frame_batch(self, lams: np.ndarray) -> np.ndarray:
         """Analytic dark frames, shape (k, 4, 2); principal angle branch."""

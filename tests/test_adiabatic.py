@@ -109,12 +109,41 @@ class TestEvolveSchrodinger:
 
     def test_run_validation(self):
         model, path, frame = usb_setup()
-        with pytest.raises(ValueError, match="positive"):
-            adiabatic.AdiabaticRun(model, path, 0.0, 64, frame)
+        for total_time in (0.0, -1.0, math.nan, math.inf):
+            for steps in (64, None):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    adiabatic.AdiabaticRun(model, path, total_time, steps, frame)
         with pytest.raises(ValueError, match="16"):
             adiabatic.AdiabaticRun(model, path, 1.0, 8, frame)
         with pytest.raises(ValueError, match="dimension"):
             adiabatic.AdiabaticRun(model, path, 1.0, 64, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("steps", [None, 256])
+    def test_non_finite_matrix_stops_doubling_and_warns(self, steps):
+        class NaNQubit(models.QubitModel):
+            def evaluate_batch(self, lams):
+                h = super().evaluate_batch(lams)
+                h[len(h) // 2, 0, 0] = math.nan
+                return h
+
+        _, loop, frame = qubit_setup()
+        run = adiabatic.AdiabaticRun(NaNQubit(), loop, 50.0, steps, frame)
+        with pytest.warns(RuntimeWarning, match="error estimate nan at"):
+            result = adiabatic.evolve_schrodinger(run)
+        # the first estimate is NaN: no doubling up to 2^20 steps
+        assert result.steps == (128 if steps is None else steps)
+        assert math.isnan(result.step_error_estimate)
+
+    def test_steps_integrated_counts_every_cf4_run(self):
+        model, path, frame = usb_setup()
+
+        def evolve(steps):
+            run = adiabatic.AdiabaticRun(model, path, 50.0, steps, frame)
+            return adiabatic.evolve_schrodinger(run)
+
+        chosen = evolve(None)
+        assert chosen.steps_integrated == 2 * chosen.steps - 64  # 64 + 128 + ... + N
+        assert evolve(2049).steps_integrated == 2049 + 1024
 
     def test_qubit_loop_total_phase_splits(self):
         # slow drive: stripped overlap phase approaches the loop phase,
@@ -339,6 +368,9 @@ class TestConvergenceSweep:
         d = sweep.distances()
         assert d[0] > d[1] > d[2]
         assert -1.5 <= sweep.slope <= -0.5
+        # the dense fallback multiplies what the integrator did before the
+        # closed-form increments, which gave -1.0681926127529526 exactly
+        assert sweep.slope == pytest.approx(-1.0681926127529526, abs=1e-12)
 
     def test_qubit_sweep_phase_error_first_order(self):
         loop = models.make_azimuthal_loop(QUBIT_LOOP_THETA)

@@ -57,16 +57,44 @@ def evolution(name, total_time, steps):
     return (adiabatic.AdiabaticRun(model, path, total_time, steps, frame),)
 
 
+def cf4_points(path, steps, count):
+    """The Gauss-node parameter pairs of _cf4's first `count` steps, (count, 2, p)."""
+    s = (np.arange(count)[:, None] + adiabatic._NODES) / steps
+    return path(s.ravel()).reshape(count, 2, -1)
+
+
 def cf4_chunk(name, total_time=200.0, steps=2**12):
-    """The increments of _cf4's first chunk, in the order it multiplies them."""
+    """The stack-last increments of _cf4's first chunk, latest first, as it multiplies them."""
     model, path = shipped(name)[:2]
-    k = np.arange(adiabatic._CHUNK // 2)
-    s = ((k[:, None] + adiabatic._NODES) / steps).ravel()
-    hs = model.evaluate_batch(path(s)).reshape(len(k), 2, -1)
-    exponents = (adiabatic._WEIGHTS @ hs).reshape(-1, model.dim, model.dim)
-    es = linalg.propagator_increments(exponents, total_time / steps)[::-1]
-    assert len(es) == adiabatic._CHUNK
+    lams = cf4_points(path, steps, adiabatic._CHUNK // 2)
+    es = model.propagator_increments(lams, adiabatic._WEIGHTS, total_time / steps)
+    assert es.shape[-1] == adiabatic._CHUNK
     return (es,)
+
+
+def model_increments(model, lams, dt):
+    """I + the model's increments, stack-first."""
+    es = model.propagator_increments(lams, adiabatic._WEIGHTS, dt)
+    return np.moveaxis(es, -1, 0) + np.eye(model.dim)
+
+
+def combined_propagators(model, lams, dt):
+    """exp(-i dt A) of each CF4 exponent, latest first, by eigh of the combined matrix."""
+    hs = model.evaluate_batch(lams.reshape(-1, lams.shape[-1])).reshape(len(lams), 2, -1)
+    exponents = (adiabatic._WEIGHTS @ hs).reshape(-1, model.dim, model.dim)
+    return ref.eigh_propagators(exponents[::-1], dt)
+
+
+# the sphere model's loop: the qubit's shipped one, as (theta, phi)
+SPHERE_LOOP = models.ParameterPath(
+    lambda s: np.stack([np.full_like(s, math.pi / 3), 2.0 * math.pi * np.mod(s, 1.0)], axis=1),
+    2, closed=True,
+)
+INCREMENT_MODELS = {
+    "qubit": (models.QubitModel(), shipped("qubit")[1]),
+    "sphere": (models.SphereQubitModel(1.0), SPHERE_LOOP),
+    "usb": (models.UsbModel(), shipped("usb")[1]),
+}
 
 
 def near_identity_links(rng, m):
@@ -145,8 +173,8 @@ for name in MODELS:
         ref.eigh_propagators, lambda rng, k=name: hamiltonians(k, 0.37), None, 1e-14,
     )
     ROWS[f"cf4_chunk-{name}"] = Row(
-        linalg.near_identity_product,
-        lambda es: ref.matmul_pairwise(es, lambda a, b: a @ b + a + b),
+        linalg.near_identity_product_last,
+        lambda es: ref.matmul_pairwise(np.moveaxis(es, -1, 0), lambda a, b: a @ b + a + b),
         lambda rng, k=name: cf4_chunk(k), None, 1e-12,
     )
     for n in (512, 8192) if name == "usb" else (512,):
@@ -159,6 +187,19 @@ for name in MODELS:
             ref.sequential_eigh_evolution,
             lambda rng, a=(name, total_time, steps): evolution(*a), None, 1e-12,
         )
+for name, (model, path) in INCREMENT_MODELS.items():
+    for dt in (1e-3, 0.37, 5.0):
+        ROWS[f"model_increments-{name}-dt{dt:g}"] = Row(
+            model_increments, combined_propagators,
+            lambda rng, a=(model, path, dt): (a[0], cf4_points(a[1], 512, 512), a[2]), None, 1e-14,
+        )
+for name in ("qubit", "usb"):
+    # a zero field: the increments are exactly 0 (no float is below the smallest subnormal)
+    ROWS[f"model_increments-{name}-zero-field"] = Row(
+        lambda model, lams: model.propagator_increments(lams, adiabatic._WEIGHTS, 0.37),
+        lambda model, lams: np.zeros((model.dim, model.dim, 2 * len(lams))),
+        lambda rng, k=name: (MODELS[k](), np.zeros((64, 2, 3))), None, np.nextafter(0.0, 1.0),
+    )
 for name, dense, ns in (("usb", ref.DenseUsb, (512, 8192)), ("qubit", ref.DenseQubit, (512,))):
     for n in ns:
         ROWS[f"block_frames-closed-vs-dense-{name}-{n}"] = Row(

@@ -348,6 +348,8 @@ class TestAdiabaticSweep:
         entries = report.metadata()["diagnostics"]["integrator"]
         assert [e["ramp_time"] for e in entries] == [r[0] for r in report.rows]
         assert [e["steps"] for e in entries] == [r[1] for r in report.rows]
+        # step doubling ran every N from 64 up to the accepted one
+        assert [e["steps_integrated"] for e in entries] == [2 * r[1] - 64 for r in report.rows]
         assert all(0.0 <= e["norm_drift"] < 1e-12 for e in entries)
         assert all(0.0 < e["step_error_estimate"] < 1e-3 for e in entries)
         assert "diagnostics" not in experiments.run_experiment("pancharatnam").metadata()
@@ -359,6 +361,8 @@ class TestAdiabaticSweep:
         lines = report.csv_text().splitlines()
         assert lines[0].split(",")[1] == "steps"
         assert [int(line.split(",")[1]) for line in lines[1:]] == [600, 1000, 2100]
+        entries = report.metadata()["diagnostics"]["integrator"]
+        assert [e["steps_integrated"] for e in entries] == [900, 1500, 3150]
 
     def test_under_resolved_flags_exactly_the_warned_ramps(self):
         config = {"Ts": [10.0, 20.0, 40.0], "steps_per_T": [16, 1024, 2048],
@@ -384,6 +388,17 @@ class TestAdiabaticSweep:
             experiments.run_experiment(
                 "adiabatic-sweep", {"slope_window": window, "reference_samples": 256}
             )
+
+
+class TestShippedSweepsTakeNoDenseEigensolver:
+    @pytest.mark.parametrize("model", ["qubit", "usb"])
+    def test_default_sweep_without_eigh(self, monkeypatch, model):
+        # the closed-form increments, frames and energies serve both shipped models
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolver reached")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert experiments.run_experiment("adiabatic-sweep", {"model": model}).all_passed
 
 
 class TestShippedWilsonLinesTakeRawLinks:

@@ -223,29 +223,11 @@ class TestPropagatorIncrements:
         monkeypatch.setattr(linalg, "eigh_batch", counting)
         return calls
 
-    @pytest.mark.parametrize("dt", [1e-3, 0.37, 5.0])
-    def test_traceless_qubit_stack_closed_form(self, eigh_calls, dt):
-        rng = np.random.default_rng(37)
-        n = rng.normal(size=(512, 3))
-        pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-        hs = np.einsum("ki,ijl->kjl", n, pauli)
-        es = linalg.propagator_increments(hs, dt)
-        assert eigh_calls == []
-        assert linalg.max_abs(es + np.eye(2) - eigh_propagators(hs, dt)) <= 1e-14
-
-    @pytest.mark.parametrize("hub", [0, 1, 3])
-    def test_star_stack_closed_form(self, eigh_calls, hub):
-        rng = np.random.default_rng(41 + hub)
-        hs = star_stack(rng, 512, hub=hub)
-        for dt in (1e-3, 0.37):
-            es = linalg.propagator_increments(hs, dt)
-            assert linalg.max_abs(es + np.eye(4) - eigh_propagators(hs, dt)) <= 1e-14
-        assert eigh_calls == []
-
     def test_general_stack_takes_the_eigh_path(self, eigh_calls):
         rng = np.random.default_rng(43)
         hs = np.stack([random_hermitian(rng, 4) for _ in range(64)])
-        # a detuned hub breaks the {-R, 0, +R} spectrum of one member
+        # stars have the spectrum {-R, 0, +R}, and a detuned hub breaks it:
+        # both take the dense form (the models write their own closed forms)
         detuned = star_stack(rng, 3)
         detuned[1, 1, 1] = 0.5
         dt = 0.2
@@ -261,7 +243,7 @@ class TestPropagatorIncrements:
     def test_zero_hamiltonian_gives_identity(self, eigh_calls):
         es = linalg.propagator_increments(np.zeros((3, 4, 4), dtype=complex), 0.5)
         assert np.array_equal(es, np.zeros((3, 4, 4)))
-        assert eigh_calls == []
+        assert eigh_calls == [3]
 
     def test_steps_are_unitary(self):
         rng = np.random.default_rng(47)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import eigh_propagators
 
 from holosim import linalg, models
 from holosim.report import ConfigError
@@ -424,3 +425,87 @@ class TestModelProviders:
             models.build_model_and_path(
                 {"model": "qubit", "path": {"family": "spiral"}}
             )
+
+
+# the CF4:2 weights of the two Gauss-node Hamiltonians in a step's two exponents
+CF4_WEIGHTS = 0.25 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * math.sqrt(3.0) / 6.0
+
+
+def combined_propagators(model, lams, dt):
+    """exp(-i dt A) of each exponent A = W . (H(l1), H(l2)), latest first, from
+    the dense matrices by one np.linalg.eigh each."""
+    hs = model.evaluate_batch(lams.reshape(-1, lams.shape[-1])).reshape(len(lams), 2, -1)
+    exponents = (CF4_WEIGHTS @ hs).reshape(-1, model.dim, model.dim)[::-1]
+    return eigh_propagators(exponents, dt)
+
+
+def stack_first(es):
+    return np.moveaxis(es, -1, 0)
+
+
+class TestPropagatorIncrements:
+    @pytest.fixture
+    def no_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolver reached")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.37, 5.0])
+    def test_qubit_closed_form(self, dt):
+        rng = np.random.default_rng(37)
+        ns = rng.normal(size=(256, 2, 3))
+        es = models.QubitModel().propagator_increments(ns, CF4_WEIGHTS, dt)
+        assert es.shape == (2, 2, 512)
+        expected = combined_propagators(models.QubitModel(), ns, dt)
+        assert linalg.max_abs(stack_first(es) + np.eye(2) - expected) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [41, 42, 44])
+    def test_usb_closed_form(self, seed):
+        ps = usb_test_points(seed).reshape(200, 2, 3)
+        for dt in (1e-3, 0.37):
+            es = models.UsbModel().propagator_increments(ps, CF4_WEIGHTS, dt)
+            expected = combined_propagators(models.UsbModel(), ps, dt)
+            assert linalg.max_abs(stack_first(es) + np.eye(4) - expected) <= 1e-14
+
+    def test_shipped_models_take_no_dense_eigensolver(self, no_eigh):
+        rng = np.random.default_rng(71)
+        for model in (models.QubitModel(), models.SphereQubitModel(2.0), models.UsbModel()):
+            lams = rng.normal(size=(8, 2, model.parameter_dim))
+            assert np.all(np.isfinite(model.propagator_increments(lams, CF4_WEIGHTS, 0.3)))
+
+    def test_matrix_overrides_take_the_dense_fallback(self):
+        class DetunedQubit(models.QubitModel):
+            def evaluate_batch(self, lams):
+                h = super().evaluate_batch(lams)
+                h[:, 0, 0] += 0.5
+                return h
+
+        class SpokeShifted(models.UsbModel):
+            def evaluate_batch(self, lams):
+                h = super().evaluate_batch(lams)
+                h[:, 2, 2] = 0.3
+                return h
+
+        rng = np.random.default_rng(73)
+        for model in (DetunedQubit(), SpokeShifted()):
+            lams = rng.normal(size=(64, 2, 3))
+            es = model.propagator_increments(lams, CF4_WEIGHTS, 0.37)
+            dense = models.HamiltonianModel.propagator_increments(model, lams, CF4_WEIGHTS, 0.37)
+            assert np.array_equal(es, dense)
+            expected = combined_propagators(model, lams, 0.37)
+            assert linalg.max_abs(stack_first(es) + np.eye(model.dim) - expected) <= 1e-14
+            # not the closed form of the undetuned model
+            plain = type(model).__mro__[1]().propagator_increments(lams, CF4_WEIGHTS, 0.37)
+            assert linalg.max_abs(es - plain) > 1e-2
+
+    def test_dense_fallback_is_the_weighted_dense_propagator(self):
+        # bit for bit what the integrator multiplied before the closed forms
+        rng = np.random.default_rng(79)
+        lams = rng.normal(size=(32, 2, 3))
+        model = models.UsbModel()
+        es = models.HamiltonianModel.propagator_increments(model, lams, CF4_WEIGHTS, 0.2)
+        hs = model.evaluate_batch(lams.reshape(-1, 3)).reshape(32, 2, 16)
+        dense = linalg.propagator_increments((CF4_WEIGHTS @ hs).reshape(-1, 4, 4), 0.2)
+        assert es.flags.c_contiguous
+        assert np.array_equal(es, np.moveaxis(dense[::-1], 0, -1))
