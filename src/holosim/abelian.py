@@ -271,45 +271,47 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
     reference +z makes a counterclockwise-from-+z loop at polar angle
     theta0 come out as +2 pi (1 - cos theta0).
 
-    The chain is closed implicitly (wrap pair included); consecutive
-    antipodal directions, or a vertex antipodal to the reference, are
-    rejected as geometrically ambiguous.
+    The chain is closed implicitly (wrap pair included); consecutive antipodal
+    directions, or a vertex antipodal to the reference, are rejected as geometrically
+    ambiguous, and a zero or non-finite direction by its index. Layout: the (n, 3)
+    directions, of any length, are read as x, y, z rows of one unit (3, n + 1) copy that
+    ends with v_0 again (v_{k+1} is the rows shifted by one); the reference as 3 scalars.
     """
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ValueError(f"expected (n, 3) directions, got shape {dirs.shape}")
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.any(norms < 1e-12):
-        raise ValueError("direction chain contains a zero vector")
-    dirs = dirs / norms[:, None]
+    u = np.concatenate([dirs.T, dirs[:1].T], axis=1)
+    squares = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+    bad = ~(squares < np.inf) | (squares < 1e-24)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        what = "a zero vector" if squares[k] < 1e-24 else "a non-finite entry"
+        raise ValueError(f"direction chain contains {what} at index {k}")
+    u /= np.sqrt(squares)
     ref = np.asarray(reference, dtype=float).ravel()
     ref_norm = float(np.linalg.norm(ref))
     if ref.shape != (3,) or not ref_norm >= 1e-12:
         raise ValueError(f"`reference` must be a nonzero 3-vector, got {reference!r}")
-    ref = ref / ref_norm
+    rx, ry, rz = (ref / ref_norm).tolist()
 
-    nxt = np.roll(dirs, -1, axis=0)
-    pair_gap = np.linalg.norm(dirs + nxt, axis=1)
-    if np.any(pair_gap < ANTIPODAL_TOL):
+    (x0, y0, z0), (x1, y1, z1) = u[:, :-1], u[:, 1:]  # v_k and v_{k+1}
+    pair_gap = (x0 + x1) ** 2 + (y0 + y1) ** 2 + (z0 + z1) ** 2  # |v_k + v_{k+1}|^2
+    if np.any(pair_gap < ANTIPODAL_TOL**2):
         k = int(np.argmin(pair_gap))
         raise ValueError(
             f"consecutive directions ({k}, {k + 1}) are antipodal; the geodesic "
             "between them is ambiguous"
         )
-    ref_gap = np.linalg.norm(dirs + ref[None, :], axis=1)
-    if np.any(ref_gap < 1e-9):
+    if np.any((x0 + rx) ** 2 + (y0 + ry) ** 2 + (z0 + rz) ** 2 < 1e-18):
         raise ValueError(
             "a chain direction is antipodal to the reference vertex; pass a "
             "different `reference`"
         )
 
-    det = np.einsum("i,ki->k", ref, np.cross(dirs, nxt))
-    denom = (
-        1.0
-        + dirs @ ref
-        + np.einsum("ki,ki->k", dirs, nxt)
-        + nxt @ ref
-    )
+    along = rx * u[0] + ry * u[1] + rz * u[2]  # r . v_k
+    # r . (v_k x v_{k+1}) = (r x v_k) . v_{k+1}
+    det = (ry * z0 - rz * y0) * x1 + (rz * x0 - rx * z0) * y1 + (rx * y0 - ry * x0) * z1
+    denom = 1.0 + along[:-1] + (x0 * x1 + y0 * y1 + z0 * z1) + along[1:]
     return float(np.sum(2.0 * np.arctan2(det, denom)))
 
 

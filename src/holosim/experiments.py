@@ -236,9 +236,7 @@ def run_berry_qubit(config: dict) -> ExperimentReport:
         # the oracle is evaluated on a finer sampling than the chain so the
         # row error reflects the chain's own convergence, not a correlated
         # discretization of the same grid
-        lams = path.sample(max(4096, 4 * n))
-        dirs = lams / np.linalg.norm(lams, axis=1)[:, None]
-        oracle = -0.5 * abelian.solid_angle(dirs)
+        oracle = -0.5 * abelian.solid_angle(path.sample(max(4096, 4 * n)))
         rows.append((n, phase, oracle, abs(linalg.wrap_angle(phase - oracle))))
 
     report = _report("berry-qubit", rows, config)
@@ -429,11 +427,8 @@ def run_noise_study(config: dict) -> ExperimentReport:
     def deformed_phase(points: np.ndarray) -> float:
         return chain_phase(models.qubit_band_states(points, config["band"]))
 
-    def area(points: np.ndarray) -> float:
-        dirs = points / np.linalg.norm(points, axis=1)[:, None]
-        return abelian.solid_angle(dirs)
-
     def area_rate(d: np.ndarray, h: float = 1e-4) -> float:
+        area = abelian.solid_angle  # of the loop's directions, normalised there
         return (area(base + h * scale * d) - area(base - h * scale * d)) / (2.0 * h)
 
     # the undeformed loop through the model's sampler, which names s where a band is degenerate

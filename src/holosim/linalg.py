@@ -23,9 +23,9 @@ class NonHermitianError(ValueError):
 
     def __init__(self, defect: float, tol: float):
         self.defect = defect
+        problem = "is not Hermitian" if defect < np.inf else "has a non-finite entry"
         super().__init__(
-            f"matrix is not Hermitian: max |M - M^dag| entry = {defect:.3e} "
-            f"exceeds tolerance {tol:.1e}"
+            f"matrix {problem}: max |M - M^dag| entry = {defect:.3e} exceeds tolerance {tol:.1e}"
         )
 
 
@@ -73,11 +73,12 @@ def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     hs = np.asarray(hs, dtype=complex)
     defect, scale = hermiticity_defect(hs)
-    if defect >= HERMITIAN_TOL * scale:
+    if not defect < HERMITIAN_TOL * scale:
         raise NonHermitianError(defect, HERMITIAN_TOL * scale)
     return np.linalg.eigh(hs)
 
 
+@np.errstate(invalid="ignore")  # inf - inf: a NaN or inf entry gives a NaN or inf defect
 def hermiticity_defect(h: np.ndarray) -> tuple[float, float]:
     """max_abs(H - H^dag) and the scale max(1, max_abs(H)) of a (..., n, n) stack,
     exactly, from (...)-shaped slices of each pair i <= j: |h_ij - conj(h_ji)|
@@ -125,7 +126,8 @@ def link_overlaps(frames: np.ndarray, closed: bool) -> np.ndarray:
 
     Closed paths add the wrap link F_{n-1}^dag F_0 as the last of n links.
     States are the m = 1 case: pass states[..., None] and read the
-    overlaps <psi_k|psi_{k+1}> at [..., 0, 0].
+    overlaps <psi_k|psi_{k+1}> at [..., 0, 0]. Layout: einsum follows the memory order, so
+    frames viewing a stack-last (..., dim, m, n) array sum (n,) slices into stack-last links.
     """
     nxt = np.roll(frames, -1, axis=0) if closed else frames[1:]
     cur = frames if closed else frames[:-1]
@@ -148,7 +150,8 @@ def _polar(links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     phase = det/|det| and C = phase adj(M)^dag = U diag(s2, s1) V^dag,
     M +- C = [[p, q], [-phase q*, phase p*]] with p = a +- phase d*, q = b -+ phase c*,
     so s1 +- s2 = hypot(|p|, |q|) (unlike sqrt(||M||_F^2 - 2|det|), no cancellation
-    near I), U V^dag = (M + C)/(s1 + s2) and s2 = |det|/s1.
+    near I), U V^dag = (M + C)/(s1 + s2) and s2 = |det|/s1. Layout: a ... d are (...)
+    slices, contiguous for stack-last links; the polar factors view a stack-last array.
     """
     if links.shape[-1] > 2:
         u, s, vh = np.linalg.svd(links)
@@ -164,10 +167,9 @@ def _polar(links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p, q = a + phase * np.conj(d), b - phase * np.conj(c)
     s_sum = np.hypot(np.abs(p), np.abs(q)) + tiny
     s_diff = np.hypot(np.abs(a - phase * np.conj(d)), np.abs(b + phase * np.conj(c)))
-    polar = np.stack([p, q, -phase * np.conj(q), phase * np.conj(p)], axis=-1)
-    polar *= (1.0 / s_sum)[..., None]
+    polar = np.stack([p, q, -phase * np.conj(q), phase * np.conj(p)]) * (1.0 / s_sum)
     s_max = 0.5 * (s_sum + s_diff)
-    return polar.reshape(links.shape), abs_det / s_max, s_max
+    return np.moveaxis(polar.reshape(2, 2, *a.shape), (0, 1), (-2, -1)), abs_det / s_max, s_max
 
 
 def check_links(sigma: np.ndarray, tol: float, error: type[Exception]) -> None:
@@ -194,8 +196,8 @@ def _pairwise(mats: np.ndarray, pair) -> np.ndarray:
 
 
 def ordered_product(mats: np.ndarray) -> np.ndarray:
-    """M_0 M_1 ... M_{n-1} of an (n, m, m) stack, multiplied pairwise in log depth."""
-    return _pairwise(np.moveaxis(mats, 0, -1).copy(), _mul)
+    """M_0 M_1 ... M_{n-1} of an (n, m, m) stack, in log depth on its (m, m, n) view or copy."""
+    return _pairwise(np.ascontiguousarray(np.moveaxis(mats, 0, -1)), _mul)
 
 
 def near_identity_product(es: np.ndarray) -> np.ndarray:

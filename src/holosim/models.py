@@ -56,7 +56,7 @@ def qubit_band_states(ns, band: int) -> np.ndarray:
     With polar/azimuthal angles (theta, phi) of each n, band 0 (lower) is
     (sin(theta/2), -e^{i phi} cos(theta/2)) and band 1 (upper) is
     (cos(theta/2), e^{i phi} sin(theta/2)). Loop quantities are gauge
-    invariant, so this phase choice is only a convention.
+    invariant, so this phase choice is only a convention. Stack-last in memory.
     """
     x, y, z = np.moveaxis(np.asarray(ns, dtype=float), -1, 0)
     rho = np.hypot(x, y)
@@ -75,7 +75,7 @@ def qubit_band_states(ns, band: int) -> np.ndarray:
         pair = (np.cos(half), phase * np.sin(half))
     else:
         raise ValueError(f"qubit band must be 0 or 1, got {band}")
-    return np.stack(pair, axis=-1)
+    return np.array(pair).transpose(*range(1, x.ndim + 1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,8 @@ class HamiltonianModel:
         return eigh_batch(self.evaluate_batch(lams))[0]
 
     def band_states_batch(self, lams: np.ndarray, block: BandBlock) -> tuple[np.ndarray, np.ndarray]:
-        """Energies (k, dim), ascending, and the block's frames (k, dim, m) in any gauge."""
+        """Energies (k, dim), ascending, and the block's frames (k, dim, m) in any gauge;
+        the shipped closed forms' frames view a stack-last (dim, m, k) array."""
         w, v = eigh_batch(self.evaluate_batch(lams))
         # a copy, so the full eigenvector stack is freed on return
         return w, v[:, :, block.indices()].copy()
@@ -406,7 +407,7 @@ class UsbModel(HamiltonianModel):
         parallel to b. As v^T v = 2 (1 + |b_k|) >= 2, the pair has no
         singularity at P = S = 0; its gauge jumps where k changes, which
         raw links cancel. R = 0 raises ZeroFieldError. Built from (k,)
-        slices, so no (k, 4, 4) stack is formed.
+        slices into a stack-last (4, m, k) array, so no (k, 4, 4) stack is formed.
         """
         if type(self).evaluate_batch is not UsbModel.evaluate_batch:
             return super().band_states_batch(lams, block)
@@ -418,26 +419,26 @@ class UsbModel(HamiltonianModel):
             raise ZeroFieldError(
                 f"four-level band states undefined at index [{k}]: R = 0 (degenerate levels)"
             )
-        b = lams / r[:, None]
-        rows = np.arange(len(b))
-        pivot = np.argmax(np.abs(b), axis=1)
-        b_pivot = b[rows, pivot]
+        b = np.ascontiguousarray(lams.T) / r  # (3, k)
+        cols = np.arange(len(r))
+        pivot = np.argmax(np.abs(b), axis=0)
+        b_pivot = b[pivot, cols]
         v = b.copy()
-        v[rows, pivot] += np.where(b_pivot < 0.0, -1.0, 1.0)
+        v[pivot, cols] += np.where(b_pivot < 0.0, -1.0, 1.0)
         scale = 1.0 / (1.0 + np.abs(b_pivot))  # 2 / v^T v
         # the reflector's columns other than the pivot, in ascending order
         others = ((pivot == 0).astype(int), 2 - (pivot == 2))
-        frames = np.zeros((len(b), 4, block.size), dtype=complex)
+        frames = np.zeros((4, block.size, len(r)), dtype=complex)
         for col, band in enumerate(range(block.start, block.stop)):
             if band in (0, 3):
-                frames[:, _SPOKES, col] = math.sqrt(0.5) * b
-                frames[:, 1, col] = math.sqrt(0.5) * (1.0 if band == 3 else -1.0)
+                frames[_SPOKES, col] = math.sqrt(0.5) * b
+                frames[1, col] = math.sqrt(0.5) * (1.0 if band == 3 else -1.0)
             else:
                 j = others[band - 1]
-                column = -(scale * v[rows, j])[:, None] * v
-                column[rows, j] += 1.0
-                frames[:, _SPOKES, col] = column
-        return w, frames
+                column = -(scale * v[j, cols]) * v
+                column[j, cols] += 1.0
+                frames[_SPOKES, col] = column
+        return w, frames.transpose(2, 0, 1)
 
     def propagator_increments(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
         """In closed form from the combined couplings: H = |1><c| + |c><1| with

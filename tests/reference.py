@@ -169,16 +169,17 @@ def reference_flux_and_boundary(model, band, origin, plane, extents, cells):
 
 def reference_solid_angle(directions, reference=(0.0, 0.0, 1.0)):
     """Signed solid angle of a closed chain of directions: one van Oosterom-
-    Strackee triangle (reference, a, b) at a time, in math."""
+    Strackee triangle (reference, a, b) at a time, in math, and their exactly
+    rounded sum (a running sum of 65,536 same-signed terms drifts by 2e-12)."""
     vectors = [reference] + np.asarray(directions, dtype=float).tolist()
     r, *dirs = ([x / math.hypot(*v) for x in v] for v in vectors)
-    total = 0.0
+    terms = []
     for a, b in zip(dirs, dirs[1:] + dirs[:1]):
         # (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}
         det = sum(r[i] * (a[i - 2] * b[i - 1] - a[i - 1] * b[i - 2]) for i in range(3))
         denom = 1.0 + sum(a[i] * r[i] + a[i] * b[i] + b[i] * r[i] for i in range(3))
-        total += 2.0 * math.atan2(det, denom)
-    return total
+        terms.append(2.0 * math.atan2(det, denom))
+    return math.fsum(terms)
 
 
 def reference_usb_eta_pair(path, n_samples):

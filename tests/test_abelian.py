@@ -322,6 +322,19 @@ class TestSolidAngle:
             -abelian.solid_angle(dirs), abs=1e-12
         )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_direction_rejected(self, value):
+        dirs = OCTANT.copy()
+        dirs[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite entry at index 1"):
+            abelian.solid_angle(dirs)
+
+    def test_zero_direction_rejected(self):
+        dirs = OCTANT.copy()
+        dirs[2] = 0.0
+        with pytest.raises(ValueError, match="zero vector at index 2"):
+            abelian.solid_angle(dirs)
+
     def test_antipodal_consecutive_rejected(self):
         dirs = np.array([[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]])
         with pytest.raises(ValueError, match="antipodal"):

@@ -120,6 +120,23 @@ class TestEvolveSchrodinger:
 
     @pytest.mark.parametrize("steps", [None, 256])
     def test_non_finite_matrix_stops_doubling_and_warns(self, steps):
+        # a NaN field reaches the closed-form increments, which take no eigh_batch check
+        class NaNFieldQubit(models.QubitModel):
+            def field(self, lams):
+                n = super().field(lams).copy()
+                n[len(n) // 2, 0] = math.nan
+                return n
+
+        _, loop, frame = qubit_setup()
+        run = adiabatic.AdiabaticRun(NaNFieldQubit(), loop, 50.0, steps, frame)
+        with pytest.warns(RuntimeWarning, match="error estimate nan at"):
+            result = adiabatic.evolve_schrodinger(run)
+        # the first estimate is NaN: no doubling up to 2^20 steps
+        assert result.steps == (128 if steps is None else steps)
+        assert math.isnan(result.step_error_estimate)
+
+    def test_nan_matrix_is_a_typed_error(self):
+        # the dense path: eigh_batch rejects the NaN entry, in a run and in a sweep
         class NaNQubit(models.QubitModel):
             def evaluate_batch(self, lams):
                 h = super().evaluate_batch(lams)
@@ -127,12 +144,14 @@ class TestEvolveSchrodinger:
                 return h
 
         _, loop, frame = qubit_setup()
-        run = adiabatic.AdiabaticRun(NaNQubit(), loop, 50.0, steps, frame)
-        with pytest.warns(RuntimeWarning, match="error estimate nan at"):
-            result = adiabatic.evolve_schrodinger(run)
-        # the first estimate is NaN: no doubling up to 2^20 steps
-        assert result.steps == (128 if steps is None else steps)
-        assert math.isnan(result.step_error_estimate)
+        run = adiabatic.AdiabaticRun(NaNQubit(), loop, 50.0, 256, frame)
+        with pytest.raises(linalg.NonHermitianError, match="non-finite entry"):
+            adiabatic.evolve_schrodinger(run)
+        with pytest.raises(linalg.NonHermitianError, match="non-finite entry"):
+            adiabatic.convergence_sweep(
+                NaNQubit(), loop, holonomy.BandBlock(0, 1), [50.0, 200.0, 800.0],
+                reference_samples=1024,
+            )
 
     def test_steps_integrated_counts_every_cf4_run(self):
         model, path, frame = usb_setup()

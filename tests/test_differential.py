@@ -187,6 +187,13 @@ for name in MODELS:
             ref.sequential_eigh_evolution,
             lambda rng, a=(name, total_time, steps): evolution(*a), None, 1e-12,
         )
+# the raw-link line from the stack-last closed-form frames, against the naive
+# link-at-a-time product over dense frames (a gauge the raw links cancel)
+ROWS["wilson_line-usb-65536"] = Row(
+    lambda *args: holonomy.wilson_line(*args).matrix,
+    lambda model, *args: ref.reference_wilson_line(holonomy._sample_frames(ref.DenseUsb(), *args)),
+    lambda rng: shipped("usb", 2**16), None, 1e-12,
+)
 for name, (model, path) in INCREMENT_MODELS.items():
     for dt in (1e-3, 0.37, 5.0):
         ROWS[f"model_increments-{name}-dt{dt:g}"] = Row(
@@ -253,6 +260,17 @@ for key, inputs, seed in (
     ROWS[f"solid_angle-{key}-4096"] = Row(
         abelian.solid_angle, ref.reference_solid_angle, inputs, seed, 1e-12
     )
+# the berry-qubit oracle's inputs: loop points of radius 0.5 to 2.0, not normalised
+# by the caller, up to 2^16 points (the experiment takes up to 2^18)
+for radius, n in ((0.5, 4096), (2.0, 4096), (2.0, 2**16)):
+    ROWS[f"solid_angle-radius{radius:g}-{n}"] = Row(
+        abelian.solid_angle, ref.reference_solid_angle,
+        lambda rng, r=radius, n=n: (models.make_azimuthal_loop(1.0, r).sample(n),), None, 1e-12,
+    )
+ROWS["solid_angle-usb-loop-65536"] = Row(
+    abelian.solid_angle, ref.reference_solid_angle,
+    lambda rng: (models.make_usb_loop("circle").sample(2**16),), None, 1e-12,
+)
 for key, params in (("shipped", {}), ("q0-b", {"q0": 0.3, "b": 0.15}), ("a", {"a": 0.4})):
     ROWS[f"usb_eta_pair-{key}-4096"] = Row(
         holonomy.usb_eta_pair, ref.reference_usb_eta_pair,

@@ -72,6 +72,16 @@ class TestEigh:
         assert exc.value.defect == pytest.approx(1.0)
         assert "1.0" in str(exc.value) or "1.000" in str(exc.value)
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1j * math.inf])
+    def test_rejects_non_finite_entry(self, entry, value):
+        # NaN >= bound is False: a NaN-diagonal 2x2 used to pass and come back as +-1.414
+        hs = np.tile(np.diag([1.0, -1.0]).astype(complex), (3, 1, 1))
+        hs[1][entry] = value
+        with pytest.raises(linalg.NonHermitianError, match="non-finite entry") as exc:
+            linalg.eigh_batch(hs)
+        assert not math.isfinite(exc.value.defect)
+
     @pytest.mark.parametrize("shape", [(3, 3), (64, 2, 2), (5, 7, 4, 4)])
     def test_hermiticity_defect_is_exact(self, shape):
         rng = np.random.default_rng(83)
