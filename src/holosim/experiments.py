@@ -233,10 +233,10 @@ def run_berry_qubit(config: dict) -> ExperimentReport:
     for n in config["ladder"]:
         chain = abelian.band_state_chain(model, path, config["band"], n)
         phase = abelian.discrete_geometric_phase(chain).phase
-        # the oracle is evaluated on a finer sampling than the chain so the
-        # row error reflects the chain's own convergence, not a correlated
-        # discretization of the same grid
-        oracle = -0.5 * abelian.solid_angle(path.sample(max(4096, 4 * n)))
+        # the oracle, -Omega/2 on band 0 and +Omega/2 on band 1, is evaluated on a
+        # finer sampling than the chain so the row error reflects the chain's own
+        # convergence, not a correlated discretization of the same grid
+        oracle = (config["band"] - 0.5) * abelian.solid_angle(path.sample(max(4096, 4 * n)))
         rows.append((n, phase, oracle, abs(linalg.wrap_angle(phase - oracle))))
 
     report = _report("berry-qubit", rows, config)
@@ -297,8 +297,8 @@ def run_curvature_map(config: dict) -> ExperimentReport:
     report = _report("curvature-map", rows, config)
     tol = float(config["tolerance"])
     vals = np.array(normalized_values)
-    mean_err = abs(float(np.mean(vals)) - (-0.5))
-    worst_err = float(np.max(np.abs(vals - (-0.5)))) if len(vals) else math.inf
+    mean_err = abs(float(np.mean(vals)) - (band - 0.5))  # -1/2 on band 0, +1/2 on band 1
+    worst_err = float(np.max(np.abs(vals - (band - 0.5)))) if len(vals) else math.inf
     flux_err = abs(linalg.wrap_angle(flux - boundary))
     report.add_check("mean_curvature_error", mean_err < tol, mean_err, f"< {tol:g}")
     report.add_check("worst_cell_error", worst_err < tol, worst_err, f"< {tol:g}")

@@ -30,6 +30,7 @@ from .linalg import (
     dagger,
     link_overlaps,
     link_polar,
+    link_sigma_min,
     max_abs,
     nearest_unitary,
     ordered_product,
@@ -209,7 +210,7 @@ def wilson_line(
         raise ValueError("the Wilson line is defined for closed paths only")
     raw = _sample_frames(model, path, block, n_samples, initial_frame)
     links = link_overlaps(raw, closed=True)
-    sigma = link_polar(links)[1]
+    sigma = link_sigma_min(links)
     check_links(sigma, SUBSPACE_OVERLAP_TOL, IllConditionedLinkError)
     matrix = nearest_unitary(ordered_product(links))
     return HolonomyResult(matrix, unitarity_defect(matrix), len(links), float(np.min(sigma)))

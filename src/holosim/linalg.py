@@ -137,14 +137,22 @@ def link_overlaps(frames: np.ndarray, closed: bool) -> np.ndarray:
 def link_polar(links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polar factor and smallest singular value of each link of a (..., m, m) stack.
 
-    m = 1: z/|z| and |z|; m > 2: one batched SVD; m = 2 in closed form (see _polar).
+    m = 1: z/|z| and |z|; m > 2: batched SVDs; m = 2 in closed form (see _polar).
     Zero and singular links get sigma = 0, NaN links NaN, and no warning.
     """
-    return _polar(links)[:2]
+    polar, sigma, _ = _polar(links)
+    return polar(), sigma
 
 
-def _polar(links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """link_polar's polar factors and smallest singular values, and the largest ones.
+def link_sigma_min(links: np.ndarray) -> np.ndarray:
+    """link_polar's smallest singular values alone, bit for bit, without the polar factors."""
+    return _polar(links)[1]
+
+
+def _polar(links: np.ndarray) -> tuple:
+    """link_polar's polar factors, as a function that forms them when called, and its
+    smallest singular values, and the largest ones. m > 2: singular values from an SVD
+    without vectors, and the factors from a second, full SVD.
 
     m = 2 in closed form (Higham 1986): for M = [[a, b], [c, d]] = U diag(s1, s2) V^dag,
     phase = det/|det| and C = phase adj(M)^dag = U diag(s2, s1) V^dag,
@@ -154,22 +162,26 @@ def _polar(links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     slices, contiguous for stack-last links; the polar factors view a stack-last array.
     """
     if links.shape[-1] > 2:
-        u, s, vh = np.linalg.svd(links)
-        return u @ vh, s[..., -1], s[..., 0]
+        s = np.linalg.svd(links, compute_uv=False)
+        return lambda: np.matmul(*np.linalg.svd(links)[::2]), s[..., -1], s[..., 0]  # U V^dag
     tiny = np.finfo(float).tiny  # + tiny turns 0/0 into 0 and moves no other sum
     if links.shape[-1] == 1:
         size = np.abs(links[..., 0, 0])
-        return links * (1.0 / (np.abs(links) + tiny)), size, size
+        return lambda: links * (1.0 / (np.abs(links) + tiny)), size, size
     a, b, c, d = links[..., 0, 0], links[..., 0, 1], links[..., 1, 0], links[..., 1, 1]
     det = a * d - b * c
     abs_det = np.abs(det)
     phase = det * (1.0 / (abs_det + tiny))
-    p, q = a + phase * np.conj(d), b - phase * np.conj(c)
+    phase_d, phase_c = phase * np.conj(d), phase * np.conj(c)
+    p, q = a + phase_d, b - phase_c
     s_sum = np.hypot(np.abs(p), np.abs(q)) + tiny
-    s_diff = np.hypot(np.abs(a - phase * np.conj(d)), np.abs(b + phase * np.conj(c)))
-    polar = np.stack([p, q, -phase * np.conj(q), phase * np.conj(p)]) * (1.0 / s_sum)
-    s_max = 0.5 * (s_sum + s_diff)
-    return np.moveaxis(polar.reshape(2, 2, *a.shape), (0, 1), (-2, -1)), abs_det / s_max, s_max
+    s_max = 0.5 * (s_sum + np.hypot(np.abs(a - phase_d), np.abs(b + phase_c)))
+
+    def polar():
+        factors = np.stack([p, q, -phase * np.conj(q), phase * np.conj(p)]) * (1.0 / s_sum)
+        return np.moveaxis(factors.reshape(2, 2, *a.shape), (0, 1), (-2, -1))
+
+    return polar, abs_det / s_max, s_max
 
 
 def check_links(sigma: np.ndarray, tol: float, error: type[Exception]) -> None:
@@ -241,7 +253,7 @@ def nearest_unitary(m: np.ndarray) -> np.ndarray:
     tol = RANK_TOL * max(1.0, float(s_max[0]))
     if not s_min[0] > tol:
         raise RankDeficientError(float(s_min[0]), tol)
-    return polar[0]
+    return polar()[0]
 
 
 def unitarity_defect(m: np.ndarray) -> float:

@@ -141,6 +141,25 @@ def reference_link_polar(links):
     return polar, sigma
 
 
+def stacked_azimuthal(s, theta0, radius=1.0):
+    """make_azimuthal_loop's points as they were formed before the paths went
+    stack-last: s wrapped by np.mod, the coordinates stacked along axis 1."""
+    a = 2.0 * math.pi * np.mod(s, 1.0)
+    st, ct = math.sin(theta0), math.cos(theta0)
+    return radius * np.stack([st * np.cos(a), st * np.sin(a), np.full_like(a, ct)], axis=1)
+
+
+def stacked_usb_circle(s, s0=1.0, a=0.5, q0=0.5, b=0.25):
+    """The usb circle family's points in the same earlier form."""
+    w = 2.0 * math.pi * np.mod(s, 1.0)
+    return np.stack([a * np.sin(w), s0 + a * np.cos(w), q0 + b * np.sin(w)], axis=1)
+
+
+def stacked_constant(s, lam):
+    """constant_path's points in the same earlier form: one (k, p) row per s."""
+    return np.tile(np.asarray(lam, dtype=float).ravel(), (len(s), 1))
+
+
 def reference_loop_phase(states):
     """arg prod_k <psi_k|psi_{k+1}> around a closed chain, one np.vdot at a time."""
     product = 1.0 + 0.0j

@@ -124,6 +124,30 @@ def tracked_reference(*args):
     return frames, ref.reference_wilson_line(frames)
 
 
+def sigma_twice(links):
+    """link_sigma_min, once for link_polar's sigma and once for the per-link SVD's."""
+    sigma = linalg.link_sigma_min(links)
+    return sigma, sigma
+
+
+def sigma_references(links):
+    return linalg.link_polar(links)[1], ref.reference_link_polar(links)[1]
+
+
+def bits(points):
+    """The bit patterns of a float array: rows on them are exact down to the sign of a zero."""
+    return np.ascontiguousarray(points).view(np.uint64)
+
+
+def path_s_values():
+    """s in [0, 1), s = 1, signed zeros and subnormals, negative and large s, and the
+    CF4 Gauss-node grid with its reversal 1 - s."""
+    nodes = ((np.arange(4096)[:, None] + adiabatic._NODES) / 4096).ravel()
+    edges = [1.0, 0.0, -0.0, 5e-324, -5e-324, -1e-20, 1.0 - 2.0**-53, 7.25, -3.5, 1e17]
+    grid = np.arange(4096) / 4096
+    return (np.concatenate([grid, edges, -np.arange(1, 600) / 97, nodes, 1.0 - nodes]),)
+
+
 def frame_checks(model, path, block, n, f0):
     """The block's eigen-residual and projector, and the Wilson line built from its frames."""
     lams = path.sample(n)
@@ -159,7 +183,16 @@ for m in (1, 2, 3):
         linalg.link_polar, ref.reference_link_polar, lambda rng, m=m: near_identity_links(rng, m),
         67 + m, (1e-13, 1e-15),
     )
+EXACT = np.nextafter(0.0, 1.0)  # a bound no nonzero deviation is below
+for m in (1, 2, 3):
+    ROWS[f"link_sigma_min-near-identity-m{m}"] = Row(
+        sigma_twice, sigma_references, lambda rng, m=m: near_identity_links(rng, m), 67 + m,
+        (EXACT, 1e-15),
+    )
 for name in MODELS:
+    ROWS[f"link_sigma_min-{name}-links"] = Row(
+        sigma_twice, sigma_references, lambda rng, k=name: (links(k, 512),), None, (EXACT, 1e-15)
+    )
     ROWS[f"link_polar-{name}-links"] = Row(
         linalg.link_polar, ref.reference_link_polar,
         lambda rng, k=name: (links(k, 512),), None, 1e-13,
@@ -252,6 +285,24 @@ for key, args in (
         abelian.plaquette_flux_and_boundary, ref.reference_flux_and_boundary,
         lambda rng, a=args: a, None, 1e-12,
     )
+# every shipped path family, bit for bit against its (k, p)-stacked np.mod form;
+# parameters that are not powers of two, so a reassociated product shows
+for key, path, stacked in (
+    ("azimuthal", models.make_azimuthal_loop(1.0, 1.7),
+     lambda s: ref.stacked_azimuthal(s, 1.0, 1.7)),
+    ("usb-circle", models.make_usb_loop("circle", {"a": 0.4, "q0": 0.3, "b": 0.15}),
+     lambda s: ref.stacked_usb_circle(s, a=0.4, q0=0.3, b=0.15)),
+    ("constant", models.constant_path([0.3, -0.0, 2.0]),
+     lambda s: ref.stacked_constant(s, [0.3, -0.0, 2.0])),
+):
+    for name, kernel, reference in (
+        (key, path, stacked),
+        (key + "-reversed", models.reversed_path(path), lambda s, f=stacked: f(1.0 - s)),
+    ):
+        ROWS[f"path-{name}"] = Row(
+            lambda s, p=kernel: bits(p(s)), lambda s, f=reference: bits(f(s)),
+            lambda rng: path_s_values(), None, EXACT,
+        )
 for key, inputs, seed in (
     ("azimuthal", lambda rng: (models.make_azimuthal_loop(1.0).sample(4096),), None),
     ("usb-loop", lambda rng: (models.make_usb_loop("circle").sample(4096),), None),

@@ -244,6 +244,16 @@ class TestBerryQubit:
         rev = experiments.run_experiment("berry-qubit", {"ladder": [512], "reverse": True})
         assert fwd.rows[0][1] == pytest.approx(-rev.rows[0][1], abs=1e-12)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_upper_band_acquires_plus_half_the_solid_angle(self, reverse):
+        cfg = {"ladder": [64, 1024], "reverse": reverse}
+        lower = experiments.run_experiment("berry-qubit", cfg)
+        upper = experiments.run_experiment("berry-qubit", cfg | {"band": 1})
+        assert lower.all_passed and upper.all_passed
+        assert [row[2] for row in upper.rows] == [-row[2] for row in lower.rows]
+        for up, low in zip(upper.rows, lower.rows):
+            assert up[1] == pytest.approx(-low[1], abs=1e-12)
+
     def test_small_loop_phase_vanishes(self):
         report = experiments.run_experiment(
             "berry-qubit", {"path": {"params": {"theta0": 0.05}}, "ladder": [1024]}
@@ -265,6 +275,15 @@ class TestCurvatureMap:
         assert len(report.rows) == 400
         names = [c.name for c in report.checks]
         assert "flux_equals_boundary_phase" in names
+
+    def test_upper_band_density_is_plus_one_half(self):
+        small = {"grid": {"cells": [4, 4]}, "tiling": {"cells": [2, 2]}}
+        lower = experiments.run_experiment("curvature-map", small)
+        upper = experiments.run_experiment("curvature-map", small | {"band": 1})
+        assert upper.all_passed
+        normalized = np.array([row[3] for row in upper.rows])
+        assert np.all(np.abs(normalized - 0.5) < 1e-5)
+        assert np.allclose(normalized, [-row[3] for row in lower.rows], rtol=0.0, atol=1e-12)
 
     def test_degenerate_cell_flagged_and_run_continues(self, monkeypatch):
         calls = {"n": 0}

@@ -298,9 +298,19 @@ class TestLinkPolar:
     def test_zero_and_singular_links_give_exact_zero(self, link):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            polar, sigma = linalg.link_polar(np.asarray(link, dtype=complex)[None])
-        assert sigma[0] == 0.0
+            links = np.asarray(link, dtype=complex)[None]
+            polar, sigma = linalg.link_polar(links)
+            sigma_only = linalg.link_sigma_min(links)
+        assert sigma[0] == 0.0 and sigma_only[0] == 0.0
         assert np.all(np.isfinite(polar))
+
+    def test_sigma_min_takes_no_singular_vectors(self, monkeypatch):
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(kw) or svd(a, **kw))
+        links = np.random.default_rng(3).normal(size=(8, 3, 3))
+        linalg.link_sigma_min(links)
+        linalg.link_sigma_min(links[:, :2, :2])  # the closed form takes no SVD
+        assert calls == [{"compute_uv": False}]
 
     def test_ill_conditioned_polar_no_worse_than_svd(self):
         # the polar factor of a complex matrix has condition number

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from reference import eigh_propagators
 
-from holosim import linalg, models
+from holosim import abelian, adiabatic, holonomy, linalg, models
 from holosim.report import ConfigError
 
 
@@ -509,3 +509,62 @@ class TestPropagatorIncrements:
         dense = linalg.propagator_increments((CF4_WEIGHTS @ hs).reshape(-1, 4, 4), 0.2)
         assert es.flags.c_contiguous
         assert np.array_equal(es, np.moveaxis(dense[::-1], 0, -1))
+
+
+def c_ordered(path):
+    """The same path with its points as a C-ordered (k, p) copy, as a user's path may be."""
+    def evaluate(s):
+        return np.ascontiguousarray(path.evaluate(s))
+
+    return models.ParameterPath(evaluate, path.parameter_dim, path.closed, path.label)
+
+
+def both_layouts(path):
+    return path, c_ordered(path)
+
+
+def cf4_nodes(path, steps=512):
+    """The (steps, 2, p) Gauss-node points the integrator gives propagator_increments."""
+    s = (np.arange(steps)[:, None] + adiabatic._NODES) / steps
+    return path(s.ravel()).reshape(steps, 2, -1)
+
+
+QUBIT_LOOP = models.make_azimuthal_loop(1.0, 2.0)
+USB_LOOP = models.make_usb_loop("circle", {"q0": 0.3})
+
+
+class TestPathLayout:
+    """The shipped families' points view stack-last memory; each consumer gives the
+    same bits on a C-ordered copy, so user-supplied paths keep working."""
+
+    @pytest.mark.parametrize("path", [
+        QUBIT_LOOP, USB_LOOP, models.constant_path([1.0, 2.0, 3.0]), models.reversed_path(USB_LOOP)
+    ])
+    def test_shipped_families_are_stack_last(self, path):
+        points, copied = (p.sample(64) for p in both_layouts(path))
+        assert points.shape == (64, 3) and points.T.flags.c_contiguous
+        assert copied.flags.c_contiguous and np.array_equal(points, copied)
+
+    @pytest.mark.parametrize("path", [QUBIT_LOOP, models.reversed_path(QUBIT_LOOP)])
+    def test_qubit_chain_and_solid_angle(self, path):
+        for band in (0, 1):
+            a, b = (abelian.band_state_chain(models.QubitModel(), p, band, 4096).states
+                    for p in both_layouts(path))
+            assert np.array_equal(a, b)
+        a, b = (abelian.solid_angle(p.sample(4096)) for p in both_layouts(path))
+        assert a == b
+
+    def test_usb_wilson_line_and_eta_pair(self):
+        a, b = (holonomy.usb_wilson_line(p, 4096) for p in both_layouts(USB_LOOP))
+        assert np.array_equal(a.matrix, b.matrix)
+        assert a.min_link_singular_value == b.min_link_singular_value
+        a, b = (holonomy.usb_eta_pair(p, 4096) for p in both_layouts(USB_LOOP))
+        assert a == b
+
+    @pytest.mark.parametrize(
+        "model, path", [(models.QubitModel(), QUBIT_LOOP), (models.UsbModel(), USB_LOOP)]
+    )
+    def test_propagator_increments(self, model, path):
+        a, b = (model.propagator_increments(cf4_nodes(p), CF4_WEIGHTS, 0.37)
+                for p in both_layouts(path))
+        assert np.array_equal(a, b)
