@@ -8,11 +8,10 @@ holonomy.transport on 1-D frames.
 Sign convention (fixed once, everywhere): loop phases are reported as
 arg prod_k <psi_k|psi_{k+1}> with the chain ordered in increasing s and
 the wrap pair included. Under this convention the qubit *lower* band
-acquires -Omega/2 (mod 2 pi) on a counterclockwise-from-+z loop and the
-*upper* band +Omega/2, where Omega is the signed solid angle from
-solid_angle below. The connection A_i = i <psi|d_i psi> keeps its
-textbook sign, so its loop integral equals the *negative* of the chain
-phase.
+acquires -Omega/2 (mod 2 pi) on a counterclockwise-from-+z loop and the *upper*
+band +Omega/2, where Omega is the signed solid angle from solid_angle below. The
+connection A_i = i <psi|d_i psi> keeps its textbook sign, so its loop integral
+equals the *negative* of the chain phase.
 """
 
 from __future__ import annotations

@@ -137,7 +137,7 @@ def link_overlaps(frames: np.ndarray, closed: bool) -> np.ndarray:
 def link_polar(links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polar factor and smallest singular value of each link of a (..., m, m) stack.
 
-    m = 1: z/|z| and |z|; m > 2: batched SVDs; m = 2 in closed form (see _polar).
+    m = 1: z/|z| and |z|; m > 2: one batched SVD; m = 2 in closed form (see _polar).
     Zero and singular links get sigma = 0, NaN links NaN, and no warning.
     """
     polar, sigma, _ = _polar(links)
@@ -151,8 +151,7 @@ def link_sigma_min(links: np.ndarray) -> np.ndarray:
 
 def _polar(links: np.ndarray) -> tuple:
     """link_polar's polar factors, as a function that forms them when called, and its
-    smallest singular values, and the largest ones. m > 2: singular values from an SVD
-    without vectors, and the factors from a second, full SVD.
+    smallest singular values, and the largest ones.
 
     m = 2 in closed form (Higham 1986): for M = [[a, b], [c, d]] = U diag(s1, s2) V^dag,
     phase = det/|det| and C = phase adj(M)^dag = U diag(s2, s1) V^dag,
@@ -162,8 +161,8 @@ def _polar(links: np.ndarray) -> tuple:
     slices, contiguous for stack-last links; the polar factors view a stack-last array.
     """
     if links.shape[-1] > 2:
-        s = np.linalg.svd(links, compute_uv=False)
-        return lambda: np.matmul(*np.linalg.svd(links)[::2]), s[..., -1], s[..., 0]  # U V^dag
+        u, s, vh = np.linalg.svd(links)
+        return lambda: u @ vh, s[..., -1], s[..., 0]
     tiny = np.finfo(float).tiny  # + tiny turns 0/0 into 0 and moves no other sum
     if links.shape[-1] == 1:
         size = np.abs(links[..., 0, 0])

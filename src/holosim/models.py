@@ -88,10 +88,11 @@ class ParameterPath:
     """Map s in [0,1] -> parameter vector, with a closed-loop flag.
 
     evaluate is vectorized: an (k,) array of s values yields a (k, dim)
-    array; the shipped families return a view of stack-last (dim, k) memory
-    and consumers accept either layout. Closed paths are built so that
-    lambda(0) == lambda(1) bitwise (constructors reduce s modulo 1); the
-    constructor still verifies the closure invariant.
+    array; the shipped families return a view of stack-last (dim, k) memory.
+    Consumers accept either layout; one whose speed depends on it copies the
+    orientation it reads (np.ascontiguousarray), as _rodrigues does. Closed
+    paths are built so that lambda(0) == lambda(1) bitwise (constructors
+    reduce s modulo 1); the constructor still verifies the closure invariant.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]

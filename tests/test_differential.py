@@ -124,16 +124,6 @@ def tracked_reference(*args):
     return frames, ref.reference_wilson_line(frames)
 
 
-def sigma_twice(links):
-    """link_sigma_min, once for link_polar's sigma and once for the per-link SVD's."""
-    sigma = linalg.link_sigma_min(links)
-    return sigma, sigma
-
-
-def sigma_references(links):
-    return linalg.link_polar(links)[1], ref.reference_link_polar(links)[1]
-
-
 def bits(points):
     """The bit patterns of a float array: rows on them are exact down to the sign of a zero."""
     return np.ascontiguousarray(points).view(np.uint64)
@@ -184,18 +174,10 @@ for m in (1, 2, 3):
         67 + m, (1e-13, 1e-15),
     )
 EXACT = np.nextafter(0.0, 1.0)  # a bound no nonzero deviation is below
-for m in (1, 2, 3):
-    ROWS[f"link_sigma_min-near-identity-m{m}"] = Row(
-        sigma_twice, sigma_references, lambda rng, m=m: near_identity_links(rng, m), 67 + m,
-        (EXACT, 1e-15),
-    )
 for name in MODELS:
-    ROWS[f"link_sigma_min-{name}-links"] = Row(
-        sigma_twice, sigma_references, lambda rng, k=name: (links(k, 512),), None, (EXACT, 1e-15)
-    )
     ROWS[f"link_polar-{name}-links"] = Row(
         linalg.link_polar, ref.reference_link_polar,
-        lambda rng, k=name: (links(k, 512),), None, 1e-13,
+        lambda rng, k=name: (links(k, 512),), None, (1e-13, 1e-15),
     )
     ROWS[f"prefix_products-{name}-polar-factors"] = Row(
         linalg.prefix_products, ref.sequential_prefixes,

@@ -304,14 +304,6 @@ class TestLinkPolar:
         assert sigma[0] == 0.0 and sigma_only[0] == 0.0
         assert np.all(np.isfinite(polar))
 
-    def test_sigma_min_takes_no_singular_vectors(self, monkeypatch):
-        svd, calls = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(kw) or svd(a, **kw))
-        links = np.random.default_rng(3).normal(size=(8, 3, 3))
-        linalg.link_sigma_min(links)
-        linalg.link_sigma_min(links[:, :2, :2])  # the closed form takes no SVD
-        assert calls == [{"compute_uv": False}]
-
     def test_ill_conditioned_polar_no_worse_than_svd(self):
         # the polar factor of a complex matrix has condition number
         # 1/sigma_min, here 1e7; the closed form stays within SVD's error
