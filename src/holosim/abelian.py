@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .holonomy import block_frames, transport
-from .linalg import check_links, gauge_fix, link_overlaps, wrap_angle
+from .linalg import blocks, check_links, gauge_fix, link_overlaps, wrap_angle
 from .models import BandBlock, HamiltonianModel, ParameterPath, qubit_band_states
 
 OVERLAP_TOL = 1e-8
@@ -63,7 +63,7 @@ class StateChain:
             raise ValueError(f"expected (n, dim) state stack, got shape {states.shape}")
         norms = np.linalg.norm(states, axis=1)
         if np.any(norms < 1e-12):
-            raise ValueError("chain contains a zero state")
+            raise ValueError(f"chain contains a zero state at index {np.argmax(norms < 1e-12)}")
         self.states = states / norms[:, None]
 
     def __len__(self) -> int:
@@ -94,7 +94,8 @@ def _loop_phase(states: np.ndarray) -> tuple[float, np.ndarray]:
     state stack, and the checked |overlap| of each link."""
     overlaps = link_overlaps(states[..., None], closed=True)[..., 0, 0]
     magnitudes = np.abs(overlaps)
-    check_links(magnitudes, OVERLAP_TOL, OverlapTooSmallError)
+    n = len(states)
+    check_links(magnitudes, OVERLAP_TOL, lambda k, o: OverlapTooSmallError(k, o, (k + 1) % n))
     return float(np.angle(np.prod(overlaps))), magnitudes
 
 
@@ -273,46 +274,53 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
 
     The chain is closed implicitly (wrap pair included); consecutive antipodal
     directions, or a vertex antipodal to the reference, are rejected as geometrically
-    ambiguous, and a zero or non-finite direction by its index. Layout: the (n, 3)
-    directions, of any length, are read as x, y, z rows of one unit (3, n + 1) copy that
-    ends with v_0 again (v_{k+1} is the rows shifted by one); the reference as 3 scalars.
+    ambiguous, and a zero or non-finite direction, each by its first index. Layout: the
+    x, y, z rows of the (n, 3) directions are read linalg.BLOCK vertices at a time, as a
+    unit (3, b - a + 1) copy that ends with the next block's first vertex (v_0 for the
+    last); the fan terms go into one (n,) array summed once, bit for bit at any BLOCK.
     """
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ValueError(f"expected (n, 3) directions, got shape {dirs.shape}")
-    u = np.concatenate([dirs.T, dirs[:1].T], axis=1)
-    squares = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
-    bad = ~(squares < np.inf) | (squares < 1e-24)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        what = "a zero vector" if squares[k] < 1e-24 else "a non-finite entry"
-        raise ValueError(f"direction chain contains {what} at index {k}")
-    u /= np.sqrt(squares)
     ref = np.asarray(reference, dtype=float).ravel()
     ref_norm = float(np.linalg.norm(ref))
     if ref.shape != (3,) or not ref_norm >= 1e-12:
         raise ValueError(f"`reference` must be a nonzero 3-vector, got {reference!r}")
     rx, ry, rz = (ref / ref_norm).tolist()
 
-    (x0, y0, z0), (x1, y1, z1) = u[:, :-1], u[:, 1:]  # v_k and v_{k+1}
-    pair_gap = (x0 + x1) ** 2 + (y0 + y1) ** 2 + (z0 + z1) ** 2  # |v_k + v_{k+1}|^2
-    if np.any(pair_gap < ANTIPODAL_TOL**2):
-        k = int(np.argmin(pair_gap))
-        raise ValueError(
-            f"consecutive directions ({k}, {k + 1}) are antipodal; the geodesic "
-            "between them is ambiguous"
-        )
-    if np.any((x0 + rx) ** 2 + (y0 + ry) ** 2 + (z0 + rz) ** 2 < 1e-18):
-        raise ValueError(
-            "a chain direction is antipodal to the reference vertex; pass a "
-            "different `reference`"
-        )
-
-    along = rx * u[0] + ry * u[1] + rz * u[2]  # r . v_k
-    # r . (v_k x v_{k+1}) = (r x v_k) . v_{k+1}
-    det = (ry * z0 - rz * y0) * x1 + (rz * x0 - rx * z0) * y1 + (rx * y0 - ry * x0) * z1
-    denom = 1.0 + along[:-1] + (x0 * x1 + y0 * y1 + z0 * z1) + along[1:]
-    return float(np.sum(2.0 * np.arctan2(det, denom)))
+    rows, n = dirs.T, len(dirs)
+    terms = np.empty(n)
+    for block in blocks(n):
+        a, b = block.start, block.stop
+        u = np.empty((3, b - a + 1))
+        u[:, :-1], u[:, -1] = rows[:, block], rows[:, b % n]
+        squares = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+        bad = ~(squares < np.inf) | (squares < 1e-24)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            what = "a zero vector" if squares[k] < 1e-24 else "a non-finite entry"
+            raise ValueError(f"direction chain contains {what} at index {(a + k) % n}")
+        u /= np.sqrt(squares)
+        (x0, y0, z0), (x1, y1, z1) = u[:, :-1], u[:, 1:]  # v_k and v_{k+1}
+        antipodal = (x0 + x1) ** 2 + (y0 + y1) ** 2 + (z0 + z1) ** 2 < ANTIPODAL_TOL**2
+        if np.any(antipodal):
+            k = a + int(np.argmax(antipodal))
+            raise ValueError(
+                f"consecutive directions ({k}, {(k + 1) % n}) are antipodal; the geodesic "
+                "between them is ambiguous"
+            )
+        opposite = (x0 + rx) ** 2 + (y0 + ry) ** 2 + (z0 + rz) ** 2 < 1e-18
+        if np.any(opposite):
+            raise ValueError(
+                f"chain direction {a + int(np.argmax(opposite))} is antipodal to the reference "
+                "vertex; pass a different `reference`"
+            )
+        along = rx * u[0] + ry * u[1] + rz * u[2]  # r . v_k
+        # r . (v_k x v_{k+1}) = (r x v_k) . v_{k+1}
+        det = (ry * z0 - rz * y0) * x1 + (rz * x0 - rx * z0) * y1 + (rx * y0 - ry * x0) * z1
+        denom = 1.0 + along[:-1] + (x0 * x1 + y0 * y1 + z0 * z1) + along[1:]
+        terms[block] = 2.0 * np.arctan2(det, denom)
+    return float(np.sum(terms))
 
 
 def bloch_chain(directions, closed: bool = True) -> StateChain:

@@ -6,6 +6,11 @@ than scale. Link polar factors up to 2x2 have closed forms; dense LAPACK
 (eigh_batch, a batched SVD) serves generic models and larger links. The
 log-depth products run with the stack axis last: on an (m, m, n) stack
 as given, or on one (m, m, n) copy of an (n, m, m) stack.
+
+The per-sample kernels (link_overlaps, link_sigma_min, the solid-angle fan,
+the four-level frames) run BLOCK samples at a time (blocks), so their
+temporaries stay cache-sized; each writes into one full-length output that
+any reduction then reads once, so results are bit for bit the same at any BLOCK.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 RANK_TOL = 1e-12
+BLOCK = 8192  # samples per block of the streamed kernels
 
 
 class NonHermitianError(ValueError):
@@ -38,6 +44,11 @@ class RankDeficientError(ValueError):
             f"matrix is numerically rank-deficient: smallest singular value "
             f"{sigma_min:.3e} <= {tol:.1e}"
         )
+
+
+def blocks(n: int) -> list[slice]:
+    """The consecutive slices of BLOCK samples (the last may be shorter) that cover range(n)."""
+    return [slice(a, min(a + BLOCK, n)) for a in range(0, n, BLOCK)]
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -126,12 +137,17 @@ def link_overlaps(frames: np.ndarray, closed: bool) -> np.ndarray:
 
     Closed paths add the wrap link F_{n-1}^dag F_0 as the last of n links.
     States are the m = 1 case: pass states[..., None] and read the
-    overlaps <psi_k|psi_{k+1}> at [..., 0, 0]. Layout: einsum follows the memory order, so
-    frames viewing a stack-last (..., dim, m, n) array sum (n,) slices into stack-last links.
+    overlaps <psi_k|psi_{k+1}> at [..., 0, 0]. Layout: links keep the frames' memory order
+    (stack-last frames give stack-last links); einsum fills them BLOCK links at a time, bit
+    for bit at any BLOCK, and the wrap link alone: no frame is copied, only block conjugates.
     """
-    nxt = np.roll(frames, -1, axis=0) if closed else frames[1:]
-    cur = frames if closed else frames[:-1]
-    return np.einsum("...im,...in->...mn", np.conjugate(cur), nxt)
+    count, m = len(frames) - (not closed), frames.shape[-1]
+    links = np.empty_like(frames, shape=(count, *frames.shape[1:-2], m, m))
+    spans = [(block, slice(block.start + 1, block.stop + 1)) for block in blocks(len(frames) - 1)]
+    wrap = [(slice(-1, None), slice(1))] if closed else []  # F_{n-1}^dag F_0
+    for block, nxt in spans + wrap:
+        np.einsum("...im,...in->...mn", np.conjugate(frames[block]), frames[nxt], out=links[block])
+    return links
 
 
 def link_polar(links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,8 +161,11 @@ def link_polar(links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def link_sigma_min(links: np.ndarray) -> np.ndarray:
-    """link_polar's smallest singular values alone, bit for bit, without the polar factors."""
-    return _polar(links)[1]
+    """link_polar's smallest singular values alone, bit for bit, one block of links at a time."""
+    sigma = np.empty(links.shape[:-2])
+    for block in blocks(len(links)):
+        sigma[block] = _polar(links[block])[1]
+    return sigma
 
 
 def _polar(links: np.ndarray) -> tuple:
@@ -171,13 +190,15 @@ def _polar(links: np.ndarray) -> tuple:
     det = a * d - b * c
     abs_det = np.abs(det)
     phase = det * (1.0 / (abs_det + tiny))
-    phase_d, phase_c = phase * np.conj(d), phase * np.conj(c)
+    # each complex product takes its temporary first: numpy elides a large right-hand
+    # temporary by swapping the operands, which moves the last bit of an FMA product
+    phase_d, phase_c = np.conj(d) * phase, np.conj(c) * phase
     p, q = a + phase_d, b - phase_c
     s_sum = np.hypot(np.abs(p), np.abs(q)) + tiny
     s_max = 0.5 * (s_sum + np.hypot(np.abs(a - phase_d), np.abs(b + phase_c)))
 
     def polar():
-        factors = np.stack([p, q, -phase * np.conj(q), phase * np.conj(p)]) * (1.0 / s_sum)
+        factors = np.stack([p, q, -phase * np.conj(q), np.conj(p) * phase]) * (1.0 / s_sum)
         return np.moveaxis(factors.reshape(2, 2, *a.shape), (0, 1), (-2, -1))
 
     return polar, abs_det / s_max, s_max

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import schema
-from .linalg import RANK_TOL, eigh_batch, propagator_increments
+from .linalg import RANK_TOL, blocks, eigh_batch, propagator_increments
 from .report import ConfigError
 from .schema import List, Number, Section
 
@@ -413,8 +413,8 @@ class UsbModel(HamiltonianModel):
         (Golub & Van Loan, Matrix Computations, 5.1), whose column k is
         parallel to b. As v^T v = 2 (1 + |b_k|) >= 2, the pair has no
         singularity at P = S = 0; its gauge jumps where k changes, which
-        raw links cancel. R = 0 raises ZeroFieldError. Built from (k,)
-        slices into a stack-last (4, m, k) array, so no (k, 4, 4) stack is formed.
+        raw links cancel. R = 0 raises ZeroFieldError. Built per linalg.blocks from
+        (block,) slices into a stack-last (4, m, k) array; no (k, 4, 4) stack is formed.
         """
         if type(self).evaluate_batch is not UsbModel.evaluate_batch:
             return super().band_states_batch(lams, block)
@@ -426,25 +426,26 @@ class UsbModel(HamiltonianModel):
             raise ZeroFieldError(
                 f"four-level band states undefined at index [{k}]: R = 0 (degenerate levels)"
             )
-        b = np.ascontiguousarray(lams.T) / r  # (3, k)
-        cols = np.arange(len(r))
-        pivot = np.argmax(np.abs(b), axis=0)
-        b_pivot = b[pivot, cols]
-        v = b.copy()
-        v[pivot, cols] += np.where(b_pivot < 0.0, -1.0, 1.0)
-        scale = 1.0 / (1.0 + np.abs(b_pivot))  # 2 / v^T v
-        # the reflector's columns other than the pivot, in ascending order
-        others = ((pivot == 0).astype(int), 2 - (pivot == 2))
         frames = np.zeros((4, block.size, len(r)), dtype=complex)
-        for col, band in enumerate(range(block.start, block.stop)):
-            if band in (0, 3):
-                frames[_SPOKES, col] = math.sqrt(0.5) * b
-                frames[1, col] = math.sqrt(0.5) * (1.0 if band == 3 else -1.0)
-            else:
-                j = others[band - 1]
-                column = -(scale * v[j, cols]) * v
-                column[j, cols] += 1.0
-                frames[_SPOKES, col] = column
+        for part in blocks(len(r)):
+            b = lams.T[:, part] / r[part]  # (3, part)
+            cols = np.arange(b.shape[1])
+            pivot = np.argmax(np.abs(b), axis=0)
+            b_pivot = b[pivot, cols]
+            v = b.copy()
+            v[pivot, cols] += np.where(b_pivot < 0.0, -1.0, 1.0)
+            scale = 1.0 / (1.0 + np.abs(b_pivot))  # 2 / v^T v
+            # the reflector's columns other than the pivot, in ascending order
+            others = ((pivot == 0).astype(int), 2 - (pivot == 2))
+            for col, band in enumerate(range(block.start, block.stop)):
+                if band in (0, 3):
+                    frames[_SPOKES, col, part] = math.sqrt(0.5) * b
+                    frames[1, col, part] = math.sqrt(0.5) * (1.0 if band == 3 else -1.0)
+                else:
+                    j = others[band - 1]
+                    column = -(scale * v[j, cols]) * v
+                    column[j, cols] += 1.0
+                    frames[_SPOKES, col, part] = column
         return w, frames.transpose(2, 0, 1)
 
     def propagator_increments(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:

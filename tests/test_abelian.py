@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,18 @@ class TestPancharatnam:
         with pytest.raises(abelian.OverlapTooSmallError) as exc:
             abelian.pancharatnam_phase(abelian.StateChain(states, closed=True))
         assert exc.value.index == 0
+
+    @pytest.mark.parametrize(
+        "phase", [abelian.pancharatnam_phase, abelian.discrete_geometric_phase],
+        ids=["pancharatnam", "discrete"],
+    )
+    def test_orthogonal_wrap_link_names_state_zero(self, phase):
+        # five states turning by pi/8: the last is orthogonal to the first
+        angles = np.arange(5) * (math.pi / 8)
+        chain = abelian.StateChain(np.stack([np.cos(angles), np.sin(angles)], axis=1), True)
+        with pytest.raises(abelian.OverlapTooSmallError, match=r"states \(4, 0\)") as exc:
+            phase(chain)
+        assert exc.value.index == 4
 
     def test_needs_three_states(self):
         states = np.array([[1, 0], [1, 1] / np.sqrt(2)], dtype=complex)
@@ -345,6 +358,27 @@ class TestSolidAngle:
         with pytest.raises(ValueError, match="reference"):
             abelian.solid_angle(dirs)
 
+    def test_antipodal_wrap_pair_names_index_zero(self):
+        dirs = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0]])
+        with pytest.raises(ValueError, match=r"directions \(2, 0\) are antipodal"):
+            abelian.solid_angle(dirs)
+
+    def test_reference_antipodal_names_index(self):
+        dirs = np.array([[1.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]])
+        with pytest.raises(ValueError, match="direction 1 is antipodal to the reference"):
+            abelian.solid_angle(dirs)
+
+    def test_fan_streams_in_blocks(self):
+        # one (n,) array of fan terms, not a (3, n + 1) copy and its full-length temporaries
+        dirs = models.make_azimuthal_loop(1.0, 1.5).sample(2**18)
+        tracemalloc.start()
+        try:
+            abelian.solid_angle(dirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(dirs) + 2**21
+
     @pytest.mark.parametrize("reference", [(0.0, 0.0, 0.0), (0.0, 1.0)])
     def test_bad_reference_rejected(self, reference):
         with pytest.raises(ValueError, match="`reference` must be a nonzero 3-vector"):
@@ -387,8 +421,9 @@ class TestChainBuilding:
         assert sample.value == pytest.approx(-0.5 * math.sin(1.1), rel=2e-2)
 
     def test_zero_state_rejected(self):
-        with pytest.raises(ValueError, match="zero state"):
-            abelian.StateChain(np.zeros((3, 2)), closed=True)
+        states = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="zero state at index 2$"):
+            abelian.StateChain(states, closed=True)
 
     def test_states_renormalized(self):
         chain = abelian.StateChain(np.array([[2.0, 0.0], [0.0, 3.0]]), closed=False)

@@ -2,15 +2,18 @@
 
 A row names the kernel, its reference, the inputs both take, the seed those
 are drawn with and the bound on max_abs(kernel - reference). A kernel
-rewrite adds a row. Rows that take a model run on the shipped loops and on
-the hub-detuned four-level model, whose frames are dense. The four-level
-matrix is real, so its loop phases are 0 or pi: the qubit rows carry the rest.
+rewrite adds a row; a kernel streamed in linalg.BLOCK blocks also runs at a
+small BLOCK against one block, bit for bit. Rows that take a model run on the
+shipped loops and on the hub-detuned four-level model, whose frames are dense.
+The four-level matrix is real, so its loop phases are 0 or pi: the qubit rows
+carry the rest.
 """
 
 import json
 import math
 from pathlib import Path
 from typing import Callable, NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -311,6 +314,67 @@ for key, params in (("shipped", {}), ("q0-b", {"q0": 0.3, "b": 0.15}), ("a", {"a
     )
 
 
+def blocked(kernel, size):
+    """kernel run with linalg.BLOCK = size; None runs every input as one block."""
+    def run(*args):
+        with mock.patch.object(linalg, "BLOCK", size or 2**62):
+            return kernel(*args)
+    return run
+
+
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def stack_last(array):
+    """The (n, ...) view of an (..., n) array, as the shipped paths and frames come."""
+    return np.moveaxis(array, -1, 0)
+
+
+def overlaps(closed):
+    return lambda frames: linalg.link_overlaps(frames, closed)
+
+
+# the streamed kernels at BLOCK = 7, bit for bit against one block, for n below, at,
+# a multiple of and a remainder past BLOCK, both as samples (n) and as open links (n - 1)
+BLOCK_INPUTS = {
+    "solid_angle": (abelian.solid_angle, lambda rng, n: (stack_last(rng.normal(size=(3, n))),)),
+    "link_overlaps-closed-3d": (overlaps(True), lambda rng, n: (complex_normal(rng, n, 4, 2),)),
+    "link_overlaps-open-3d": (
+        overlaps(False), lambda rng, n: (stack_last(complex_normal(rng, 3, 1, n)),)
+    ),
+    "link_overlaps-closed-4d": (
+        overlaps(True), lambda rng, n: (stack_last(complex_normal(rng, 3, 4, 2, n)),)
+    ),
+    "link_overlaps-open-4d": (overlaps(False), lambda rng, n: (complex_normal(rng, n, 2, 3, 1),)),
+    **{
+        f"link_sigma_min-m{m}": (
+            linalg.link_sigma_min, lambda rng, n, m=m: (stack_last(complex_normal(rng, m, m, n)),)
+        )
+        for m in (1, 2, 3)
+    },
+    **{
+        f"usb_frames-{block.start}-{block.stop}": (
+            lambda lams, b=block: models.UsbModel().band_states_batch(lams, b)[1],
+            lambda rng, n: (stack_last(rng.normal(size=(3, n))),),
+        )
+        for block in (models.BandBlock(0, 4), holonomy.USB_DARK_BLOCK)
+    },
+}
+for key, (kernel, inputs) in BLOCK_INPUTS.items():
+    for n in (5, 7, 8, 21, 22, 25):
+        ROWS[f"{key}-blocks-{n}"] = Row(
+            blocked(kernel, 7), blocked(kernel, None), lambda rng, f=inputs, n=n: f(rng, n),
+            (73, n), EXACT,
+        )
+# above 256 kB numpy elides a temporary of a complex product and may swap its operands,
+# which moves the last bit: the closed form's products must not depend on the stack size
+ROWS["link_sigma_min-m2-elided"] = Row(
+    linalg.link_sigma_min, blocked(linalg.link_sigma_min, None),
+    lambda rng: (stack_last(complex_normal(rng, 2, 2, 3 * linalg.BLOCK + 5)),), 79, EXACT,
+)
+
+
 @pytest.mark.parametrize("row", ROWS.values(), ids=list(ROWS))
 def test_kernel_matches_reference(row):
     args = row.inputs(np.random.default_rng(row.seed))
@@ -345,3 +409,55 @@ class TestReferences:
     def test_loop_phase_octant_triple(self):
         states = abelian.bloch_chain(OCTANT).states
         assert ref.reference_loop_phase(states) == pytest.approx(-math.pi / 4, abs=1e-12)
+
+
+class TestBlockErrors:
+    """An error in a later block names its global index."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(linalg, "BLOCK", 7)
+
+    @staticmethod
+    def loop():
+        return models.make_azimuthal_loop(1.0).sample(25)
+
+    @pytest.mark.parametrize(
+        "index, value, what", [(17, 0.0, "zero vector"), (9, np.nan, "non-finite entry")]
+    )
+    def test_solid_angle_bad_direction(self, index, value, what):
+        dirs = self.loop()
+        dirs[index] = value
+        with pytest.raises(ValueError, match=f"{what} at index {index}$"):
+            abelian.solid_angle(dirs)
+
+    @pytest.mark.parametrize("index, successor", [(15, 16), (24, 0)])
+    def test_solid_angle_antipodal_pair(self, index, successor):
+        dirs = self.loop()
+        dirs[successor] = -dirs[index]
+        pair = rf"directions \({index}, {successor}\) are antipodal"
+        with pytest.raises(ValueError, match=pair):
+            abelian.solid_angle(dirs)
+
+    def test_solid_angle_reference_antipodal(self):
+        dirs = self.loop()
+        dirs[19] = (0.0, 0.0, -1.0)
+        with pytest.raises(ValueError, match="direction 19 is antipodal to the reference"):
+            abelian.solid_angle(dirs)
+
+    @pytest.mark.parametrize("index, successor", [(12, 13), (24, 0)])
+    def test_orthogonal_state_link(self, index, successor):
+        states = abelian.bloch_chain(self.loop()).states
+        states[successor] = np.conj(states[index, ::-1]) * (1.0, -1.0)  # orthogonal
+        chain = abelian.StateChain(states, closed=True)
+        with pytest.raises(abelian.OverlapTooSmallError, match=rf"\({index}, {successor}\)"):
+            abelian.discrete_geometric_phase(chain)
+
+    def test_singular_frame_link(self):
+        links = np.tile(np.eye(2, dtype=complex), (25, 1, 1))
+        links[16, 1, 1] = 0.0
+        with pytest.raises(holonomy.IllConditionedLinkError, match="link 16 "):
+            linalg.check_links(
+                linalg.link_sigma_min(links), holonomy.SUBSPACE_OVERLAP_TOL,
+                holonomy.IllConditionedLinkError,
+            )

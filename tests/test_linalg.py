@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -277,6 +278,27 @@ class TestProducts:
         prefixes = linalg.prefix_products(mats)
         assert prefixes.shape == mats.shape and np.array_equal(mats, before)
         assert linalg.max_abs(prefixes - sequential_prefixes(mats)) < 1e-13
+
+
+class TestLinkOverlaps:
+    def test_streams_in_blocks(self):
+        # the links and one block's conjugate frames: no rolled or conjugated full copy
+        rng = np.random.default_rng(83)
+        shape = (4, 2, 2**16)
+        frames = np.moveaxis(rng.normal(size=shape) + 1j * rng.normal(size=shape), -1, 0)
+        tracemalloc.start()
+        try:
+            links = linalg.link_overlaps(frames, closed=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < links.nbytes + 2**21
+
+    def test_links_view_stack_last_memory(self):
+        frames = np.moveaxis(np.ones((4, 2, 64), dtype=complex), -1, 0)
+        for closed in (True, False):
+            links = linalg.link_overlaps(frames, closed)
+            assert np.moveaxis(links, 0, -1).flags.c_contiguous
 
 
 class TestLinkPolar:
