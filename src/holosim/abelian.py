@@ -23,12 +23,13 @@ import numpy as np
 from .holonomy import block_frames, transport
 from .linalg import blocks, check_links, gauge_fix, link_overlaps, wrap_angle
 from .models import BandBlock, HamiltonianModel, ParameterPath, qubit_band_states
+from .report import DegenerateInputError
 
 OVERLAP_TOL = 1e-8
 ANTIPODAL_TOL = 1e-12
 
 
-class OverlapTooSmallError(ValueError):
+class OverlapTooSmallError(DegenerateInputError):
     """A consecutive pair of chain states is (numerically) orthogonal."""
 
     def __init__(self, index: int, overlap: float, successor: int | None = None):
@@ -41,7 +42,7 @@ class OverlapTooSmallError(ValueError):
         )
 
 
-class DegenerateBandError(ValueError):
+class DegenerateBandError(DegenerateInputError):
     """Band degenerate at the requested point; scalar-phase machinery
     does not apply — use the holonomy module's frame tracking instead."""
 
@@ -62,8 +63,8 @@ class StateChain:
         if states.ndim != 2:
             raise ValueError(f"expected (n, dim) state stack, got shape {states.shape}")
         norms = np.linalg.norm(states, axis=1)
-        if np.any(norms < 1e-12):
-            raise ValueError(f"chain contains a zero state at index {np.argmax(norms < 1e-12)}")
+        if np.any(zero := norms < 1e-12):
+            raise DegenerateInputError(f"chain contains a zero state at index {np.argmax(zero)}")
         self.states = states / norms[:, None]
 
     def __len__(self) -> int:
@@ -299,19 +300,19 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
         if np.any(bad):
             k = int(np.argmax(bad))
             what = "a zero vector" if squares[k] < 1e-24 else "a non-finite entry"
-            raise ValueError(f"direction chain contains {what} at index {(a + k) % n}")
+            raise DegenerateInputError(f"direction chain contains {what} at index {(a + k) % n}")
         u /= np.sqrt(squares)
         (x0, y0, z0), (x1, y1, z1) = u[:, :-1], u[:, 1:]  # v_k and v_{k+1}
         antipodal = (x0 + x1) ** 2 + (y0 + y1) ** 2 + (z0 + z1) ** 2 < ANTIPODAL_TOL**2
         if np.any(antipodal):
             k = a + int(np.argmax(antipodal))
-            raise ValueError(
+            raise DegenerateInputError(
                 f"consecutive directions ({k}, {(k + 1) % n}) are antipodal; the geodesic "
                 "between them is ambiguous"
             )
         opposite = (x0 + rx) ** 2 + (y0 + ry) ** 2 + (z0 + rz) ** 2 < 1e-18
         if np.any(opposite):
-            raise ValueError(
+            raise DegenerateInputError(
                 f"chain direction {a + int(np.argmax(opposite))} is antipodal to the reference "
                 "vertex; pass a different `reference`"
             )

@@ -9,8 +9,8 @@ CSV table and a JSON metadata file (resolved config, tool version,
 elapsed ms, hard checks) next to it; the exit code is 0 iff every hard
 check passed, and failed checks are listed on standard error. Flag
 overrides win over the config file and are recorded in the echoed
-config; a flag the experiment has no knob for exits 2, and so does a
-loop that meets a degeneracy or an orthogonal link (the error says where).
+config. Bad input exits 2: a ConfigError (an invalid field, or a flag the
+experiment has no knob for) or a DegenerateInputError (it names where).
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .abelian import DegenerateBandError, OverlapTooSmallError
 from .experiments import EXPERIMENTS, REGISTRY, run_experiment
-from .holonomy import GapClosureError, IllConditionedLinkError
-from .models import DarkFrameSingularError, ZeroFieldError
-from .report import ConfigError
+from .report import ConfigError, DegenerateInputError
 
 
 def _knobs(flag: str) -> str:
@@ -55,27 +52,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--config",
         type=Path,
-        default=None,
         help="JSON config file; missing fields fall back to built-in defaults",
     )
     parser.add_argument(
         "--out",
         type=Path,
-        default=None,
         help="output CSV path (metadata goes to the same stem with .json); "
         "default <experiment>.csv in the working directory",
     )
     parser.add_argument(
         "--seed",
         type=int,
-        default=None,
         help=f"override the noise seed ({_knobs('seed')}; recorded in the "
         "config echo; other experiments exit 2)",
     )
     parser.add_argument(
         "--samples",
         type=int,
-        default=None,
         help="override the experiment's main resolution knob: "
         f"{_knobs('samples')}; other experiments exit 2",
     )
@@ -100,10 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         report = run_experiment(
             args.experiment, user_config, seed=args.seed, samples=args.samples
         )
-    except (
-        ConfigError, DegenerateBandError, GapClosureError, DarkFrameSingularError, ZeroFieldError,
-        OverlapTooSmallError, IllConditionedLinkError,
-    ) as exc:
+    except (ConfigError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -118,11 +108,8 @@ def main(argv: list[str] | None = None) -> int:
         status = "pass" if check.passed else "FAIL"
         print(f"  [{status}] {check.name}: value={check.value!r} bound {check.bound}")
     if failed:
-        print(
-            f"{len(failed)} hard check(s) failed: "
-            + ", ".join(c.name for c in failed),
-            file=sys.stderr,
-        )
+        names = ", ".join(c.name for c in failed)
+        print(f"{len(failed)} hard check(s) failed: {names}", file=sys.stderr)
         return 1
     return 0
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import abelian, adiabatic, holonomy, linalg, models, schema
-from .report import ConfigError, ExperimentReport
+from .report import ConfigError, DegenerateInputError, ExperimentReport
 from .schema import Bool, Int, Interval, Knob, List, Model, Number, Optional, Path, Positive
 from .schema import Section, States
 
@@ -61,7 +61,7 @@ REGISTRY: dict[str, Experiment] = {
                 phi=Interval([0.0, 2.0 * math.pi]),
                 cells=List(Int(min=2), [20, 20], length=2, knob=Knob("samples", lambda n: [n, n])),
             ),
-            plaquette_edge=Positive(0.01),
+            plaquette_edge=Number(0.01, lo=1e-6),
             tiling=Section(
                 theta=Interval([0.7, 1.9]),
                 phi=Interval([0.5, 2.0]),
@@ -275,7 +275,7 @@ def run_curvature_map(config: dict) -> ExperimentReport:
                 sample = abelian.berry_curvature_plaquette(
                     model, band, [th, ph], plane=(0, 1), a=a
                 )
-            except (abelian.DegenerateBandError, abelian.OverlapTooSmallError):
+            except DegenerateInputError:
                 rows.append((float(th), float(ph), math.nan, math.nan, a, 1))
                 continue
             cell_area = (math.cos(th) - math.cos(th + a)) * a
@@ -460,7 +460,7 @@ def run_noise_study(config: dict) -> ExperimentReport:
             try:
                 chi_raw = deformed_phase(base + eps * scale * d)
                 chi_proj = deformed_phase(base + eps * scale * d_proj)
-            except (models.ZeroFieldError, abelian.OverlapTooSmallError):
+            except DegenerateInputError:
                 continue
             raw_devs.append(abs(linalg.wrap_angle(chi_raw - chi0)))
             proj_devs.append(abs(linalg.wrap_angle(chi_proj - chi0)))
@@ -515,7 +515,12 @@ def run_pancharatnam(config: dict) -> ExperimentReport:
     if "amplitudes" in states:
         return _report("pancharatnam", [(len(chain), phase, math.nan, math.nan, math.nan)], config)
 
-    omega = abelian.solid_angle(dirs)
+    # a vertex opposite the fan's reference is ambiguous; n vertices cannot face n + 1 points
+    u = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    t = np.arange(len(u) + 1) * (2.0 * math.pi / (len(u) + 1))
+    refs = [u[0], (0.0, 0.0, 1.0), *np.column_stack([np.cos(t), np.sin(t), 0.0 * t])]
+    ref = next(r for r in refs if np.min(np.sum((u + r) ** 2, axis=1)) > 1e-16)
+    omega = abelian.solid_angle(dirs, reference=ref)
     cross = -0.5 * omega
     diff = abs(linalg.wrap_angle(phase - cross))
     report = _report("pancharatnam", [(len(chain), phase, omega, cross, diff)], config)

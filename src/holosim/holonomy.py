@@ -47,11 +47,12 @@ from .models import (
     UsbModel,
     ZeroFieldError,
 )
+from .report import DegenerateInputError
 
 SUBSPACE_OVERLAP_TOL = 1e-6
 
 
-class GapClosureError(ValueError):
+class GapClosureError(DegenerateInputError):
     """The tracked cluster loses its spectral gap somewhere on the path."""
 
     def __init__(self, s: float, gap: float):
@@ -62,7 +63,7 @@ class GapClosureError(ValueError):
         )
 
 
-class IllConditionedLinkError(ValueError):
+class IllConditionedLinkError(DegenerateInputError):
     """A link overlap matrix is nearly singular: the subspace jumped."""
 
     def __init__(self, index: int, sigma_min: float):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import schema
 from .linalg import RANK_TOL, blocks, eigh_batch, propagator_increments
-from .report import ConfigError
+from .report import ConfigError, DegenerateInputError
 from .schema import List, Number, Section
 
 CLOSURE_TOL = 1e-12
@@ -41,11 +41,11 @@ _SIGNS = np.array([-1.0, 1.0])
 _SPOKES = [0, 2, 3]  # the four-level model's levels that (P, S, Q) couple to its hub, 1
 
 
-class DarkFrameSingularError(ValueError):
+class DarkFrameSingularError(DegenerateInputError):
     """P = S = 0: the dark-frame angle theta is undefined there."""
 
 
-class ZeroFieldError(ValueError):
+class ZeroFieldError(DegenerateInputError):
     """n = 0 (qubit) or R = 0 (four-level): the levels are degenerate and the
     closed-form band states undefined."""
 

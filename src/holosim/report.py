@@ -23,6 +23,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""
 
 
+class DegenerateInputError(ValueError):
+    """The input is degenerate at one located point; the message names it."""
+
+
 @dataclass
 class Check:
     name: str

@@ -64,6 +64,7 @@ def Int(default=None, *, min: int, max=math.inf, knob=None) -> Field:
 
 def Number(default=None, *, lo=-math.inf, hi=math.inf) -> Field:
     span = "finite number" if math.isinf(hi - lo) else f"number in [{lo:g}, {hi:g}]"
+    span = f"number at least {lo:g}" if hi == math.inf and lo > -math.inf else span
     return Field(default, f"a {span}", lambda v, _: _real(v) and lo <= v <= hi)
 
 

@@ -6,6 +6,7 @@ import pytest
 from reference import cumulative_angle_transport
 
 from holosim import abelian, linalg, models
+from holosim.report import DegenerateInputError
 
 OCTANT = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
@@ -339,33 +340,33 @@ class TestSolidAngle:
     def test_non_finite_direction_rejected(self, value):
         dirs = OCTANT.copy()
         dirs[1, 2] = value
-        with pytest.raises(ValueError, match="non-finite entry at index 1"):
+        with pytest.raises(DegenerateInputError, match="non-finite entry at index 1"):
             abelian.solid_angle(dirs)
 
     def test_zero_direction_rejected(self):
         dirs = OCTANT.copy()
         dirs[2] = 0.0
-        with pytest.raises(ValueError, match="zero vector at index 2"):
+        with pytest.raises(DegenerateInputError, match="zero vector at index 2"):
             abelian.solid_angle(dirs)
 
     def test_antipodal_consecutive_rejected(self):
         dirs = np.array([[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]])
-        with pytest.raises(ValueError, match="antipodal"):
+        with pytest.raises(DegenerateInputError, match="antipodal"):
             abelian.solid_angle(dirs)
 
     def test_reference_antipodal_rejected(self):
         dirs = np.array([[0, 0, -1.0], [1e-5, 0, -1.0], [0, 1e-5, -1.0]])
-        with pytest.raises(ValueError, match="reference"):
+        with pytest.raises(DegenerateInputError, match="reference"):
             abelian.solid_angle(dirs)
 
     def test_antipodal_wrap_pair_names_index_zero(self):
         dirs = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0]])
-        with pytest.raises(ValueError, match=r"directions \(2, 0\) are antipodal"):
+        with pytest.raises(DegenerateInputError, match=r"directions \(2, 0\) are antipodal"):
             abelian.solid_angle(dirs)
 
     def test_reference_antipodal_names_index(self):
         dirs = np.array([[1.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]])
-        with pytest.raises(ValueError, match="direction 1 is antipodal to the reference"):
+        with pytest.raises(DegenerateInputError, match="direction 1 is antipodal to the reference"):
             abelian.solid_angle(dirs)
 
     def test_fan_streams_in_blocks(self):
@@ -422,7 +423,7 @@ class TestChainBuilding:
 
     def test_zero_state_rejected(self):
         states = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="zero state at index 2$"):
+        with pytest.raises(DegenerateInputError, match="zero state at index 2$"):
             abelian.StateChain(states, closed=True)
 
     def test_states_renormalized(self):

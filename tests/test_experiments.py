@@ -1,7 +1,9 @@
 import copy
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -12,8 +14,8 @@ import numpy as np
 import pytest
 
 import holosim
-from holosim import abelian, adiabatic, experiments, holonomy, linalg, models, schema
-from holosim.report import ConfigError, read_csv
+from holosim import abelian, adiabatic, cli, experiments, holonomy, linalg, models, schema
+from holosim.report import ConfigError, DegenerateInputError, read_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -71,6 +73,8 @@ BAD_CONFIGS = [
     # the cells' base points run from lo to hi - edge
     ("curvature-map", {"plaquette_edge": 2.5, "grid": {"cells": [3, 3]}}, "config.plaquette_edge"),
     ("curvature-map", {"plaquette_edge": 1.0, "grid": {"phi": [0.0, 1.0]}}, "config.plaquette_edge"),
+    # a**2 and the cell area underflow to 0 at this edge
+    ("curvature-map", {"plaquette_edge": 1e-300}, "config.plaquette_edge"),
 ]
 
 
@@ -558,6 +562,36 @@ class TestPancharatnam:
         with pytest.raises(ConfigError, match="config.states"):
             experiments.run_experiment("pancharatnam", {"states": {"angles": []}})
 
+    def test_triangle_through_south_pole_exits_zero(self, tmp_path):
+        # the oracle fans from the first vertex, so a vertex at -z is not its antipode
+        out = tmp_path / "south.csv"
+        config = ROOT / "configs" / "pancharatnam_south.json"
+        assert cli.main(["pancharatnam", "--config", str(config), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        _, phase, omega, _, _ = map(float, rows[0])
+        assert omega == pytest.approx(-math.pi / 2, abs=1e-12)
+        assert phase == pytest.approx(-omega / 2, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "bloch, omega",
+        [
+            # -x faces the first vertex, so the fan starts from +z, as it always did
+            ([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], 2 * math.pi),
+            # -x and -z both present: the fan starts from an equator point
+            ([[1, 0, 0], [0, 0, -1], [-1, 0, 0], [0, -1, 0]], None),
+        ],
+        ids=["equator-square", "opposite-first-and-south"],
+    )
+    def test_polygon_opposite_its_first_vertex_exits_zero(self, tmp_path, bloch, omega):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps({"states": {"bloch": bloch}}))
+        assert cli.main(["pancharatnam", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        _, phase, area, _, diff = map(float, rows[0])
+        assert diff < 1e-12
+        if omega is not None:
+            assert area == pytest.approx(omega, abs=1e-12)
+
 
 QUBIT_AT_ZERO = {"family": "constant", "params": {"n": [0, 0, 0]}}
 USB_ON_Q_AXIS = {"family": "constant", "params": {"p": 0, "s": 0, "q": 1}}
@@ -651,7 +685,7 @@ class TestCli:
         _, rows = read_csv(out)
         assert [[float(x) for x in row] for row in rows] == [list(r) for r in named.rows]
 
-    @pytest.mark.parametrize("experiment, config, field", BAD_CONFIGS[::4] + BAD_CONFIGS[-2:])
+    @pytest.mark.parametrize("experiment, config, field", BAD_CONFIGS[::4] + BAD_CONFIGS[-3:])
     def test_bad_field_exits_two_without_traceback(self, tmp_path, experiment, config, field):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -687,10 +721,15 @@ class TestCli:
                 {"tiling": {"theta": [0.0, math.pi], "phi": [0.0, 1.0], "cells": [1, 1]}},
                 "consecutive states (0, 2)",
             ),
+            (
+                "berry-qubit",
+                {"path": {"family": "constant", "params": {"n": [0, 0, -1]}}},
+                "chain direction 0 is antipodal",
+            ),
         ],
         ids=[
             "berry-qubit", "noise-study", "usb-holonomy", "sweep-usb", "sweep-qubit",
-            "pancharatnam-orthogonal", "curvature-map-orthogonal",
+            "pancharatnam-orthogonal", "curvature-map-orthogonal", "berry-qubit-oracle-antipodal",
         ],
     )
     def test_loop_through_degeneracy_exits_two(self, tmp_path, experiment, config, message):
@@ -701,6 +740,26 @@ class TestCli:
         assert "error: " in proc.stderr and message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_exit_two_covers_every_located_error_by_type(self):
+        # a located error exits 2 because it is a DegenerateInputError, not
+        # because the CLI names it; a failed matrix computation is neither
+        modules = [
+            importlib.import_module(f"holosim.{m.name}")
+            for m in pkgutil.iter_modules(holosim.__path__) if m.name != "__main__"
+        ]
+        errors = {
+            value for module in modules for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, ValueError)
+            and value.__module__ == module.__name__
+        }
+        matrix = {linalg.NonHermitianError, linalg.RankDeficientError}
+        assert {ConfigError, DegenerateInputError, abelian.OverlapTooSmallError} <= errors
+        assert all(
+            e in matrix or e is ConfigError or issubclass(e, DegenerateInputError) for e in errors
+        ), errors
+        named = {v for v in vars(cli).values() if isinstance(v, type) and issubclass(v, ValueError)}
+        assert named == {ConfigError, DegenerateInputError}
 
     def test_inapplicable_flag_exits_two(self, tmp_path):
         proc = self.run_cli("pancharatnam", "--samples", "5", cwd=tmp_path)
