@@ -22,7 +22,7 @@ import numpy as np
 
 from .holonomy import block_frames, transport
 from .linalg import blocks, check_links, gauge_fix, link_overlaps, wrap_angle
-from .models import BandBlock, HamiltonianModel, ParameterPath, qubit_band_states
+from .models import BandBlock, HamiltonianModel, ParameterPath, PathSamples, qubit_band_states
 from .report import DegenerateInputError
 
 OVERLAP_TOL = 1e-8
@@ -273,28 +273,30 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
     reference +z makes a counterclockwise-from-+z loop at polar angle
     theta0 come out as +2 pi (1 - cos theta0).
 
-    The chain is closed implicitly (wrap pair included); consecutive antipodal
+    The directions are an (n, 3) array, or a models.PathSamples whose grid is never
+    built. The chain is closed implicitly (wrap pair included); consecutive antipodal
     directions, or a vertex antipodal to the reference, are rejected as geometrically
     ambiguous, and a zero or non-finite direction, each by its first index. Layout: the
-    x, y, z rows of the (n, 3) directions are read linalg.BLOCK vertices at a time, as a
-    unit (3, b - a + 1) copy that ends with the next block's first vertex (v_0 for the
-    last); the fan terms go into one (n,) array summed once, bit for bit at any BLOCK.
+    rows are read linalg.BLOCK vertices at a time, as a unit (3, b - a + 1) copy that ends
+    with the next block's first vertex (v_0 for the last); the fan terms go into one (n,)
+    array summed once, bit for bit at any BLOCK.
     """
-    dirs = np.asarray(directions, dtype=float)
-    if dirs.ndim != 2 or dirs.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) directions, got shape {dirs.shape}")
+    if not isinstance(directions, PathSamples):
+        directions = np.asarray(directions, dtype=float)
+        if directions.ndim != 2 or directions.shape[1] != 3:
+            raise ValueError(f"expected (n, 3) directions, got shape {directions.shape}")
+    n = len(directions)
     ref = np.asarray(reference, dtype=float).ravel()
     ref_norm = float(np.linalg.norm(ref))
     if ref.shape != (3,) or not ref_norm >= 1e-12:
         raise ValueError(f"`reference` must be a nonzero 3-vector, got {reference!r}")
     rx, ry, rz = (ref / ref_norm).tolist()
 
-    rows, n = dirs.T, len(dirs)
     terms = np.empty(n)
     for block in blocks(n):
         a, b = block.start, block.stop
         u = np.empty((3, b - a + 1))
-        u[:, :-1], u[:, -1] = rows[:, block], rows[:, b % n]
+        u[:, :-1], u[:, -1:] = directions[block].T, directions[b % n : b % n + 1].T
         squares = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
         bad = ~(squares < np.inf) | (squares < 1e-24)
         if np.any(bad):
@@ -303,24 +305,29 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
             raise DegenerateInputError(f"direction chain contains {what} at index {(a + k) % n}")
         u /= np.sqrt(squares)
         (x0, y0, z0), (x1, y1, z1) = u[:, :-1], u[:, 1:]  # v_k and v_{k+1}
-        antipodal = (x0 + x1) ** 2 + (y0 + y1) ** 2 + (z0 + z1) ** 2 < ANTIPODAL_TOL**2
-        if np.any(antipodal):
-            k = a + int(np.argmax(antipodal))
+        dot = x0 * x1 + y0 * y1 + z0 * z1
+        along = rx * u[0] + ry * u[1] + rz * u[2]  # r . v_k
+        # |v + w|^2 = 2 + 2 v . w >= 1 for unit rows, so only v . w < -1/2 can be antipodal
+        near = np.flatnonzero(dot < -0.5)
+        x, y, z = u[:, near] + u[:, near + 1]
+        antipodal = near[x * x + y * y + z * z < ANTIPODAL_TOL**2]
+        if antipodal.size:
+            k = a + int(antipodal[0])
             raise DegenerateInputError(
                 f"consecutive directions ({k}, {(k + 1) % n}) are antipodal; the geodesic "
                 "between them is ambiguous"
             )
-        opposite = (x0 + rx) ** 2 + (y0 + ry) ** 2 + (z0 + rz) ** 2 < 1e-18
-        if np.any(opposite):
+        near = np.flatnonzero(along[:-1] < -0.5)
+        x, y, z = u[:, near]
+        opposite = near[(x + rx) ** 2 + (y + ry) ** 2 + (z + rz) ** 2 < 1e-18]
+        if opposite.size:
             raise DegenerateInputError(
-                f"chain direction {a + int(np.argmax(opposite))} is antipodal to the reference "
+                f"chain direction {a + int(opposite[0])} is antipodal to the reference "
                 "vertex; pass a different `reference`"
             )
-        along = rx * u[0] + ry * u[1] + rz * u[2]  # r . v_k
         # r . (v_k x v_{k+1}) = (r x v_k) . v_{k+1}
         det = (ry * z0 - rz * y0) * x1 + (rz * x0 - rx * z0) * y1 + (rx * y0 - ry * x0) * z1
-        denom = 1.0 + along[:-1] + (x0 * x1 + y0 * y1 + z0 * z1) + along[1:]
-        terms[block] = 2.0 * np.arctan2(det, denom)
+        terms[block] = 2.0 * np.arctan2(det, 1.0 + along[:-1] + dot + along[1:])
     return float(np.sum(terms))
 
 

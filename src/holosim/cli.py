@@ -16,6 +16,7 @@ experiment has no knob for) or a DegenerateInputError (it names where).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,11 +27,11 @@ from .report import ConfigError, DegenerateInputError
 
 
 def _knobs(flag: str) -> str:
-    return "; ".join(
-        f"{name}: {e.knob(flag)}" for name, e in REGISTRY.items() if e.knob(flag)
-    )
+    knobs = ((name, e.knob(flag)) for name, e in REGISTRY.items())
+    return "; ".join(f"{name}: {knob}" for name, knob in knobs if knob)
 
 
+@functools.cache  # one parser per process: it depends on REGISTRY alone
 def build_parser() -> argparse.ArgumentParser:
     schema_lines = "\n".join(f"  {n}: {', '.join(e.columns)}" for n, e in REGISTRY.items())
     parser = argparse.ArgumentParser(

@@ -12,6 +12,7 @@ emitted in declared key order.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
 import time
@@ -215,6 +216,19 @@ def _report(experiment: str, rows: list, config: dict) -> ExperimentReport:
     return ExperimentReport(experiment, list(REGISTRY[experiment].columns), rows, config)
 
 
+@contextlib.contextmanager
+def _helper():
+    """One helper thread for the half of each ladder rung that a run reads second (both
+    halves are numpy loops that release the GIL); on exit it cancels what is queued."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="holosim-helper")
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 # ---------------------------------------------------------------------------
 # berry-qubit
 # ---------------------------------------------------------------------------
@@ -230,14 +244,17 @@ def run_berry_qubit(config: dict) -> ExperimentReport:
         raise ConfigError("config.path: berry-qubit requires a closed loop")
 
     rows = []
-    for n in config["ladder"]:
-        chain = abelian.band_state_chain(model, path, config["band"], n)
-        phase = abelian.discrete_geometric_phase(chain).phase
+    with _helper() as pool:
         # the oracle, -Omega/2 on band 0 and +Omega/2 on band 1, is evaluated on a
         # finer sampling than the chain so the row error reflects the chain's own
         # convergence, not a correlated discretization of the same grid
-        oracle = (config["band"] - 0.5) * abelian.solid_angle(path.sample(max(4096, 4 * n)))
-        rows.append((n, phase, oracle, abs(linalg.wrap_angle(phase - oracle))))
+        grids = (models.PathSamples(path, max(4096, 4 * n)) for n in config["ladder"])
+        omegas = [pool.submit(abelian.solid_angle, grid) for grid in grids]
+        for n, omega in zip(config["ladder"], omegas):
+            chain = abelian.band_state_chain(model, path, config["band"], n)
+            phase = abelian.discrete_geometric_phase(chain).phase
+            oracle = (config["band"] - 0.5) * omega.result()
+            rows.append((n, phase, oracle, abs(linalg.wrap_angle(phase - oracle))))
 
     report = _report("berry-qubit", rows, config)
     tol = float(config["tolerance"])
@@ -315,16 +332,17 @@ def run_usb_holonomy(config: dict) -> ExperimentReport:
     """Wilson line vs the closed-form rotation over a resolution ladder."""
     validate("usb-holonomy", config)
     _, path = models.build_model_and_path(config)
-    eta_theta_ref, eta_line_ref = holonomy.usb_eta_pair(path, config["eta_samples"])
-    b_ref = holonomy.usb_holonomy_closed_form(eta_theta_ref)
-
     rows, links = [], []
-    for n in config["ladder"]:
-        e_theta, e_line = holonomy.usb_eta_pair(path, n)
-        result = holonomy.usb_wilson_line(path, n)
-        dist = holonomy.holonomy_distance(result.matrix, b_ref)
-        rows.append((n, e_theta, e_line, dist, result.unitarity_defect, result.eta_estimate))
-        links.append({"samples": n, "min_link_singular_value": result.min_link_singular_value})
+    with _helper() as pool:
+        lines = [pool.submit(holonomy.usb_wilson_line, path, n) for n in config["ladder"]]
+        eta_theta_ref, eta_line_ref = holonomy.usb_eta_pair(path, config["eta_samples"])
+        b_ref = holonomy.usb_holonomy_closed_form(eta_theta_ref)
+        for n, line in zip(config["ladder"], lines):
+            e_theta, e_line = holonomy.usb_eta_pair(path, n)
+            result = line.result()
+            dist = holonomy.holonomy_distance(result.matrix, b_ref)
+            rows.append((n, e_theta, e_line, dist, result.unitarity_defect, result.eta_estimate))
+            links.append({"samples": n, "min_link_singular_value": result.min_link_singular_value})
 
     report = _report("usb-holonomy", rows, config)
     report.diagnostics = {"links": links}

@@ -25,6 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    DEGENERACY_TOL,
+    band_gaps,
+    blocks,
     check_links,
     closed_gap,
     dagger,
@@ -206,15 +209,42 @@ def wilson_line(
     but the basepoint, so the frames are not smoothed. Converges to the
     continuum limit as the sampling is refined and reduces to e^{i chi} with
     the chain phase chi for one-dimensional blocks.
+
+    Streamed per linalg.blocks of links: links [a, b) take frames [a, b], frame n
+    being R_0; the block products, multiplied pairwise, give the whole-path product
+    bit for bit. Where sampling fails or a gap may close, _sample_frames raises the
+    whole path's first error (a gap, then the basepoint); then comes the first bad link.
     """
     if not path.closed:
         raise ValueError("the Wilson line is defined for closed paths only")
-    raw = _sample_frames(model, path, block, n_samples, initial_frame)
-    links = link_overlaps(raw, closed=True)
-    sigma = link_sigma_min(links)
+    if n_samples < 16 or block.stop > model.dim:
+        _sample_frames(model, path, block, n_samples, initial_frame)  # raises ValueError
+    s_values = path.sample_s(n_samples)
+    low, scale, products, sigma = np.inf, 0.0, [], np.empty(n_samples)
+    try:
+        for part in blocks(n_samples):
+            w, frames = model.band_states_batch(path(s_values[part.start : part.stop + 1]), block)
+            if part.start == 0:
+                frames[0] = frame0 = basepoint_frame(frames[0], initial_frame).copy()
+            if part.stop == n_samples:  # the wrap link: frame n is R_0, in the frames' layout
+                ends = np.empty_like(frames, shape=(len(frames) + 1, *frames.shape[1:]))
+                ends[:-1], ends[-1] = frames, frame0
+                frames = ends
+            w = w[: part.stop - part.start]
+            gap = band_gaps(w, block.start, block.stop)
+            low = low if gap is None else min(low, float(np.min(gap)))
+            scale = max(scale, max_abs(w))
+            links = link_overlaps(frames, closed=False)
+            sigma[part] = link_sigma_min(links)
+            products.append(ordered_product(links))
+    except (ValueError, ZeroFieldError):
+        _sample_frames(model, path, block, n_samples, initial_frame)
+        raise
+    if low <= DEGENERACY_TOL * max(1.0, scale):  # a gap may close: the whole path decides
+        _sample_frames(model, path, block, n_samples, initial_frame)
     check_links(sigma, SUBSPACE_OVERLAP_TOL, IllConditionedLinkError)
-    matrix = nearest_unitary(ordered_product(links))
-    return HolonomyResult(matrix, unitarity_defect(matrix), len(links), float(np.min(sigma)))
+    matrix = nearest_unitary(ordered_product(np.stack(products)))
+    return HolonomyResult(matrix, unitarity_defect(matrix), n_samples, float(np.min(sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +274,13 @@ def usb_eta_pair(path: ParameterPath, n_samples: int = 2**14) -> tuple[float, fl
     lams = _usb_samples(path, n_samples)
     pp, ss, qq = lams[:, 0], lams[:, 1], lams[:, 2]
     hyp = np.hypot(pp, ss)
+    r = np.hypot(hyp, qq)
     theta = np.unwrap(np.arctan2(pp, ss))
-    sin_phi = qq / np.hypot(hyp, qq)
+    sin_phi = qq / r
 
     d_theta = np.diff(theta)
     eta_theta = float(np.sum(0.5 * (sin_phi[:-1] + sin_phi[1:]) * d_theta))
 
-    r = np.hypot(hyp, qq)
     f = qq / (hyp**2 * r)
     fs, fp = f * ss, f * pp
     dp, ds = np.diff(pp), np.diff(ss)

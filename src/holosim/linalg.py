@@ -7,10 +7,13 @@ than scale. Link polar factors up to 2x2 have closed forms; dense LAPACK
 log-depth products run with the stack axis last: on an (m, m, n) stack
 as given, or on one (m, m, n) copy of an (n, m, m) stack.
 
-The per-sample kernels (link_overlaps, link_sigma_min, the solid-angle fan,
-the four-level frames) run BLOCK samples at a time (blocks), so their
-temporaries stay cache-sized; each writes into one full-length output that
-any reduction then reads once, so results are bit for bit the same at any BLOCK.
+The per-sample kernels (link_overlaps, the four-level frames, and the Wilson
+line and the solid-angle fan, which sample their own path) run BLOCK samples at
+a time (blocks), so their temporaries stay cache-sized. Each writes into one
+full-length output that any reduction then reads once, or reduces each block and
+then the block results, as the Wilson line's pairwise product does: for BLOCK a
+power of two, an aligned block's pairwise tree is a subtree of the whole one.
+Results are bit for bit the same at any BLOCK (a power of two for the Wilson line).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 RANK_TOL = 1e-12
-BLOCK = 8192  # samples per block of the streamed kernels
+BLOCK = 8192  # samples per block of the streamed kernels; a power of two
 
 
 class NonHermitianError(ValueError):
@@ -123,13 +126,18 @@ def closed_gap(w: np.ndarray, start: int, stop: int) -> tuple[int, float] | None
     """Sample index and size of the smallest gap between the eigenvalue block
     [start, stop) and its neighbours in an (n, dim) stack of ascending
     eigenvalues, if it is at or below DEGENERACY_TOL * max(1, max |w|); else None."""
-    edges = [e for e in (start, stop) if 0 < e < w.shape[1]]
-    if not edges:
+    gap = band_gaps(w, start, stop)
+    if gap is None:
         return None
-    gap = np.min(w[:, edges] - w[:, [e - 1 for e in edges]], axis=1)
     k = int(np.argmin(gap))
     scale = max(1.0, float(np.max(np.abs(w))))
     return (k, float(gap[k])) if gap[k] <= DEGENERACY_TOL * scale else None
+
+
+def band_gaps(w: np.ndarray, start: int, stop: int) -> np.ndarray | None:
+    """closed_gap's gap at each sample; None for a block that spans every level."""
+    edges = [e for e in (start, stop) if 0 < e < w.shape[1]]
+    return np.min(w[:, edges] - w[:, [e - 1 for e in edges]], axis=1) if edges else None
 
 
 def link_overlaps(frames: np.ndarray, closed: bool) -> np.ndarray:
@@ -161,11 +169,8 @@ def link_polar(links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def link_sigma_min(links: np.ndarray) -> np.ndarray:
-    """link_polar's smallest singular values alone, bit for bit, one block of links at a time."""
-    sigma = np.empty(links.shape[:-2])
-    for block in blocks(len(links)):
-        sigma[block] = _polar(links[block])[1]
-    return sigma
+    """link_polar's smallest singular values alone, bit for bit."""
+    return _polar(links)[1]
 
 
 def _polar(links: np.ndarray) -> tuple:

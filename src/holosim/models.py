@@ -125,6 +125,21 @@ class ParameterPath:
         return self(self.sample_s(n, include_endpoint))
 
 
+@dataclass(frozen=True)
+class PathSamples:
+    """path.sample(n) of a closed path, evaluated only at the rows sliced: row k is
+    path(k / n), bit for bit as in the (n, dim) grid, which is never built."""
+
+    path: ParameterPath
+    n: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.path(np.arange(*rows.indices(self.n)) / self.n)
+
+
 def constant_path(lam, label: str = "constant") -> ParameterPath:
     lam = np.asarray(lam, dtype=float).ravel()
 

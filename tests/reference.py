@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from holosim import abelian, linalg, models
+from holosim import abelian, holonomy, linalg, models
 
 
 def random_hermitian(rng, dim):
@@ -130,6 +130,18 @@ def reference_wilson_line(frames):
     for k in range(len(frames)):
         product = product @ (frames[k].conj().T @ frames[(k + 1) % len(frames)])
     return linalg.nearest_unitary(product)
+
+
+def whole_path_wilson_line(model, path, block, n, f0=None):
+    """holonomy.wilson_line over whole-path arrays, as it was before it streamed
+    blocks: every frame, every link and one pairwise product of all n links.
+    Returns the matrix, the smallest link singular value and the unitarity defect."""
+    raw = holonomy._sample_frames(model, path, block, n, f0)
+    links = linalg.link_overlaps(raw, closed=True)
+    sigma = linalg.link_sigma_min(links)
+    linalg.check_links(sigma, holonomy.SUBSPACE_OVERLAP_TOL, holonomy.IllConditionedLinkError)
+    matrix = linalg.nearest_unitary(linalg.ordered_product(links))
+    return matrix, float(np.min(sigma)), linalg.unitarity_defect(matrix)
 
 
 def reference_link_polar(links):

@@ -380,6 +380,40 @@ class TestSolidAngle:
             tracemalloc.stop()
         assert peak < 8 * len(dirs) + 2**21
 
+    def test_path_samples_build_no_grid(self):
+        grid = models.PathSamples(models.make_azimuthal_loop(1.0, 1.5), 2**18)
+        tracemalloc.start()
+        try:
+            abelian.solid_angle(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(grid) + 2**21
+
+    # past the first block, where the antipode screens see only their candidates
+    @pytest.mark.parametrize("index", [linalg.BLOCK - 1, linalg.BLOCK + 3])
+    def test_antipodal_pair_past_a_block_named(self, index):
+        dirs = models.make_azimuthal_loop(1.0).sample(linalg.BLOCK + 20)
+        dirs[index + 1] = -2.0 * dirs[index]
+        pair = rf"directions \({index}, {index + 1}\) are antipodal"
+        with pytest.raises(DegenerateInputError, match=pair):
+            abelian.solid_angle(dirs)
+
+    @pytest.mark.parametrize("index", [linalg.BLOCK, linalg.BLOCK + 7])
+    def test_reference_antipode_past_a_block_named(self, index):
+        dirs = models.make_azimuthal_loop(1.0).sample(linalg.BLOCK + 20)
+        dirs[index] = (0.0, 0.0, -3.0)
+        with pytest.raises(DegenerateInputError, match=f"direction {index} is antipodal"):
+            abelian.solid_angle(dirs)
+
+    def test_near_antipodes_past_a_block_are_not_rejected(self):
+        # 1e-6 rad from antipodal: screened in as candidates, and kept
+        dirs = models.make_azimuthal_loop(1.0).sample(linalg.BLOCK + 20)
+        index = linalg.BLOCK + 3
+        dirs[index + 1] = -dirs[index] + (1e-6, 0.0, 0.0)
+        dirs[index + 5] = (1e-6, 0.0, -1.0)
+        assert math.isfinite(abelian.solid_angle(dirs))
+
     @pytest.mark.parametrize("reference", [(0.0, 0.0, 0.0), (0.0, 1.0)])
     def test_bad_reference_rejected(self, reference):
         with pytest.raises(ValueError, match="`reference` must be a nonzero 3-vector"):

@@ -461,3 +461,39 @@ class TestBlockErrors:
                 linalg.link_sigma_min(links), holonomy.SUBSPACE_OVERLAP_TOL,
                 holonomy.IllConditionedLinkError,
             )
+
+
+class TestStreamedKernels:
+    """The kernels that sample their path per linalg.blocks against their whole-path
+    forms, bit for bit: below, at and past one block, and at a smaller BLOCK."""
+
+    @pytest.mark.parametrize("block_size", [None, 64])
+    @pytest.mark.parametrize("n", [16, 8191, 8192, 8193, 3 * 8192 + 5])
+    @pytest.mark.parametrize("name", ["usb", "qubit"])
+    def test_wilson_line_is_the_whole_path_form(self, monkeypatch, name, n, block_size):
+        if block_size:  # a power of two, as BLOCK is
+            monkeypatch.setattr(linalg, "BLOCK", block_size)
+        args = shipped(name, n)
+        line = holonomy.wilson_line(*args)
+        matrix, sigma_min, defect = ref.whole_path_wilson_line(*args)
+        assert np.array_equal(line.matrix, matrix)
+        assert line.min_link_singular_value == sigma_min
+        assert line.unitarity_defect == defect
+
+    @pytest.mark.parametrize(
+        "n, block_size", [(3, None), (4096, None), (3 * 8192 + 5, None), (25, 7)]
+    )
+    @pytest.mark.parametrize("path", [
+        models.make_azimuthal_loop(1.0, 1.7),
+        models.reversed_path(models.make_azimuthal_loop(2.2)),
+        models.constant_path([0.3, -0.0, 2.0]),
+    ], ids=["azimuthal", "reversed", "constant"])
+    def test_path_samples_solid_angle_is_the_grid_form(self, monkeypatch, path, n, block_size):
+        if block_size:
+            monkeypatch.setattr(linalg, "BLOCK", block_size)
+        grid = models.PathSamples(path, n)
+        assert len(grid) == n
+        for reference in [(0.0, 0.0, 1.0), (0.3, -0.2, -1.0)]:
+            got = abelian.solid_angle(grid, reference)
+            expected = abelian.solid_angle(path.sample(n), reference)
+            assert bits(np.array([got])) == bits(np.array([expected]))

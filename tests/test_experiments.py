@@ -1,3 +1,5 @@
+import concurrent.futures
+import contextlib
 import copy
 import importlib
 import json
@@ -7,6 +9,8 @@ import pkgutil
 import re
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -333,6 +337,115 @@ class TestUsbHolonomy:
         sigmas = [e["min_link_singular_value"] for e in entries]
         # finer sampling: neighbouring dark frames overlap more
         assert holonomy.SUBSPACE_OVERLAP_TOL < sigmas[0] < sigmas[1] <= 1.0
+
+
+@contextlib.contextmanager
+def inline_helper():
+    """experiments._helper's interface, running each task as it is submitted."""
+    class Inline:
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+    yield Inline()
+
+
+def failing_at(function, size_of, sizes, message, delay=0.0):
+    """function, except that a call whose size_of(*args) is in sizes waits delay
+    seconds and then raises DegenerateInputError(message)."""
+    def call(*args):
+        if size_of(*args) in sizes:
+            time.sleep(delay)
+            raise DegenerateInputError(message)
+        return function(*args)
+    return call
+
+
+def last(*args):
+    return args[-1]
+
+
+class TestHelperThread:
+    """The half of each rung that a run reads second runs on a helper thread:
+    berry-qubit's solid angles and usb-holonomy's Wilson lines."""
+
+    SHIPPED = [(name, None) for name in ("berry-qubit", "usb-holonomy")] + [
+        (json.loads(path.read_text())["experiment"], path)
+        for path in sorted((ROOT / "configs").glob("*.json"))
+        if json.loads(path.read_text())["experiment"] in ("berry-qubit", "usb-holonomy")
+    ]
+
+    @pytest.mark.parametrize("experiment, config", SHIPPED)
+    def test_csv_bytes_match_an_inline_helper(self, tmp_path, monkeypatch, experiment, config):
+        fragment = None if config is None else json.loads(config.read_text())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two threads interleave as finely as they can
+        try:
+            threaded = experiments.run_experiment(experiment, fragment).write(tmp_path / "a.csv")
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(experiments, "_helper", inline_helper)
+        inline = experiments.run_experiment(experiment, fragment).write(tmp_path / "b.csv")
+        assert threaded[0].read_bytes() == inline[0].read_bytes()
+
+    # the helper's error is slow to come, so a run that took the first error in time fails
+    @pytest.mark.parametrize("oracle_at, chain_at, first", [
+        (8192, 4096, "oracle"), (16384, 4096, "chain"), (16384, 2048, "chain"),
+    ])
+    def test_berry_qubit_raises_the_sequential_first_error(
+        self, monkeypatch, oracle_at, chain_at, first
+    ):
+        # the ladder 2048, 4096 reads the oracle at 8192 and 16384 points
+        oracle = failing_at(abelian.solid_angle, len, {oracle_at}, "oracle", 0.1)
+        monkeypatch.setattr(abelian, "solid_angle", oracle)
+        chain = failing_at(abelian.band_state_chain, last, {chain_at}, "chain")
+        monkeypatch.setattr(abelian, "band_state_chain", chain)
+        with pytest.raises(DegenerateInputError, match=f"^{first}$"):
+            experiments.run_experiment("berry-qubit", {"ladder": [2048, 4096]})
+
+    @pytest.mark.parametrize("eta_at, line_at, first", [
+        (2**14, 512, "eta"), (512, 512, "eta"), (1024, 512, "line"),
+    ])
+    def test_usb_holonomy_raises_the_sequential_first_error(
+        self, monkeypatch, eta_at, line_at, first
+    ):
+        eta = failing_at(holonomy.usb_eta_pair, last, {eta_at}, "eta")
+        monkeypatch.setattr(holonomy, "usb_eta_pair", eta)
+        line = failing_at(holonomy.usb_wilson_line, last, {line_at}, "line", 0.1)
+        monkeypatch.setattr(holonomy, "usb_wilson_line", line)
+        with pytest.raises(DegenerateInputError, match=f"^{first}$"):
+            experiments.run_experiment("usb-holonomy", {"ladder": [512, 1024]})
+
+    @pytest.mark.parametrize("experiment, main, helper", [
+        ("berry-qubit", "band_state_chain", "solid_angle"),
+        ("usb-holonomy", "usb_eta_pair", "usb_wilson_line"),
+    ])
+    def test_nothing_is_queued_or_running_after_a_raise(
+        self, monkeypatch, experiment, main, helper
+    ):
+        futures, helper_pool = [], experiments._helper
+
+        @contextlib.contextmanager
+        def recording_helper():
+            with helper_pool() as pool:
+                submit = pool.submit
+                pool.submit = lambda *args: futures.append(submit(*args)) or futures[-1]
+                yield pool
+
+        module = abelian if experiment == "berry-qubit" else holonomy
+        slow = getattr(module, helper)
+        monkeypatch.setattr(experiments, "_helper", recording_helper)
+        monkeypatch.setattr(module, helper, lambda *args: time.sleep(0.05) or slow(*args))
+        monkeypatch.setattr(module, main, failing_at(getattr(module, main), last, {512}, "main"))
+        with pytest.raises(DegenerateInputError, match="^main$"):
+            experiments.run_experiment(experiment, {"ladder": [512, 1024, 2048]})
+        assert futures and all(f.done() for f in futures)
+        assert any(f.cancelled() for f in futures)
+        assert not [t for t in threading.enumerate() if t.name.startswith("holosim-helper")]
 
 
 class TestAdiabaticSweep:

@@ -263,6 +263,43 @@ class TestWilsonLine:
         assert linalg.max_abs(rev.matrix - fwd.matrix.conj().T) < 1e-10
 
 
+class TestStreamedWilsonLineErrors:
+    """wilson_line walks blocks of 16 samples here, and raises what its whole-path
+    form raises first: a gap closure anywhere, the basepoint check, then a link."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(linalg, "BLOCK", 16)
+
+    @staticmethod
+    def through_origin(z=0.0):
+        # (1 + cos 2 pi s, sin 2 pi s, z) is (0, 0, z) at s = 1/2: sample 32 of 64, in block 2
+        def evaluate(s):
+            a = 2.0 * np.pi * s
+            return np.stack([1.0 + np.cos(a), np.sin(a), np.full_like(s, z)], axis=1)
+
+        return models.ParameterPath(evaluate, 3, closed=True)
+
+    @pytest.mark.parametrize("z", [0.0, 1e-11], ids=["zero-field", "defined-frames"])
+    def test_gap_closure_in_a_later_block_names_its_s(self, z):
+        path, block = self.through_origin(z), holonomy.BandBlock(0, 1)
+        with pytest.raises(holonomy.GapClosureError, match=r"s = 0\.500000"):
+            holonomy.wilson_line(models.QubitModel(), path, block, 64)
+
+    def test_zero_field_without_a_gap_names_its_sample(self):
+        # the whole four-level space has no gap: the frames' error, by its index on the path
+        path, block = self.through_origin(), holonomy.BandBlock(0, 4)
+        with pytest.raises(models.ZeroFieldError, match=r"index \[32\]"):
+            holonomy.wilson_line(models.UsbModel(), path, block, 64)
+
+    def test_gap_closure_comes_before_the_basepoint_check(self):
+        model, block, bad = models.QubitModel(), holonomy.BandBlock(0, 1), np.ones((2, 1))
+        with pytest.raises(holonomy.GapClosureError, match=r"s = 0\.500000"):
+            holonomy.wilson_line(model, self.through_origin(), block, 64, bad)
+        with pytest.raises(ValueError, match="orthonormal"):
+            holonomy.wilson_line(model, models.make_azimuthal_loop(1.0), block, 64, bad)
+
+
 class TestEta:
     def test_q_zero_loop(self):
         path = models.make_usb_loop("circle", {"q0": 0.0, "b": 0.0})
