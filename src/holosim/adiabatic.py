@@ -14,6 +14,7 @@ line it is compared with reject the same loops and frames.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    angle_distance, closed_gap, dagger, max_abs, nearest_unitary, near_identity_product_last,
+    angle_distance, closed_gap, dagger, helper_thread, max_abs, nearest_unitary,
 )
 from .holonomy import (
     BandBlock, GapClosureError, HolonomyResult, basepoint_frame, block_frames, holonomy_distance,
@@ -98,8 +99,10 @@ def _cf4(run: AdiabaticRun, steps: int) -> np.ndarray:
     A chunk's exponentials come from the model as increments U - I
     (HamiltonianModel.propagator_increments: closed form for the shipped
     models, dense otherwise), stack-last and latest first, and are
-    multiplied in log depth before they act on the state, so no step
-    rounds 1 + O(dt^2) and the norm drift stays at a few eps per chunk.
+    multiplied in log depth (HamiltonianModel.chunk_increment) before they
+    act on the state, so no step rounds 1 + O(dt^2) and the norm drift stays
+    at a few eps per chunk. UsbModel's are real in the basis D = diag(1, i, 1, 1)
+    (see its chunk_increment), so their product is taken in float64.
     """
     dt = run.total_time / steps
     state = run.initial_state.copy()
@@ -107,8 +110,7 @@ def _cf4(run: AdiabaticRun, steps: int) -> np.ndarray:
         k = np.arange(start, min(start + _CHUNK // 2, steps))
         # per step, the Gauss-node pair (H1, H2), weighted by W[0] then W[1]
         lams = run.path(((k[:, None] + _NODES) / steps).ravel()).reshape(len(k), 2, -1)
-        chunk = near_identity_product_last(run.model.propagator_increments(lams, _WEIGHTS, dt))
-        state = state + chunk @ state
+        state = state + run.model.chunk_increment(lams, _WEIGHTS, dt) @ state
     return state
 
 
@@ -187,14 +189,7 @@ def adiabatic_holonomy(
     # instantaneous eigenspace at the basepoint = target space for a loop
     target = block_frames(model, loop(np.array([0.0])), block, [0.0])[0]
     frame0 = basepoint_frame(target, initial_frame)
-    run = AdiabaticRun(
-        model=model,
-        path=loop,
-        total_time=total_time,
-        steps=steps,
-        initial_state=frame0,
-    )
-    result = evolve_schrodinger(run)
+    result = evolve_schrodinger(AdiabaticRun(model, loop, total_time, steps, frame0))
     evolved = result.final_states
 
     delta = dynamical_phase(model, loop, total_time, block)
@@ -242,7 +237,8 @@ def convergence_sweep(
     Rows are the adiabatic_holonomy runs with their distance set: for
     one-dimensional blocks the wrapped phase error (the global-phase-quotient
     metric is identically zero there), for larger blocks holonomy_distance of
-    the unitarized overlap matrix.
+    the unitarized overlap matrix. The last ramp runs on linalg.helper_thread while
+    this thread takes the reference and the rest; read in T order, errors come as with one.
     """
     if len(total_times) < 3:
         raise ValueError("need at least 3 T values")
@@ -253,18 +249,21 @@ def convergence_sweep(
     if len(steps_per_t) != len(total_times):
         raise ValueError("steps_per_t must match total_times")
 
-    reference = wilson_line(model, loop, block, reference_samples, initial_frame)
-    reference_phase = np.angle(reference.matrix[0, 0])
-
-    rows = []
-    for t, steps in zip(total_times, steps_per_t):
-        res = adiabatic_holonomy(model, loop, t, block, steps, initial_frame)
-        measured = nearest_unitary(res.overlap_matrix)
-        if block.size == 1:
-            res.distance = angle_distance(np.angle(measured[0, 0]), reference_phase)
-        else:
-            res.distance = holonomy_distance(measured, reference.matrix)
-        rows.append(res)
+    ramps = [functools.partial(adiabatic_holonomy, model, loop, t, block, steps, initial_frame)
+             for t, steps in zip(total_times, steps_per_t)]
+    with helper_thread() as pool:
+        ramps[-1] = pool.submit(ramps[-1]).result  # the longest ramp
+        reference = wilson_line(model, loop, block, reference_samples, initial_frame)
+        reference_phase = np.angle(reference.matrix[0, 0])
+        rows = []
+        for ramp in ramps:
+            res = ramp()
+            measured = nearest_unitary(res.overlap_matrix)
+            if block.size == 1:
+                res.distance = angle_distance(np.angle(measured[0, 0]), reference_phase)
+            else:
+                res.distance = holonomy_distance(measured, reference.matrix)
+            rows.append(res)
 
     logs_t = np.log(np.array(total_times))
     logs_d = np.log(np.maximum([r.distance for r in rows], 1e-300))

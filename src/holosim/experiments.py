@@ -12,7 +12,6 @@ emitted in declared key order.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import math
 import time
@@ -216,17 +215,7 @@ def _report(experiment: str, rows: list, config: dict) -> ExperimentReport:
     return ExperimentReport(experiment, list(REGISTRY[experiment].columns), rows, config)
 
 
-@contextlib.contextmanager
-def _helper():
-    """One helper thread for the half of each ladder rung that a run reads second (both
-    halves are numpy loops that release the GIL); on exit it cancels what is queued."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="holosim-helper")
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
+_helper = linalg.helper_thread  # for the half of each ladder rung that a run reads second
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,7 @@ def basepoint_frame(frame: np.ndarray, initial_frame=None) -> np.ndarray:
     if initial_frame is None:
         return frame
     f0 = np.asarray(initial_frame, dtype=complex).reshape(frame.shape)
+    f0 = f0 if np.any(f0.imag) else f0.real  # so that real frames stay float64
     if max_abs(dagger(f0) @ f0 - np.eye(f0.shape[1])) > 1e-10:
         raise ValueError("initial_frame columns are not orthonormal")
     residual = max_abs(f0 - frame @ (dagger(frame) @ f0))
@@ -176,7 +177,9 @@ def _sample_frames(
         raise ValueError(f"need at least 16 samples, got {n_samples}")
     s_values = path.sample_s(n_samples)
     raw = block_frames(model, path(s_values), block, s_values)
-    raw[0] = basepoint_frame(raw[0], initial_frame)
+    f0 = basepoint_frame(raw[0], initial_frame)
+    raw = raw.astype(np.result_type(raw, f0), copy=False)  # a complex basepoint promotes them
+    raw[0] = f0
     return raw
 
 
@@ -225,9 +228,12 @@ def wilson_line(
         for part in blocks(n_samples):
             w, frames = model.band_states_batch(path(s_values[part.start : part.stop + 1]), block)
             if part.start == 0:
-                frames[0] = frame0 = basepoint_frame(frames[0], initial_frame).copy()
+                frame0 = basepoint_frame(frames[0], initial_frame).copy()
+                frames = frames.astype(np.result_type(frames, frame0), copy=False)
+                frames[0] = frame0
             if part.stop == n_samples:  # the wrap link: frame n is R_0, in the frames' layout
-                ends = np.empty_like(frames, shape=(len(frames) + 1, *frames.shape[1:]))
+                dtype = np.result_type(frames, frame0)
+                ends = np.empty_like(frames, dtype, shape=(len(frames) + 1, *frames.shape[1:]))
                 ends[:-1], ends[-1] = frames, frame0
                 frames = ends
             w = w[: part.stop - part.start]

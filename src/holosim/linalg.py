@@ -1,11 +1,12 @@
 """Batched complex linear algebra for small Hermitian problems.
 
-Everything here operates on plain numpy arrays (complex128) of small
-matrices (dim <= 16 for the shipped models); determinism matters more
-than scale. Link polar factors up to 2x2 have closed forms; dense LAPACK
-(eigh_batch, a batched SVD) serves generic models and larger links. The
-log-depth products run with the stack axis last: on an (m, m, n) stack
-as given, or on one (m, m, n) copy of an (n, m, m) stack.
+Everything here operates on plain numpy arrays (complex128; the links and
+products keep float64 input real) of small matrices (dim <= 16 for the
+shipped models); determinism matters more than scale. Link polar factors up
+to 2x2 have closed forms; dense LAPACK (eigh_batch, a batched SVD) serves
+generic models and larger links. The log-depth products run with the stack
+axis last: on an (m, m, n) stack as given, or on one (m, m, n) copy of an
+(n, m, m) stack.
 
 The per-sample kernels (link_overlaps, the four-level frames, and the Wilson
 line and the solid-angle fan, which sample their own path) run BLOCK samples at
@@ -17,6 +18,8 @@ Results are bit for bit the same at any BLOCK (a power of two for the Wilson lin
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -54,6 +57,18 @@ def blocks(n: int) -> list[slice]:
     return [slice(a, min(a + BLOCK, n)) for a in range(0, n, BLOCK)]
 
 
+@contextlib.contextmanager
+def helper_thread():
+    """One thread for numpy work the caller reads later; on exit it cancels what is queued."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="holosim-helper")
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(m, -1, -2))
 
@@ -67,16 +82,17 @@ def gauge_fix(v: np.ndarray) -> np.ndarray:
     """Rephase each vector of a (..., dim) stack so its largest-magnitude
     component is real positive; (near-)zero vectors are left unchanged.
 
-    Ties are broken by the lowest index (np.argmax). This is the fixed,
-    deterministic gauge convention used for eigenvectors; it carries no
-    physical meaning on its own.
+    Ties are broken by the lowest index (the strict > of a sweep over the
+    components, each one (...) slice). This is the fixed, deterministic gauge
+    convention used for eigenvectors; it carries no physical meaning on its own.
     """
     v = np.asarray(v, dtype=complex)
-    k = np.argmax(np.abs(v), axis=-1)[..., None]
-    pivot = np.take_along_axis(v, k, axis=-1)
+    pivot = v[..., 0]
+    for j in range(1, v.shape[-1]):
+        pivot = np.where(np.abs(v[..., j]) > np.abs(pivot), v[..., j], pivot)
     mag = np.abs(pivot)
     phase = np.conjugate(pivot) / np.maximum(mag, RANK_TOL)
-    return v * np.where(mag < RANK_TOL, 1.0, phase)
+    return v * np.where(mag < RANK_TOL, 1.0, phase)[..., None]
 
 
 def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

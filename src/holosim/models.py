@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import schema
-from .linalg import RANK_TOL, blocks, eigh_batch, propagator_increments
+from .linalg import RANK_TOL, blocks, eigh_batch, near_identity_product_last, propagator_increments
 from .report import ConfigError, DegenerateInputError
 from .schema import List, Number, Section
 
@@ -39,6 +39,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 _SIGNS = np.array([-1.0, 1.0])
 _SPOKES = [0, 2, 3]  # the four-level model's levels that (P, S, Q) couple to its hub, 1
+_D_PHASES = np.outer([1, 1j, 1, 1], [1, -1j, 1, 1])  # D M D^dag = _D_PHASES M, D = diag(1, i, 1, 1)
 
 
 class DarkFrameSingularError(DegenerateInputError):
@@ -317,6 +318,10 @@ class HamiltonianModel:
         exponents = (weights @ hs).reshape(-1, self.dim, self.dim)
         return np.moveaxis(propagator_increments(exponents, dt)[::-1], 0, -1).copy()
 
+    def chunk_increment(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
+        """The product of propagator_increments' propagators, latest first, minus I: (dim, dim)."""
+        return near_identity_product_last(self.propagator_increments(lams, weights, dt))
+
 
 def _rodrigues(couplings: np.ndarray, weights: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
     """For H linear in a (k, q, c) coupling stack: the (c, k e) rows sum_q w_q c_q of
@@ -399,7 +404,11 @@ class UsbModel(HamiltonianModel):
     zero pair is the dark space. Energies, every block's frames
     (band_states_batch) and propagator_increments are in closed form; a
     subclass that overrides evaluate_batch gets the dense frames and
-    propagators of its own matrix.
+    propagators of its own matrix. The frames are real, float64. So are the
+    propagators in the basis D = diag(1, i, 1, 1): the coupling is bipartite, hub 1
+    against spokes 0, 2, 3 (a tripod; Unanyan, Shore & Bergmann 1999), so
+    D^dag (-i H) D is real and antisymmetric. chunk_increment multiplies a chunk's
+    increments in float64 in that basis and rotates only its (4, 4) product back.
     """
 
     dim = 4
@@ -441,7 +450,7 @@ class UsbModel(HamiltonianModel):
             raise ZeroFieldError(
                 f"four-level band states undefined at index [{k}]: R = 0 (degenerate levels)"
             )
-        frames = np.zeros((4, block.size, len(r)), dtype=complex)
+        frames = np.zeros((4, block.size, len(r)))
         for part in blocks(len(r)):
             b = lams.T[:, part] / r[part]  # (3, part)
             cols = np.arange(b.shape[1])
@@ -465,14 +474,25 @@ class UsbModel(HamiltonianModel):
 
     def propagator_increments(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
         """In closed form from the combined couplings: H = |1><c| + |c><1| with
-        c = (P, 0, S, Q), so H^2 = R^2 |1><1| + |c><c|."""
+        c = (P, 0, S, Q), so H^2 = R^2 |1><1| + |c><c|: _real_increments, rotated out of D."""
         if type(self).evaluate_batch is not UsbModel.evaluate_batch:
             return super().propagator_increments(lams, weights, dt)
+        return _D_PHASES[..., None] * self._real_increments(lams, weights, dt)
+
+    def chunk_increment(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
+        """The chunk's product, in float64 in the basis D; only the (4, 4) result is rotated."""
+        if type(self).evaluate_batch is not UsbModel.evaluate_batch:
+            return super().chunk_increment(lams, weights, dt)
+        return _D_PHASES * near_identity_product_last(self._real_increments(lams, weights, dt))
+
+    def _real_increments(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
+        """D^dag (exp(-i dt A) - I) D, with D = diag(1, i, 1, 1): real, float64 (4, 4, k e)."""
         c, r2, sin_r, cos_r = _rodrigues(np.asarray(lams, dtype=float), weights, dt)
-        e = np.zeros((4, 4, len(r2)), dtype=complex)
-        e.real[1, 1] = cos_r * r2
-        e.imag[1, _SPOKES] = e.imag[_SPOKES, 1] = -sin_r * c
-        e.real[np.ix_(_SPOKES, _SPOKES)] = c[:, None] * c * cos_r
+        e = np.zeros((4, 4, len(r2)))
+        e[1, 1] = cos_r * r2
+        e[_SPOKES, 1] = sin_r * c
+        e[1, _SPOKES] = -e[_SPOKES, 1]
+        e[np.ix_(_SPOKES, _SPOKES)] = c[:, None] * c * cos_r
         return e
 
     def dark_frame_batch(self, lams: np.ndarray) -> np.ndarray:
@@ -489,7 +509,7 @@ class UsbModel(HamiltonianModel):
         phi = np.arctan2(qq, hyp)
         ct, st = np.cos(theta), np.sin(theta)
         cf, sf = np.cos(phi), np.sin(phi)
-        frames = np.zeros((len(pp), 4, 2), dtype=complex)
+        frames = np.zeros((len(pp), 4, 2))
         frames[:, 0, 0] = ct
         frames[:, 2, 0] = -st
         frames[:, 0, 1] = sf * st

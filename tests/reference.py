@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from holosim import abelian, holonomy, linalg, models
+from holosim import abelian, adiabatic, holonomy, linalg, models
 
 
 def random_hermitian(rng, dim):
@@ -36,6 +36,15 @@ def gauge_fixed_vector(v):
     if abs(v[k]) < linalg.RANK_TOL:
         return v.copy()
     return v * (np.conjugate(v[k]) / abs(v[k]))
+
+
+def argmax_gauge_fix(v):
+    """gauge_fix as it picked its pivot before: np.argmax over the last axis."""
+    v = np.asarray(v, dtype=complex)
+    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    mag = np.abs(pivot)
+    phase = np.conjugate(pivot) / np.maximum(mag, linalg.RANK_TOL)
+    return v * np.where(mag < linalg.RANK_TOL, 1.0, phase)
 
 
 def eigh_propagators(hs, dt):
@@ -65,6 +74,31 @@ def matmul_pairwise(mats, pair=np.matmul):
         paired = pair(mats[0 : len(mats) - 1 : 2], mats[1::2])
         mats = np.concatenate([paired, mats[-1:]]) if len(mats) % 2 else paired
     return mats[0]
+
+
+def complex_usb_increments(lams, weights, dt):
+    """UsbModel.propagator_increments as it was written in complex128, entry by entry:
+    the hub-spoke entries imaginary, the rest real."""
+    c, r2, sin_r, cos_r = models._rodrigues(np.asarray(lams, dtype=float), weights, dt)
+    spokes = [0, 2, 3]
+    e = np.zeros((4, 4, len(r2)), dtype=complex)
+    e.real[1, 1] = cos_r * r2
+    e.imag[1, spokes] = e.imag[spokes, 1] = -sin_r * c
+    e.real[np.ix_(spokes, spokes)] = c[:, None] * c * cos_r
+    return e
+
+
+def complex_usb_cf4(run, steps):
+    """adiabatic._cf4 on the four-level model as it was: each chunk's increments in
+    complex128 (complex_usb_increments), multiplied in complex128."""
+    dt = run.total_time / steps
+    state = run.initial_state.copy()
+    for start in range(0, steps, adiabatic._CHUNK // 2):
+        k = np.arange(start, min(start + adiabatic._CHUNK // 2, steps))
+        lams = run.path(((k[:, None] + adiabatic._NODES) / steps).ravel()).reshape(len(k), 2, -1)
+        es = complex_usb_increments(lams, adiabatic._WEIGHTS, dt)
+        state = state + linalg.near_identity_product_last(es) @ state
+    return state
 
 
 def sequential_eigh_evolution(run):
@@ -241,6 +275,14 @@ def reference_holonomy_distance(u, v, n=2**16):
 
 class DenseUsb(models.UsbModel):
     band_states_batch = models.HamiltonianModel.band_states_batch  # one eigh_batch
+
+
+class ComplexUsb(models.UsbModel):
+    """The four-level model with its closed-form frames cast to complex128."""
+
+    def band_states_batch(self, lams, block):
+        w, frames = super().band_states_batch(lams, block)
+        return w, frames.astype(complex)
 
 
 class DenseQubit(models.QubitModel):

@@ -218,6 +218,23 @@ for name, (model, path) in INCREMENT_MODELS.items():
             model_increments, combined_propagators,
             lambda rng, a=(model, path, dt): (a[0], cf4_points(a[1], 512, 512), a[2]), None, 1e-14,
         )
+# the four-level increments, chunk products and runs, real in the basis D = diag(1, i, 1, 1),
+# bit for bit against the complex128 forms they replace; 8192 and 9000 steps take 2 and 3 chunks
+USB_LOOP = shipped("usb")[1]
+ROWS["model_increments-usb-complex-form"] = Row(
+    models.UsbModel().propagator_increments, ref.complex_usb_increments,
+    lambda rng: (cf4_points(USB_LOOP, 512, 512), adiabatic._WEIGHTS, 0.37), None, EXACT,
+)
+ROWS["chunk_increment-usb-complex-form"] = Row(
+    models.UsbModel().chunk_increment,
+    lambda *a: linalg.near_identity_product_last(ref.complex_usb_increments(*a)),
+    lambda rng: (cf4_points(USB_LOOP, 4096, 4096), adiabatic._WEIGHTS, 200.0 / 4096), None, EXACT,
+)
+for total_time, steps in ((10.0, 64), (50.0, 1024), (200.0, 4096), (800.0, 8192), (800.0, 9000)):
+    ROWS[f"cf4-usb-complex-form-T{total_time:g}-{steps}"] = Row(
+        adiabatic._cf4, ref.complex_usb_cf4,
+        lambda rng, a=(total_time, steps): (evolution("usb", a[0], a[1])[0], a[1]), None, EXACT,
+    )
 for name in ("qubit", "usb"):
     # a zero field: the increments are exactly 0 (no float is below the smallest subnormal)
     ROWS[f"model_increments-{name}-zero-field"] = Row(
@@ -238,6 +255,15 @@ for m in (1, 2, 3, 4):
         lambda pairs: [ref.reference_holonomy_distance(u, v) for u, v in pairs],
         lambda rng, m=m: ([[ref.random_unitary(rng, m) for _ in "uv"] for _ in range(15)],),
         (67, m), math.pi / 2**16, one_sided=True,
+    )
+for dim in (1, 2, 3, 4):
+    # ties, zero and tiny vectors: the pivot sweep picks the component np.argmax picked
+    ROWS[f"gauge_fix-argmax-form-dim{dim}"] = Row(
+        lambda v: bits(linalg.gauge_fix(v)), lambda v: bits(ref.argmax_gauge_fix(v)),
+        lambda rng, d=dim: (np.concatenate([
+            np.round(complex_normal(rng, 400, d)), complex_normal(rng, 100, d),
+            np.zeros((3, d)), np.full((3, d), 1e-13 - 1e-13j), np.eye(d) * (1 - 1j),
+        ]),), (89, dim), EXACT,
     )
 ROWS["qubit_band_states-random"] = Row(
     lambda ns: tuple(models.qubit_band_states(ns, band) for band in (0, 1)),
@@ -348,12 +374,6 @@ BLOCK_INPUTS = {
     ),
     "link_overlaps-open-4d": (overlaps(False), lambda rng, n: (complex_normal(rng, n, 2, 3, 1),)),
     **{
-        f"link_sigma_min-m{m}": (
-            linalg.link_sigma_min, lambda rng, n, m=m: (stack_last(complex_normal(rng, m, m, n)),)
-        )
-        for m in (1, 2, 3)
-    },
-    **{
         f"usb_frames-{block.start}-{block.stop}": (
             lambda lams, b=block: models.UsbModel().band_states_batch(lams, b)[1],
             lambda rng, n: (stack_last(rng.normal(size=(3, n))),),
@@ -367,12 +387,60 @@ for key, (kernel, inputs) in BLOCK_INPUTS.items():
             blocked(kernel, 7), blocked(kernel, None), lambda rng, f=inputs, n=n: f(rng, n),
             (73, n), EXACT,
         )
-# above 256 kB numpy elides a temporary of a complex product and may swap its operands,
-# which moves the last bit: the closed form's products must not depend on the stack size
-ROWS["link_sigma_min-m2-elided"] = Row(
-    linalg.link_sigma_min, blocked(linalg.link_sigma_min, None),
-    lambda rng: (stack_last(complex_normal(rng, 2, 2, 3 * linalg.BLOCK + 5)),), 79, EXACT,
-)
+
+
+def real_result(kernel):
+    """kernel, checked to return float64 arrays."""
+    def run(*args):
+        out = kernel(*args)
+        assert out.dtype == np.float64
+        return out
+    return run
+
+
+def on_complex(kernel):
+    """kernel on its float64 input cast to complex128, in the same memory order."""
+    return lambda array: kernel(array.astype(complex))
+
+
+def near_identity(rng, *shape):
+    return np.eye(shape[-1]) + 0.01 * rng.normal(size=shape)
+
+
+# the kernels that keep float64 input real (the four-level frames, links and products),
+# bit for bit against the same input cast to complex, within and past one BLOCK; above
+# 256 kB numpy elides a temporary of a complex product and may swap its operands. The
+# frames are stack-last, as the shipped ones are: on an (n, dim, m) C-order stack the
+# float64 einsum may sum a contiguous dim axis in another order than the complex one
+FLOAT64_INPUTS = {
+    "link_overlaps-closed": (
+        overlaps(True), lambda rng, n: (stack_last(rng.normal(size=(4, 2, n))),)
+    ),
+    "link_overlaps-open": (
+        overlaps(False), lambda rng, n: (stack_last(rng.normal(size=(4, 1, n))),)
+    ),
+    **{
+        f"link_sigma_min-m{m}": (
+            linalg.link_sigma_min, lambda rng, n, m=m: (stack_last(rng.normal(size=(m, m, n))),)
+        )
+        for m in (1, 2)
+    },
+    **{
+        f"ordered_product-m{m}": (
+            linalg.ordered_product, lambda rng, n, m=m: (near_identity(rng, n, m, m),)
+        )
+        for m in (1, 2, 4)
+    },
+    "near_identity_product_last-m4": (
+        linalg.near_identity_product_last, lambda rng, n: (0.01 * rng.normal(size=(4, 4, n)),)
+    ),
+}
+for key, (kernel, inputs) in FLOAT64_INPUTS.items():
+    for n in (25, 3 * linalg.BLOCK + 5):
+        ROWS[f"float64-{key}-{n}"] = Row(
+            real_result(kernel), on_complex(kernel), lambda rng, f=inputs, n=n: f(rng, n),
+            (79, n), EXACT,
+        )
 
 
 @pytest.mark.parametrize("row", ROWS.values(), ids=list(ROWS))
@@ -476,6 +544,26 @@ class TestStreamedKernels:
         args = shipped(name, n)
         line = holonomy.wilson_line(*args)
         matrix, sigma_min, defect = ref.whole_path_wilson_line(*args)
+        assert np.array_equal(line.matrix, matrix)
+        assert line.min_link_singular_value == sigma_min
+        assert line.unitarity_defect == defect
+
+    @pytest.mark.parametrize("n", [16, 8191, 8193, 3 * 8192 + 5])
+    @pytest.mark.parametrize("block, phases", [
+        (holonomy.USB_DARK_BLOCK, (1.0, 1.0)), (holonomy.USB_DARK_BLOCK, (1j, np.exp(0.3j))),
+        (models.BandBlock(0, 1), None),
+    ], ids=["dark", "dark-complex-basepoint", "bright"])
+    def test_float64_usb_wilson_line_is_the_complex_form(self, n, block, phases):
+        # the closed-form frames are float64, and so are the links and their product unless
+        # a complex basepoint promotes them; m > 2 links would take LAPACK's real SVD, whose
+        # singular values need not match the complex SVD's bit for bit
+        model, path, _, _, frame = shipped("usb", n)
+        f0 = None if phases is None else frame * phases
+        assert model.band_states_batch(path.sample(n), block)[1].dtype == np.float64
+        line = holonomy.wilson_line(model, path, block, n, f0)
+        cast = None if f0 is None else f0.astype(complex)
+        complex_form = ref.whole_path_wilson_line(ref.ComplexUsb(), path, block, n, cast)
+        matrix, sigma_min, defect = complex_form
         assert np.array_equal(line.matrix, matrix)
         assert line.min_link_singular_value == sigma_min
         assert line.unitarity_defect == defect

@@ -369,19 +369,29 @@ def last(*args):
     return args[-1]
 
 
+def shipped_configs(*names):
+    """The example configs of the named experiments, with their experiment names."""
+    configs = [(json.loads(p.read_text())["experiment"], p) for p in sorted(ROOT.glob("configs/*"))]
+    return [(name, path) for name, path in configs if name in names]
+
+
 class TestHelperThread:
     """The half of each rung that a run reads second runs on a helper thread:
-    berry-qubit's solid angles and usb-holonomy's Wilson lines."""
+    berry-qubit's solid angles and usb-holonomy's Wilson lines; and
+    adiabatic.convergence_sweep runs its longest ramp there, while the main
+    thread takes the reference Wilson line and the shorter ramps."""
 
-    SHIPPED = [(name, None) for name in ("berry-qubit", "usb-holonomy")] + [
-        (json.loads(path.read_text())["experiment"], path)
-        for path in sorted((ROOT / "configs").glob("*.json"))
-        if json.loads(path.read_text())["experiment"] in ("berry-qubit", "usb-holonomy")
-    ]
+    SHIPPED = (
+        [(name, None) for name in ("berry-qubit", "usb-holonomy")]
+        + shipped_configs("berry-qubit", "usb-holonomy")
+        + [("adiabatic-sweep", None), ("adiabatic-sweep", {"model": "qubit"})]
+        + shipped_configs("adiabatic-sweep")
+    )
+    SWEEP = {"Ts": [10.0, 20.0, 40.0], "reference_samples": 256}
 
     @pytest.mark.parametrize("experiment, config", SHIPPED)
     def test_csv_bytes_match_an_inline_helper(self, tmp_path, monkeypatch, experiment, config):
-        fragment = None if config is None else json.loads(config.read_text())
+        fragment = json.loads(config.read_text()) if isinstance(config, Path) else config
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the two threads interleave as finely as they can
         try:
@@ -389,6 +399,7 @@ class TestHelperThread:
         finally:
             sys.setswitchinterval(interval)
         monkeypatch.setattr(experiments, "_helper", inline_helper)
+        monkeypatch.setattr(adiabatic, "helper_thread", inline_helper)
         inline = experiments.run_experiment(experiment, fragment).write(tmp_path / "b.csv")
         assert threaded[0].read_bytes() == inline[0].read_bytes()
 
@@ -446,6 +457,72 @@ class TestHelperThread:
         assert futures and all(f.done() for f in futures)
         assert any(f.cancelled() for f in futures)
         assert not [t for t in threading.enumerate() if t.name.startswith("holosim-helper")]
+
+    # the longest ramp (T = 40) fails at once on the helper; a main-thread error that
+    # comes later, but first in T order, must win over it
+    @pytest.mark.parametrize("failing, first", [
+        ({40.0}, "T=40"), ({20.0, 40.0}, "T=20"), ({10.0, 40.0}, "T=10"),
+        ({"reference", 40.0}, "reference"), ({"reference"}, "reference"),
+    ])
+    def test_sweep_raises_the_sequential_first_error(self, monkeypatch, failing, first):
+        ramp, line = adiabatic.adiabatic_holonomy, adiabatic.wilson_line
+
+        def failing_ramp(model, loop, total_time, *args):
+            if total_time in failing:
+                time.sleep(0.0 if total_time == 40.0 else 0.05)
+                raise DegenerateInputError(f"T={total_time:g}")
+            return ramp(model, loop, total_time, *args)
+
+        def failing_line(*args):
+            if "reference" in failing:
+                time.sleep(0.05)
+                raise DegenerateInputError("reference")
+            return line(*args)
+
+        monkeypatch.setattr(adiabatic, "adiabatic_holonomy", failing_ramp)
+        monkeypatch.setattr(adiabatic, "wilson_line", failing_line)
+        with pytest.raises(DegenerateInputError, match=f"^{first}$"):
+            experiments.run_experiment("adiabatic-sweep", self.SWEEP)
+
+    def test_sweep_leaves_nothing_queued_or_running_after_a_raise(self, monkeypatch):
+        futures, helper_pool = [], adiabatic.helper_thread
+
+        @contextlib.contextmanager
+        def recording_helper():
+            with helper_pool() as pool:
+                submit = pool.submit
+                pool.submit = lambda *args: futures.append(submit(*args)) or futures[-1]
+                yield pool
+
+        ramp = adiabatic.adiabatic_holonomy
+
+        def slow_ramp(*args):
+            time.sleep(0.05)
+            return ramp(*args)
+
+        def failing_line(*args):
+            raise DegenerateInputError("reference")
+
+        monkeypatch.setattr(adiabatic, "helper_thread", recording_helper)
+        monkeypatch.setattr(adiabatic, "adiabatic_holonomy", slow_ramp)
+        monkeypatch.setattr(adiabatic, "wilson_line", failing_line)
+        with pytest.raises(DegenerateInputError, match="^reference$"):
+            experiments.run_experiment("adiabatic-sweep", self.SWEEP)
+        assert len(futures) == 1 and futures[0].done()
+        assert not [t for t in threading.enumerate() if t.name.startswith("holosim-helper")]
+
+    def test_sweep_warns_and_flags_under_resolved_ramps_on_both_threads(self):
+        # the first ramp runs on the main thread, the last on the helper
+        config = {**self.SWEEP, "steps_per_T": [16, 1024, 16]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = experiments.run_experiment("adiabatic-sweep", config)
+        entries = report.metadata()["diagnostics"]["integrator"]
+        assert [e["under_resolved"] for e in entries] == [True, False, True]
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 2
+        assert all(m.startswith("integration may be under-resolved") for m in messages)
+        assert all(" at 16 steps " in m for m in messages)
 
 
 class TestAdiabaticSweep:
