@@ -12,6 +12,7 @@ emitted in declared key order.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
 import time
@@ -54,7 +55,7 @@ REGISTRY: dict[str, Experiment] = {
     "curvature-map": Experiment(
         Section(
             model=Model("qubit"),
-            radius=Positive(1.0),
+            radius=Positive(1.0, hi=models.PARAM_BOUND),
             band=Int(0, min=0, max=1),
             grid=Section(
                 theta=Interval([0.4, math.pi - 0.4], within=(0.0, math.pi)),
@@ -238,7 +239,7 @@ def run_berry_qubit(config: dict) -> ExperimentReport:
         # finer sampling than the chain so the row error reflects the chain's own
         # convergence, not a correlated discretization of the same grid
         grids = (models.PathSamples(path, max(4096, 4 * n)) for n in config["ladder"])
-        omegas = [pool.submit(abelian.solid_angle, grid) for grid in grids]
+        omegas = [pool.submit(_fanned_solid_angle, grid) for grid in grids]
         for n, omega in zip(config["ladder"], omegas):
             chain = abelian.band_state_chain(model, path, config["band"], n)
             phase = abelian.discrete_geometric_phase(chain).phase
@@ -250,6 +251,16 @@ def run_berry_qubit(config: dict) -> ExperimentReport:
     final_err = rows[-1][3]
     report.add_check("final_resolution_error", final_err < tol, final_err, f"< {tol:g}")
     return report
+
+
+def _fanned_solid_angle(grid) -> float:
+    """solid_angle fanned from +z, or from -z where +z faces a vertex; else the +z error."""
+    try:
+        return abelian.solid_angle(grid)
+    except DegenerateInputError as error:
+        with contextlib.suppress(DegenerateInputError):
+            return abelian.solid_angle(grid, reference=(0.0, 0.0, -1.0))
+        raise error
 
 
 # ---------------------------------------------------------------------------

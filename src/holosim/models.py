@@ -19,6 +19,7 @@ exact null vectors of the four-level Hamiltonian; theta must be unwrapped
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -28,10 +29,11 @@ import numpy as np
 from . import schema
 from .linalg import RANK_TOL, blocks, eigh_batch, near_identity_product_last, propagator_increments
 from .report import ConfigError, DegenerateInputError
-from .schema import List, Number, Section
+from .schema import List, Number, Positive, Section
 
 CLOSURE_TOL = 1e-12
 DARK_SINGULAR_TOL = 1e-9
+PARAM_BOUND = 1e100  # on |x| of a path parameter or radius: squares and norms stay finite
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -90,8 +92,8 @@ class ParameterPath:
 
     evaluate is vectorized: an (k,) array of s values yields a (k, dim)
     array; the shipped families return a view of stack-last (dim, k) memory.
-    Consumers accept either layout; one whose speed depends on it copies the
-    orientation it reads (np.ascontiguousarray), as _rodrigues does. Closed
+    Consumers accept either layout; the one a kernel reads is part of its bit-exact
+    contract (_rodrigues views stack-last points and copies any other). Closed
     paths are built so that lambda(0) == lambda(1) bitwise (constructors
     reduce s modulo 1); the constructor still verifies the closure invariant.
     """
@@ -158,8 +160,6 @@ def make_azimuthal_loop(theta0: float, radius: float = 1.0) -> ParameterPath:
     """
     if not 0.0 < theta0 < math.pi:
         raise ConfigError(f"config.path.params.theta0: {theta0} is not in (0, pi)")
-    if not radius > 0.0:
-        raise ConfigError(f"config.path.params.radius: {radius} is not positive")
     st, ct = math.sin(theta0), math.cos(theta0)
 
     def evaluate(s: np.ndarray) -> np.ndarray:
@@ -197,23 +197,25 @@ def _usb_circle(s0, a, q0, b) -> ParameterPath:
 
 # Each model's path families: the builder, which takes the parameters by
 # name, and the declaration of those parameters. The first is the default.
+Param = functools.partial(Number, lo=-PARAM_BOUND, hi=PARAM_BOUND)
 PATH_FAMILIES = {
     "qubit": {
         "azimuthal": (
-            make_azimuthal_loop, Section(theta0=Number(math.pi / 3), radius=Number(1.0))
+            make_azimuthal_loop,
+            Section(theta0=Param(math.pi / 3), radius=Positive(1.0, hi=PARAM_BOUND)),
         ),
         "constant": (
             lambda n: constant_path(n, label="qubit-constant"),
-            Section(n=List(Number(), [0.0, 0.0, 1.0], length=3)),
+            Section(n=List(Param(), [0.0, 0.0, 1.0], length=3)),
         ),
     },
     "usb": {
         "circle": (
-            _usb_circle, Section(s0=Number(1.0), a=Number(0.5), q0=Number(0.5), b=Number(0.25))
+            _usb_circle, Section(s0=Param(1.0), a=Param(0.5), q0=Param(0.5), b=Param(0.25))
         ),
         "constant": (
             lambda p, s, q: constant_path([p, s, q], label="usb-constant"),
-            Section(p=Number(0.0), s=Number(1.0), q=Number(0.0)),
+            Section(p=Param(0.0), s=Param(1.0), q=Param(0.0)),
         ),
     },
 }
@@ -327,9 +329,10 @@ def _rodrigues(couplings: np.ndarray, weights: np.ndarray, dt: float) -> tuple[n
     """For H linear in a (k, q, c) coupling stack: the (c, k e) rows sum_q w_q c_q of
     propagator_increments' exponents, latest first; R^2; and, as exp(-i dt H) - I =
     -i (sin(R dt)/R) H + ((cos(R dt) - 1)/R^2) H^2 wherever H^3 = R^2 H, those two
-    coefficients: dt sinc(x) and -(dt^2/2) sinc(x/2)^2 at x = R dt / pi, finite at R = 0."""
-    couplings = np.ascontiguousarray(couplings)  # weights @ a strided view is 2-3x slower
-    c = np.ascontiguousarray((weights @ couplings).reshape(-1, couplings.shape[-1])[::-1].T)
+    coefficients: dt sinc(x) and -(dt^2/2) sinc(x/2)^2 at x = R dt / pi, finite at R = 0.
+    Bit for bit: one gemm on a (c k, q) view of stack-last couplings; c is C-contiguous."""
+    rows = couplings.transpose(2, 0, 1).reshape(-1, couplings.shape[1]) @ weights.T
+    c = np.ascontiguousarray(rows.reshape(couplings.shape[2], -1)[:, ::-1])
     r2 = np.einsum("in,in->n", c, c)
     x = np.sqrt(r2) * (dt / np.pi)
     return c, r2, dt * np.sinc(x), (-0.5 * dt**2) * np.sinc(0.5 * x) ** 2
@@ -366,12 +369,11 @@ class QubitModel(HamiltonianModel):
         if type(self).evaluate_batch is not QubitModel.evaluate_batch:
             return super().propagator_increments(lams, weights, dt)
         n, r2, sin_r, cos_r = _rodrigues(self.field(lams).reshape(*lams.shape[:2], 3), weights, dt)
-        sx, sy, sz = sin_r * n
-        e = np.empty((2, 2, len(r2)), dtype=complex)
-        e.real[0, 0] = e.real[1, 1] = cos_r * r2
-        e.imag[0, 0], e.imag[1, 1] = -sz, sz
-        e.real[0, 1], e.real[1, 0] = -sy, sy
-        e.imag[0, 1] = e.imag[1, 0] = -sx
+        e = np.empty((2, 2, len(r2)), dtype=complex)  # each entry's (k e,) slice written in place
+        e.real[1, 1] = np.multiply(cos_r, r2, out=e.real[0, 0])
+        np.negative(np.multiply(sin_r, n[2], out=e.imag[1, 1]), out=e.imag[0, 0])
+        np.negative(np.multiply(sin_r, n[1], out=e.real[1, 0]), out=e.real[0, 1])
+        e.imag[1, 0] = np.negative(np.multiply(sin_r, n[0], out=e.imag[0, 1]), out=e.imag[0, 1])
         return e
 
 
@@ -488,11 +490,12 @@ class UsbModel(HamiltonianModel):
     def _real_increments(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
         """D^dag (exp(-i dt A) - I) D, with D = diag(1, i, 1, 1): real, float64 (4, 4, k e)."""
         c, r2, sin_r, cos_r = _rodrigues(np.asarray(lams, dtype=float), weights, dt)
-        e = np.zeros((4, 4, len(r2)))
-        e[1, 1] = cos_r * r2
-        e[_SPOKES, 1] = sin_r * c
-        e[1, _SPOKES] = -e[_SPOKES, 1]
-        e[np.ix_(_SPOKES, _SPOKES)] = c[:, None] * c * cos_r
+        e = np.empty((4, 4, len(r2)))  # each entry's (k e,) slice written in place
+        np.multiply(cos_r, r2, out=e[1, 1])
+        for a, i in enumerate(_SPOKES):
+            np.negative(np.multiply(sin_r, c[a], out=e[i, 1]), out=e[1, i])
+            for b, j in enumerate(_SPOKES[a:], a):  # c_i c_j == c_j c_i exactly: once per pair
+                e[j, i] = np.multiply(np.multiply(c[a], c[b], out=e[i, j]), cos_r, out=e[i, j])
         return e
 
     def dark_frame_batch(self, lams: np.ndarray) -> np.ndarray:

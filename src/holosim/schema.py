@@ -68,8 +68,9 @@ def Number(default=None, *, lo=-math.inf, hi=math.inf) -> Field:
     return Field(default, f"a {span}", lambda v, _: _real(v) and lo <= v <= hi)
 
 
-def Positive(default=None) -> Field:
-    return Field(default, "a positive number", lambda v, _: _real(v) and v > 0)
+def Positive(default=None, *, hi=math.inf) -> Field:
+    span = "" if hi == math.inf else f" at most {hi:g}"
+    return Field(default, f"a positive number{span}", lambda v, _: _real(v) and 0 < v <= hi)
 
 
 def Bool(default: bool) -> Field:

@@ -76,6 +76,58 @@ def matmul_pairwise(mats, pair=np.matmul):
     return mats[0]
 
 
+def batched_rodrigues(couplings, weights, dt):
+    """models._rodrigues as it was: the couplings copied (k, q, c)-contiguous, one
+    (e, q) @ (q, c) gemm per step, the rows reversed and transposed to (c, k e)."""
+    couplings = np.ascontiguousarray(couplings)
+    c = np.ascontiguousarray((weights @ couplings).reshape(-1, couplings.shape[-1])[::-1].T)
+    r2 = np.einsum("in,in->n", c, c)
+    x = np.sqrt(r2) * (dt / np.pi)
+    return c, r2, dt * np.sinc(x), (-0.5 * dt**2) * np.sinc(0.5 * x) ** 2
+
+
+def scattered_qubit_increments(model, lams, weights, dt):
+    """QubitModel.propagator_increments as it was: batched_rodrigues, a (3, k e) stack
+    of sin_r n, and whole-row assignments into the complex stack."""
+    couplings = model.field(lams).reshape(*lams.shape[:2], 3)
+    n, r2, sin_r, cos_r = batched_rodrigues(couplings, weights, dt)
+    sx, sy, sz = sin_r * n
+    e = np.empty((2, 2, len(r2)), dtype=complex)
+    e.real[0, 0] = e.real[1, 1] = cos_r * r2
+    e.imag[0, 0], e.imag[1, 1] = -sz, sz
+    e.real[0, 1], e.real[1, 0] = -sy, sy
+    e.imag[0, 1] = e.imag[1, 0] = -sx
+    return e
+
+
+def scattered_usb_increments(lams, weights, dt):
+    """UsbModel._real_increments as it was: batched_rodrigues, a zero-filled stack, a
+    fancy-index scatter and a (3, 3, k e) stack of spoke products."""
+    c, r2, sin_r, cos_r = batched_rodrigues(np.asarray(lams, dtype=float), weights, dt)
+    spokes = [0, 2, 3]
+    e = np.zeros((4, 4, len(r2)))
+    e[1, 1] = cos_r * r2
+    e[spokes, 1] = sin_r * c
+    e[1, spokes] = -e[spokes, 1]
+    e[np.ix_(spokes, spokes)] = c[:, None] * c * cos_r
+    return e
+
+
+def scattered_increments(model, lams, weights, dt):
+    """propagator_increments of the shipped qubit and four-level models as it was."""
+    if isinstance(model, models.UsbModel):
+        return models._D_PHASES[..., None] * scattered_usb_increments(lams, weights, dt)
+    return scattered_qubit_increments(model, lams, weights, dt)
+
+
+def scattered_chunk_increment(model, lams, weights, dt):
+    """chunk_increment of the shipped qubit and four-level models as it was."""
+    if isinstance(model, models.UsbModel):
+        es = scattered_usb_increments(lams, weights, dt)
+        return models._D_PHASES * linalg.near_identity_product_last(es)
+    return linalg.near_identity_product_last(scattered_qubit_increments(model, lams, weights, dt))
+
+
 def complex_usb_increments(lams, weights, dt):
     """UsbModel.propagator_increments as it was written in complex128, entry by entry:
     the hub-spoke entries imaginary, the rest real."""
@@ -88,17 +140,28 @@ def complex_usb_increments(lams, weights, dt):
     return e
 
 
-def complex_usb_cf4(run, steps):
-    """adiabatic._cf4 on the four-level model as it was: each chunk's increments in
-    complex128 (complex_usb_increments), multiplied in complex128."""
+def chunked_cf4(run, steps, chunk_increment):
+    """adiabatic._cf4 with each chunk's product from chunk_increment(model, lams, weights, dt)."""
     dt = run.total_time / steps
     state = run.initial_state.copy()
     for start in range(0, steps, adiabatic._CHUNK // 2):
         k = np.arange(start, min(start + adiabatic._CHUNK // 2, steps))
         lams = run.path(((k[:, None] + adiabatic._NODES) / steps).ravel()).reshape(len(k), 2, -1)
-        es = complex_usb_increments(lams, adiabatic._WEIGHTS, dt)
-        state = state + linalg.near_identity_product_last(es) @ state
+        state = state + chunk_increment(run.model, lams, adiabatic._WEIGHTS, dt) @ state
     return state
+
+
+def complex_usb_cf4(run, steps):
+    """adiabatic._cf4 on the four-level model as it was: each chunk's increments in
+    complex128 (complex_usb_increments), multiplied in complex128."""
+    return chunked_cf4(
+        run, steps, lambda model, *a: linalg.near_identity_product_last(complex_usb_increments(*a))
+    )
+
+
+def scattered_cf4(run, steps):
+    """adiabatic._cf4 with each chunk's product as scattered_chunk_increment formed it."""
+    return chunked_cf4(run, steps, scattered_chunk_increment)
 
 
 def sequential_eigh_evolution(run):

@@ -235,6 +235,44 @@ for total_time, steps in ((10.0, 64), (50.0, 1024), (200.0, 4096), (800.0, 8192)
         adiabatic._cf4, ref.complex_usb_cf4,
         lambda rng, a=(total_time, steps): (evolution("usb", a[0], a[1])[0], a[1]), None, EXACT,
     )
+# the one-gemm _rodrigues and the in-place fills, bit for bit against the per-step gemms and
+# scattered fills they replace: stack-last, (k, 3)-contiguous and zero (R = 0) couplings
+QUBIT_LOOP = shipped("qubit")[1]
+RODRIGUES_INPUTS = {
+    "usb-stack-last": lambda: cf4_points(USB_LOOP, 4096, 4096),
+    "qubit-stack-last-partial": lambda: cf4_points(QUBIT_LOOP, 9000, 808),
+    "sphere-contiguous": lambda: INCREMENT_MODELS["sphere"][0].field(
+        cf4_points(SPHERE_LOOP, 512, 512)).reshape(512, 2, 3),
+    "constant": lambda: cf4_points(models.constant_path([0.3, -1.2, 0.7]), 512, 512),
+    "constant-contiguous": lambda: ref.stacked_constant(np.arange(1024), [0.3, -1.2, 0.7]).reshape(
+        512, 2, 3),
+    "zero": lambda: np.zeros((64, 2, 3)),
+}
+for name, couplings in RODRIGUES_INPUTS.items():
+    for dt in (1e-3, 0.37):
+        ROWS[f"rodrigues-{name}-dt{dt:g}-parent-form"] = Row(
+            models._rodrigues, ref.batched_rodrigues,
+            lambda rng, a=(couplings, dt): (a[0](), adiabatic._WEIGHTS, a[1]), None, EXACT,
+        )
+for name, (model, path) in INCREMENT_MODELS.items():
+    for dt in (1e-3, 0.37, 200.0 / 4096):
+        for kernel, reference in (
+            ("propagator_increments", ref.scattered_increments),
+            ("chunk_increment", ref.scattered_chunk_increment),
+        ):
+            ROWS[f"{kernel}-{name}-dt{dt:g}-parent-form"] = Row(
+                lambda model, lams, dt, k=kernel: getattr(model, k)(lams, adiabatic._WEIGHTS, dt),
+                lambda model, lams, dt, r=reference: r(model, lams, adiabatic._WEIGHTS, dt),
+                lambda rng, a=(model, path, dt): (a[0], cf4_points(a[1], 4096, 4096), a[2]),
+                None, EXACT,
+            )
+CF4_RUNS = ((10.0, 64), (50.0, 1024), (200.0, 4096), (800.0, 8192), (800.0, 9000))
+for name in ("qubit", "usb"):
+    for total_time, steps in CF4_RUNS:
+        ROWS[f"cf4-{name}-parent-form-T{total_time:g}-{steps}"] = Row(
+            adiabatic._cf4, ref.scattered_cf4,
+            lambda rng, a=(name, total_time, steps): (evolution(*a)[0], a[2]), None, EXACT,
+        )
 for name in ("qubit", "usb"):
     # a zero field: the increments are exactly 0 (no float is below the smallest subnormal)
     ROWS[f"model_increments-{name}-zero-field"] = Row(
@@ -454,6 +492,13 @@ def test_kernel_matches_reference(row):
         deviation = np.subtract(a, b)
         assert linalg.max_abs(deviation) < bound
         assert not row.one_sided or np.all(deviation <= 0.0)
+
+
+@pytest.mark.parametrize("name", RODRIGUES_INPUTS)
+def test_rodrigues_rows_are_c_contiguous(name):
+    # einsum sums an F-ordered (c, k e) stack to other last bits of R^2
+    c = models._rodrigues(RODRIGUES_INPUTS[name](), adiabatic._WEIGHTS, 0.37)[0]
+    assert c.flags.c_contiguous
 
 
 OCTANT = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

@@ -81,6 +81,25 @@ BAD_CONFIGS = [
     ("curvature-map", {"plaquette_edge": 1e-300}, "config.plaquette_edge"),
 ]
 
+# Parameters past models.PARAM_BOUND, whose squares or norms used to overflow into a false
+# gap or degeneracy error; the schema now rejects them by name.
+OVERFLOW_CONFIGS = [
+    ("usb-holonomy", {"path": {"params": {"b": 1e200}}}, "config.path.params.b"),
+    ("usb-holonomy", {"path": {"params": {"q0": -1e101}}}, "config.path.params.q0"),
+    ("berry-qubit", {"path": {"params": {"radius": 1e200}}}, "config.path.params.radius"),
+    (
+        "berry-qubit",
+        {"path": {"family": "constant", "params": {"n": [0, 0, 1e300]}}},
+        "config.path.params.n[2]",
+    ),
+    (
+        "adiabatic-sweep",
+        {"model": "usb", "path": {"family": "constant", "params": {"q": 1e200}}},
+        "config.path.params.q",
+    ),
+    ("curvature-map", {"radius": 1e300}, "config.radius"),
+]
+
 
 class TestConfigResolution:
     def test_defaults_complete(self):
@@ -221,6 +240,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)}[\[:]"):
             experiments.run_experiment(experiment, config)
 
+    @pytest.mark.parametrize("experiment, config, field", OVERFLOW_CONFIGS)
+    def test_parameter_past_bound_rejected_by_name(self, experiment, config, field):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: .* 1e\+100\]?, got"):
+            experiments.run_experiment(experiment, config)
+
+    def test_parameters_at_bound_accepted(self):
+        for model, family, params in (
+            ("qubit", "constant", {"n": [0.0, -1e100, 1e100]}),
+            ("usb", "circle", {"s0": 1e100, "a": 1e99, "q0": -1e100, "b": -1e100}),
+            ("usb", "constant", {"p": 1e100, "s": -1e100, "q": 1e100}),
+        ):
+            path = {"family": family, "params": params}
+            models.build_model_and_path({"model": model, "path": path})
+        config = experiments.resolve_config("curvature-map", {"radius": 1e100})
+        experiments.validate("curvature-map", config)
+
     def test_runner_validates_hand_edited_config(self):
         config = experiments.resolve_config("curvature-map") | {"radius": -1}
         with pytest.raises(ConfigError, match=r"^config\.radius:"):
@@ -268,6 +303,35 @@ class TestBerryQubit:
         )
         assert abs(report.rows[0][1]) < 5e-3
         assert report.all_passed
+
+    @pytest.mark.parametrize("band", [0, 1])
+    def test_loop_through_south_pole_exits_zero(self, tmp_path, band):
+        # the +z fan faces the loop's vertex, so the oracle fans from -z
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path = {"family": "constant", "params": {"n": [0, 0, -1]}}
+        cfg.write_text(json.dumps({"path": path, "band": band}))
+        assert cli.main(["berry-qubit", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [(float(row[1]), float(row[2])) for row in rows] == [(0.0, 0.0)] * 4
+
+    def test_oracle_degenerate_at_both_poles_exits_two_as_from_plus_z(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a meridian passes through +z and -z: each fan faces one of its vertices
+        meridian = models.ParameterPath(
+            lambda s: np.stack([np.sin(2 * np.pi * s), 0 * s, np.cos(2 * np.pi * s)], axis=1),
+            3, closed=True,
+        )
+        with pytest.raises(DegenerateInputError) as plus_z:
+            abelian.solid_angle(models.PathSamples(meridian, 4096))
+        assert "antipodal to the reference" in str(plus_z.value)
+        monkeypatch.setattr(
+            models, "build_model_and_path", lambda config: (models.QubitModel(), meridian)
+        )
+        code = cli.main(["berry-qubit", "--samples", "64", "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {plus_z.value}\n"
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_rejects_constant_loop_model_mismatch(self):
         with pytest.raises(ConfigError, match="berry-qubit requires the qubit"):
@@ -357,11 +421,11 @@ def inline_helper():
 def failing_at(function, size_of, sizes, message, delay=0.0):
     """function, except that a call whose size_of(*args) is in sizes waits delay
     seconds and then raises DegenerateInputError(message)."""
-    def call(*args):
+    def call(*args, **kwargs):
         if size_of(*args) in sizes:
             time.sleep(delay)
             raise DegenerateInputError(message)
-        return function(*args)
+        return function(*args, **kwargs)
     return call
 
 
@@ -911,15 +975,10 @@ class TestCli:
                 {"tiling": {"theta": [0.0, math.pi], "phi": [0.0, 1.0], "cells": [1, 1]}},
                 "consecutive states (0, 2)",
             ),
-            (
-                "berry-qubit",
-                {"path": {"family": "constant", "params": {"n": [0, 0, -1]}}},
-                "chain direction 0 is antipodal",
-            ),
         ],
         ids=[
             "berry-qubit", "noise-study", "usb-holonomy", "sweep-usb", "sweep-qubit",
-            "pancharatnam-orthogonal", "curvature-map-orthogonal", "berry-qubit-oracle-antipodal",
+            "pancharatnam-orthogonal", "curvature-map-orthogonal",
         ],
     )
     def test_loop_through_degeneracy_exits_two(self, tmp_path, experiment, config, message):
