@@ -25,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEGENERACY_TOL,
-    band_gaps,
     blocks,
     check_links,
     closed_gap,
@@ -213,41 +211,41 @@ def wilson_line(
     continuum limit as the sampling is refined and reduces to e^{i chi} with
     the chain phase chi for one-dimensional blocks.
 
-    Streamed per linalg.blocks of links: links [a, b) take frames [a, b], frame n
-    being R_0; the block products, multiplied pairwise, give the whole-path product
-    bit for bit. Where sampling fails or a gap may close, _sample_frames raises the
-    whole path's first error (a gap, then the basepoint); then comes the first bad link.
+    Streamed per linalg.blocks of links: links [a, b) take block_frames of samples
+    [a, b], frame n being R_0, and their products, multiplied pairwise, give the whole
+    path's bit for bit. Each block's gap verdict is final, so the errors come in path
+    order: a gap closure, then the basepoint check (held to the end), then a bad link.
     """
     if not path.closed:
         raise ValueError("the Wilson line is defined for closed paths only")
-    if n_samples < 16 or block.stop > model.dim:
-        _sample_frames(model, path, block, n_samples, initial_frame)  # raises ValueError
+    if n_samples < 16:
+        raise ValueError(f"need at least 16 samples, got {n_samples}")
     s_values = path.sample_s(n_samples)
-    low, scale, products, sigma = np.inf, 0.0, [], np.empty(n_samples)
-    try:
-        for part in blocks(n_samples):
-            w, frames = model.band_states_batch(path(s_values[part.start : part.stop + 1]), block)
-            if part.start == 0:
+    held, products, sigma = None, [], np.empty(n_samples)
+    for part in blocks(n_samples):
+        span = s_values[part.start : part.stop + 1]
+        try:
+            frames = block_frames(model, path(span), block, span)
+        except ZeroFieldError:  # a block of every level has no gap: name the path's sample
+            block_frames(model, path(s_values), block)
+            raise
+        if part.start == 0:
+            try:
                 frame0 = basepoint_frame(frames[0], initial_frame).copy()
-                frames = frames.astype(np.result_type(frames, frame0), copy=False)
-                frames[0] = frame0
-            if part.stop == n_samples:  # the wrap link: frame n is R_0, in the frames' layout
-                dtype = np.result_type(frames, frame0)
-                ends = np.empty_like(frames, dtype, shape=(len(frames) + 1, *frames.shape[1:]))
-                ends[:-1], ends[-1] = frames, frame0
-                frames = ends
-            w = w[: part.stop - part.start]
-            gap = band_gaps(w, block.start, block.stop)
-            low = low if gap is None else min(low, float(np.min(gap)))
-            scale = max(scale, max_abs(w))
-            links = link_overlaps(frames, closed=False)
-            sigma[part] = link_sigma_min(links)
-            products.append(ordered_product(links))
-    except (ValueError, ZeroFieldError):
-        _sample_frames(model, path, block, n_samples, initial_frame)
-        raise
-    if low <= DEGENERACY_TOL * max(1.0, scale):  # a gap may close: the whole path decides
-        _sample_frames(model, path, block, n_samples, initial_frame)
+            except ValueError as error:
+                held, frame0 = error, frames[0]
+            frames = frames.astype(np.result_type(frames, frame0), copy=False)
+            frames[0] = frame0
+        if part.stop == n_samples:  # the wrap link: frame n is R_0, in the frames' layout
+            dtype = np.result_type(frames, frame0)
+            ends = np.empty_like(frames, dtype, shape=(len(frames) + 1, *frames.shape[1:]))
+            ends[:-1], ends[-1] = frames, frame0
+            frames = ends
+        links = link_overlaps(frames, closed=False)
+        sigma[part] = link_sigma_min(links)
+        products.append(ordered_product(links))
+    if held is not None:
+        raise held
     check_links(sigma, SUBSPACE_OVERLAP_TOL, IllConditionedLinkError)
     matrix = nearest_unitary(ordered_product(np.stack(products)))
     return HolonomyResult(matrix, unitarity_defect(matrix), n_samples, float(np.min(sigma)))
@@ -294,11 +292,6 @@ def usb_eta_pair(path: ParameterPath, n_samples: int = 2**14) -> tuple[float, fl
         np.sum(0.5 * (fs[:-1] + fs[1:]) * dp) - np.sum(0.5 * (fp[:-1] + fp[1:]) * ds)
     )
     return eta_theta, eta_line
-
-
-def usb_eta(path: ParameterPath, n_samples: int = 2**14) -> float:
-    """eta from the sin(phi) d theta quadrature (the primary form)."""
-    return usb_eta_pair(path, n_samples)[0]
 
 
 def usb_holonomy_closed_form(eta: float) -> np.ndarray:

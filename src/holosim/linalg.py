@@ -20,6 +20,7 @@ Results are bit for bit the same at any BLOCK (a power of two for the Wilson lin
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -129,7 +130,7 @@ def propagator_increments(hs: np.ndarray, dt: float) -> np.ndarray:
     Hermitian stack: the generic form of HamiltonianModel.propagator_increments.
 
     The identity is left out so that a product of many near-identity steps
-    (near_identity_product) never rounds 1 + O(dt^2) per step, which would
+    (near_identity_product_last) never rounds 1 + O(dt^2) per step, which would
     bias the norm by up to half an ulp per step.
     """
     w, v = eigh_batch(hs)
@@ -139,21 +140,16 @@ def propagator_increments(hs: np.ndarray, dt: float) -> np.ndarray:
 
 
 def closed_gap(w: np.ndarray, start: int, stop: int) -> tuple[int, float] | None:
-    """Sample index and size of the smallest gap between the eigenvalue block
-    [start, stop) and its neighbours in an (n, dim) stack of ascending
-    eigenvalues, if it is at or below DEGENERACY_TOL * max(1, max |w|); else None."""
-    gap = band_gaps(w, start, stop)
-    if gap is None:
+    """Sample index and size of the first gap between the eigenvalue block [start, stop)
+    and its neighbours in an (n, dim) stack of ascending eigenvalues that is at or below
+    DEGENERACY_TOL * max(1, max_j |w_kj|), the larger end of its own row; else None."""
+    gaps = [w[:, e] - w[:, e - 1] for e in (start, stop) if 0 < e < w.shape[1]]
+    if not gaps:
         return None
-    k = int(np.argmin(gap))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return (k, float(gap[k])) if gap[k] <= DEGENERACY_TOL * scale else None
-
-
-def band_gaps(w: np.ndarray, start: int, stop: int) -> np.ndarray | None:
-    """closed_gap's gap at each sample; None for a block that spans every level."""
-    edges = [e for e in (start, stop) if 0 < e < w.shape[1]]
-    return np.min(w[:, edges] - w[:, [e - 1 for e in edges]], axis=1) if edges else None
+    gap = functools.reduce(np.minimum, gaps)
+    scale = np.maximum(np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])), 1.0)
+    closed = np.flatnonzero(gap <= DEGENERACY_TOL * scale)
+    return (int(closed[0]), float(gap[closed[0]])) if closed.size else None
 
 
 def link_overlaps(frames: np.ndarray, closed: bool) -> np.ndarray:
@@ -253,14 +249,9 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return _pairwise(np.ascontiguousarray(np.moveaxis(mats, 0, -1)), _mul)
 
 
-def near_identity_product(es: np.ndarray) -> np.ndarray:
-    """(I + E_0)(I + E_1) ... (I + E_{n-1}) - I of an (n, m, m) stack of
-    increments, in log depth."""
-    return near_identity_product_last(np.moveaxis(es, 0, -1).copy())
-
-
 def near_identity_product_last(es: np.ndarray) -> np.ndarray:
-    """near_identity_product of an (m, m, n) stack: (I + A)(I + B) - I = A B + A + B."""
+    """(I + E_0)(I + E_1) ... (I + E_{n-1}) - I of an (m, m, n) stack of increments,
+    in log depth: (I + A)(I + B) - I = A B + A + B."""
     return _pairwise(es, lambda a, b: _mul(a, b) + a + b)
 
 

@@ -67,6 +67,16 @@ def sequential_near_identity(es):
     return sequential_prefixes(es + eye)[-1] - eye
 
 
+def reference_closed_gap(w, start, stop):
+    """closed_gap one sample at a time: the first k at which the gap at an edge of the
+    block [start, stop) is at or below DEGENERACY_TOL * max(1, max_j |w_kj|), and that gap."""
+    for k, row in enumerate(w.tolist()):
+        gaps = [row[e] - row[e - 1] for e in (start, stop) if 0 < e < len(row)]
+        if gaps and min(gaps) <= linalg.DEGENERACY_TOL * max(1.0, *map(abs, row)):
+            return k, min(gaps)
+    return None
+
+
 def matmul_pairwise(mats, pair=np.matmul):
     """The log-depth reduction the products had before they went stack-last:
     pair() applied by np.matmul to (n, m, m) stacks."""

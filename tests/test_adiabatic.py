@@ -327,7 +327,7 @@ class TestFourLevelPathsTakeNoDenseDecomposition:
         monkeypatch.setattr(np.linalg, "svd", refuse)
         _, path, _ = usb_setup()
         result = holonomy.usb_wilson_line(path, 1024)
-        eta = holonomy.usb_eta(path)
+        eta = holonomy.usb_eta_pair(path)[0]
         assert holonomy.holonomy_distance(
             result.matrix, holonomy.usb_holonomy_closed_form(eta)
         ) < 1e-3

@@ -158,7 +158,8 @@ for n, m in ((n, m) for n in (1, 2, 7, 64, 101) for m in (1, 2, 3, 4)):
         (53, n, m), 1e-13,
     )
     ROWS[f"near_identity_product-n{n}-m{m}"] = Row(
-        both_ways(linalg.near_identity_product), both_ways(ref.sequential_near_identity),
+        both_ways(lambda es: linalg.near_identity_product_last(np.moveaxis(es, 0, -1).copy())),
+        both_ways(ref.sequential_near_identity),
         lambda rng, n=n, m=m: (
             1e-2 * (rng.normal(size=(n, m, m)) + 1j * rng.normal(size=(n, m, m))),
         ),
@@ -280,6 +281,39 @@ for name in ("qubit", "usb"):
         lambda model, lams: np.zeros((model.dim, model.dim, 2 * len(lams))),
         lambda rng, k=name: (MODELS[k](), np.zeros((64, 2, 3))), None, np.nextafter(0.0, 1.0),
     )
+
+
+def every_block(closed_gap):
+    """closed_gap of every block [start, stop) of each (n, dim) stack, as (k, gap) rows;
+    (-1, 0) where no sample closes the block's gap."""
+    return lambda stacks: np.array([
+        closed_gap(w, start, stop) or (-1, 0.0)
+        for w in stacks
+        for start in range(w.shape[1])
+        for stop in range(start + 1, w.shape[1] + 1)
+    ])
+
+
+def gap_stacks(rng):
+    """Ascending energies whose rows span 1e-3 to 1e12, a few with one gap drawn around its
+    row's closure threshold; and each shipped model's energies on its loop, the four-level
+    one also on a loop whose energy scale spans 100 orders of magnitude."""
+    stacks = []
+    for dim in (2, 3, 4):
+        w = np.sort(rng.normal(size=(512, dim)), axis=1) * 10.0 ** rng.uniform(-3, 12, (512, 1))
+        rows = np.flatnonzero(rng.random(512) < 1 / 32)
+        edge = rng.integers(1, dim, size=len(rows))
+        threshold = linalg.DEGENERACY_TOL * np.maximum(1.0, np.abs(w[rows]).max(axis=1))
+        w[rows, edge] = w[rows, edge - 1] + threshold * rng.uniform(0.0, 2.0, size=len(rows))
+        stacks.append(np.sort(w, axis=1))
+    wide = models.make_usb_loop("circle", {"b": 1e100})
+    loops = [*INCREMENT_MODELS.values(), (models.UsbModel(), wide)]
+    return (stacks + [model.energies_batch(loop.sample(1024)) for model, loop in loops],)
+
+
+ROWS["closed_gap-per-sample"] = Row(
+    every_block(linalg.closed_gap), every_block(ref.reference_closed_gap), gap_stacks, 97, EXACT,
+)
 for name, dense, ns in (("usb", ref.DenseUsb, (512, 8192)), ("qubit", ref.DenseQubit, (512,))):
     for n in ns:
         ROWS[f"block_frames-closed-vs-dense-{name}-{n}"] = Row(

@@ -990,6 +990,17 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_loop_spanning_energy_scales_runs(self, tmp_path):
+        # |w| reaches 1e100 on this loop and is of order 1 elsewhere: each sample's gap is
+        # judged by its own scale, so a gap of 1.58 is open
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"path": {"params": {"b": 1e100}}}))
+        proc = self.run_cli("usb-holonomy", "--config", str(cfg), "--out", "b.csv", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        checks = json.loads((tmp_path / "b.json").read_text())["checks"]
+        assert len(checks) == 3 and all(c["pass"] for c in checks)
+
     def test_exit_two_covers_every_located_error_by_type(self):
         # a located error exits 2 because it is a DegenerateInputError, not
         # because the CLI names it; a failed matrix computation is neither

@@ -151,7 +151,7 @@ class TestWilsonLine:
 
     def test_usb_matches_closed_form(self):
         path = shipped_loop()
-        eta = holonomy.usb_eta(path, 2**14)
+        eta = holonomy.usb_eta_pair(path, 2**14)[0]
         target = holonomy.usb_holonomy_closed_form(eta)
         res = holonomy.usb_wilson_line(path, 8192)
         assert holonomy.holonomy_distance(res.matrix, target) < 1e-3
@@ -159,7 +159,7 @@ class TestWilsonLine:
 
     def test_usb_convergence_monotone(self):
         path = shipped_loop()
-        eta = holonomy.usb_eta(path, 2**14)
+        eta = holonomy.usb_eta_pair(path, 2**14)[0]
         target = holonomy.usb_holonomy_closed_form(eta)
         dists = [
             holonomy.holonomy_distance(
@@ -264,8 +264,8 @@ class TestWilsonLine:
 
 
 class TestStreamedWilsonLineErrors:
-    """wilson_line walks blocks of 16 samples here, and raises what its whole-path
-    form raises first: a gap closure anywhere, the basepoint check, then a link."""
+    """wilson_line walks blocks of 16 samples here, and raises in path order what
+    the whole path raises first: a gap closure anywhere, the basepoint check, then a link."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -303,7 +303,7 @@ class TestStreamedWilsonLineErrors:
 class TestEta:
     def test_q_zero_loop(self):
         path = models.make_usb_loop("circle", {"q0": 0.0, "b": 0.0})
-        assert holonomy.usb_eta(path, 4096) == 0.0
+        assert holonomy.usb_eta_pair(path, 4096)[0] == 0.0
 
     def test_constant_angle_loop(self):
         # P, S fixed, only Q moves: theta is constant so d theta = 0
@@ -340,7 +340,7 @@ class TestEta:
 
         path = models.ParameterPath(fn, 3, closed=True, label="touches-singularity")
         with pytest.raises(models.DarkFrameSingularError, match="singular"):
-            holonomy.usb_eta(path, 4096)
+            holonomy.usb_eta_pair(path, 4096)[0]
 
 
 class TestClosedForm:

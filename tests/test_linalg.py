@@ -124,14 +124,37 @@ class TestEigh:
         assert np.array_equal(fixed[0, 0], np.zeros(3))
         assert fixed[1, 1, 0] == pytest.approx(0.5, abs=1e-15)
 
-    def test_degenerate_cluster_detection(self):
-        # clusters [0], [1, 2], [3]: only a cut inside the dark pair closes a gap
-        w, _ = linalg.eigh_batch(usb_matrix([1.0, 1.0, 1.0])[None])
-        assert linalg.closed_gap(w, 1, 3) is None
-        assert linalg.closed_gap(w, 0, 1) is None
-        assert linalg.closed_gap(w, 3, 4) is None
-        k, gap = linalg.closed_gap(w, 1, 2)
-        assert k == 0 and abs(gap) <= linalg.DEGENERACY_TOL
+    # clusters [0], [1, 2], [3]: only a cut inside the dark pair closes a gap
+    USB_LEVELS = linalg.eigh_batch(usb_matrix([1.0, 1.0, 1.0])[None])[0]
+
+    @pytest.mark.parametrize(
+        "w, start, stop, closure",
+        [
+            (USB_LEVELS, 1, 3, None),
+            (USB_LEVELS, 0, 1, None),
+            (USB_LEVELS, 3, 4, None),
+            (USB_LEVELS, 1, 2, (0, linalg.DEGENERACY_TOL)),
+            # each sample is judged by its own scale: a gap of 1.58 stays open beside |w| = 1e100
+            ([[-1e100, 0.0, 0.0, 1e100], [-1.58, 0.0, 0.0, 1.58]], 1, 3, None),
+            # and 1e-2 at |w| = 1e8 is closed, whichever end of the row that |w| is at
+            ([[-1.0, 0.0, 1.0], [-1e8, -1e8 + 1e-2, 0.0]], 0, 1, (1, 1.1e-2)),
+            ([[-1.0, 0.0, 1.0], [0.0, 1e8, 1e8 + 1e-2]], 2, 3, (1, 1.1e-2)),
+            # a gap at the threshold is closed
+            ([[0.0, 1.0], [0.0, linalg.DEGENERACY_TOL]], 0, 1, (1, linalg.DEGENERACY_TOL)),
+            # two closures: the first in path order is named, not the smallest
+            ([[0.0, 1e-10], [0.0, 0.0], [0.0, 1.0]], 0, 1, (0, 1e-10)),
+        ],
+        ids=["dark-pair", "lower-bright", "upper-bright", "cut-pair", "beside-1e100",
+             "at-1e8-left", "at-1e8-right", "at-threshold", "first-not-smallest"],
+    )
+    def test_degenerate_cluster_detection(self, w, start, stop, closure):
+        # closure: the first closed sample and a bound on its gap, or None
+        found = linalg.closed_gap(np.asarray(w, dtype=float), start, stop)
+        if closure is None:
+            assert found is None
+        else:
+            k, gap = found
+            assert k == closure[0] and abs(gap) <= closure[1]
 
 
 class TestNearestUnitary:

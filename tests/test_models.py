@@ -261,17 +261,17 @@ class TestParameterPaths:
 
 class TestUsbLoops:
     def test_constant_family_is_valid_with_zero_eta(self):
-        from holosim.holonomy import usb_eta
+        from holosim.holonomy import usb_eta_pair
 
         path = models.make_usb_loop("constant", {"p": 0.0, "s": 1.0, "q": 0.0})
         assert path.closed
-        assert usb_eta(path, 1024) == 0.0
+        assert usb_eta_pair(path, 1024)[0] == 0.0
 
     def test_q_zero_loop_has_zero_eta(self):
-        from holosim.holonomy import usb_eta
+        from holosim.holonomy import usb_eta_pair
 
         path = models.make_usb_loop("circle", {"q0": 0.0, "b": 0.0})
-        assert usb_eta(path, 4096) == 0.0
+        assert usb_eta_pair(path, 4096)[0] == 0.0
 
     def test_dark_singular_family_rejected_with_location(self):
         with pytest.raises(models.DarkFrameSingularError, match="s = 0.500000"):
