@@ -37,7 +37,6 @@ from .linalg import (
     ordered_product,
     prefix_products,
     unitarity_defect,
-    wrap_angle,
 )
 from .models import (
     DARK_SINGULAR_TOL,
@@ -324,60 +323,26 @@ def usb_wilson_line(path: ParameterPath, n_samples: int) -> HolonomyResult:
 def holonomy_distance(u: np.ndarray, v: np.ndarray) -> float:
     """min over global phase of the max-entry norm ||e^{i a} U - V||.
 
-    Zero iff the two unitaries agree up to a global phase. The minimum is
-    located by a coarse phase scan refined by golden-section search, with
-    the Frobenius-optimal phase included as a candidate.
+    Zero iff the two unitaries agree up to a global phase. Each entry's
+    |e^{i a} u_k - v_k| has one minimum per period, so the minimum of their
+    maximum lies at one entry's own minimum or where two entries cross; the
+    least maximum over those finitely many phases is the exact minimum.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-
-    def f(alpha: float) -> float:
-        return max_abs(np.exp(1j * alpha) * u - v)
-
-    grid = np.linspace(-math.pi, math.pi, 1024, endpoint=False)
-    values = np.abs(np.exp(1j * grid)[:, None, None] * u - v).max(axis=(1, 2))
-    k = int(np.argmin(values))
-    candidates = [(float(values[k]), grid[k])]
-    trace = np.trace(dagger(u) @ v)
-    if abs(trace) > 1e-14:
-        alpha_f = float(np.angle(trace))
-        candidates.append((f(alpha_f), alpha_f))
-    best_val, best_alpha = min(candidates)
-
-    span = grid[1] - grid[0]
-    lo, hi = best_alpha - span, best_alpha + span
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return min(best_val, fc, fd)
-
-
-def eigenangle_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Distance between the eigenvalue multisets of two unitaries.
-
-    Eigenangles are sorted on the circle and matched over cyclic shifts;
-    invariant under basis conjugation of either argument.
-    """
-    au = np.sort(np.angle(np.linalg.eigvals(u)))
-    av = np.sort(np.angle(np.linalg.eigvals(v)))
-    if len(au) != len(av):
-        raise ValueError("dimension mismatch")
-    m = len(au)
-    best = math.inf
-    for shift in range(m):
-        diffs = wrap_angle(au - np.roll(av, shift))
-        best = min(best, float(np.max(np.abs(diffs))))
-    return best
+    # phases b count from the Frobenius phase a0: with w = e^{i a0} u, the form
+    # |e^{ib} w_k - v_k|^2 = p_k + q_k (cos b - 1) + s_k sin b does not cancel as U nears V
+    a0 = float(np.angle(np.vdot(u, v)))
+    w, vk = np.exp(1j * a0) * u.ravel(), v.ravel()
+    c = vk.conj() * w
+    p, q, s = np.abs(w - vk) ** 2, -2.0 * c.real, 2.0 * c.imag
+    # entries j and k cross at the roots t = tan(b/2) of e2 t^2 + e1 t + e0, taken
+    # without cancellation; b = 2 atan2 needs no division, and a spare root costs nothing
+    j, k = np.triu_indices(len(w), 1)
+    e0 = p[j] - p[k]
+    e1, e2 = 2.0 * (s[j] - s[k]), e0 - 2.0 * (q[j] - q[k])
+    root = -0.5 * (e1 + np.copysign(np.sqrt(np.maximum(e1 * e1 - 4.0 * e2 * e0, 0.0)), e1))
+    b = np.concatenate(([0.0], -np.angle(c), 2.0 * np.arctan2(root, e2), 2.0 * np.arctan2(e0, root)))
+    return float(np.abs(np.exp(1j * (a0 + b))[:, None] * u.ravel() - vk).max(axis=1).min())

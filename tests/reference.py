@@ -1,7 +1,7 @@
 """Naive references for the fast kernels, one element at a time.
 
 Each function is the slow, obvious form of a holosim kernel (or a random
-input the tests share). test_differential.py checks every kernel against
+input, or an oracle such as eigenangle_distance, that the tests share). test_differential.py checks every kernel against
 its reference within a stated bound; a kernel rewrite adds a row there.
 Imports only math, numpy and holosim.
 """
@@ -344,6 +344,24 @@ def reference_holonomy_distance(u, v, n=2**16):
     for (i, j), u_ij in np.ndenumerate(u):
         np.maximum(worst, np.abs(phases * u_ij - v[i, j]), out=worst)
     return float(worst.min())
+
+
+def eigenangle_distance(u, v):
+    """Distance between the eigenvalue multisets of two unitaries.
+
+    Eigenangles are sorted on the circle and matched over cyclic shifts;
+    invariant under basis conjugation of either argument.
+    """
+    au = np.sort(np.angle(np.linalg.eigvals(u)))
+    av = np.sort(np.angle(np.linalg.eigvals(v)))
+    if len(au) != len(av):
+        raise ValueError("dimension mismatch")
+    m = len(au)
+    best = math.inf
+    for shift in range(m):
+        diffs = linalg.wrap_angle(au - np.roll(av, shift))
+        best = min(best, float(np.max(np.abs(diffs))))
+    return best
 
 
 class DenseUsb(models.UsbModel):

@@ -320,13 +320,15 @@ for name, dense, ns in (("usb", ref.DenseUsb, (512, 8192)), ("qubit", ref.DenseQ
             frame_checks, lambda model, *a, dense=dense: frame_checks(dense(), *a),
             lambda rng, k=name, n=n: shipped(k, n), None, 1e-12,
         )
-for m in (1, 2, 3, 4):
-    # a phase scan at 2^16 points brackets the distance: it lies within pi / 2^16 below it
-    ROWS[f"holonomy_distance-m{m}"] = Row(
+for seed in ((67, 1), (67, 2), (67, 3), (67, 4), (98, 2), (269, 3), (324, 4)):
+    # a phase scan at 2^16 points brackets the distance: it lies within pi / 2^16 below it.
+    # A search over the phase overshot the scan on the last three seeds, by up to 7.8e-4
+    m = seed[1]
+    ROWS[f"holonomy_distance-m{m}" + (f"-seed{seed[0]}" if seed[0] != 67 else "")] = Row(
         lambda pairs: [holonomy.holonomy_distance(u, v) for u, v in pairs],
         lambda pairs: [ref.reference_holonomy_distance(u, v) for u, v in pairs],
         lambda rng, m=m: ([[ref.random_unitary(rng, m) for _ in "uv"] for _ in range(15)],),
-        (67, m), math.pi / 2**16, one_sided=True,
+        seed, math.pi / 2**16, one_sided=True,
     )
 for dim in (1, 2, 3, 4):
     # ties, zero and tiny vectors: the pivot sweep picks the component np.argmax picked

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference as ref
 from reference import random_unitary
 
 from holosim import abelian, holonomy, linalg, models
@@ -228,7 +229,7 @@ class TestWilsonLine:
                 initial_frame=f0 @ g,
             ).matrix
             assert linalg.max_abs(w - g.conj().T @ v @ g) < 1e-10
-            assert holonomy.eigenangle_distance(w, v) < 1e-10
+            assert ref.eigenangle_distance(w, v) < 1e-10
 
     def test_gauge_invariance_away_from_basepoint(self):
         rng = np.random.default_rng(83)
@@ -361,6 +362,14 @@ class TestClosedForm:
             )
 
 
+def diagonal_phases(t1, t2):
+    """diag(e^{i t1}, e^{i t2}) against the identity: the best phase bisects the two, so the
+    distance is 2 sin(d / 4), with d = |t1 - t2| folded into [0, pi]; within 1e-15."""
+    d = abs(t1 - t2)
+    v = np.diag(np.exp(1j * np.array([t1, t2])))
+    return v, 2.0 * math.sin(min(d, 2.0 * math.pi - d) / 4.0), 1e-15
+
+
 class TestHolonomyDistance:
     def test_identical(self):
         rng = np.random.default_rng(71)
@@ -372,10 +381,17 @@ class TestHolonomyDistance:
         u = random_unitary(rng, 4)
         assert holonomy.holonomy_distance(u, np.exp(1j * np.pi / 7) * u) < 1e-10
 
-    def test_identity_vs_sigma_x(self):
-        d = holonomy.holonomy_distance(np.eye(2, dtype=complex), models.SIGMA_X)
+    @pytest.mark.parametrize("v, expected, tol", [
+        (models.SIGMA_X, 1.0, 1e-9),
+        *[diagonal_phases(t1, t2) for t1, t2 in [(0.0, 0.5), (0.3, -2.5), (1.0, 1.0 + 1e-9)]],
+        # not unitary: |e^{ia} - 5i| >= 4 exceeds |e^{ia} - 1| at every phase, so the
+        # distance is that one entry's own minimum, at a = pi / 2
+        (np.diag([5j, 1.0]), 4.0, 1e-15),
+    ], ids=["sigma_x", "diag-0-0.5", "diag-0.3--2.5", "diag-1-1+1e-9", "one-entry-minimum"])
+    def test_identity_vs_sigma_x(self, v, expected, tol):
+        d = holonomy.holonomy_distance(np.eye(2, dtype=complex), v)
         assert type(d) is float
-        assert d == pytest.approx(1.0, abs=1e-9)
+        assert d == pytest.approx(expected, abs=tol)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -385,10 +401,10 @@ class TestHolonomyDistance:
         rng = np.random.default_rng(79)
         u = random_unitary(rng, 3)
         g = random_unitary(rng, 3)
-        assert holonomy.eigenangle_distance(u, g @ u @ g.conj().T) < 1e-10
+        assert ref.eigenangle_distance(u, g @ u @ g.conj().T) < 1e-10
 
     def test_eigenangle_distance_detects_difference(self):
-        assert holonomy.eigenangle_distance(
+        assert ref.eigenangle_distance(
             np.eye(2), np.diag([1.0, np.exp(0.5j)])
         ) == pytest.approx(0.5, abs=1e-9)
 
