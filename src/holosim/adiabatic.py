@@ -86,12 +86,6 @@ class AdiabaticResult:
     overlap_matrix_raw: np.ndarray | None = None
     distance: float | None = None  # to the Wilson line, set by convergence_sweep
 
-    def final_state(self) -> np.ndarray:
-        """The evolved state for single-column runs."""
-        if self.final_states.shape[1] != 1:
-            raise ValueError("run evolved a frame; use final_states")
-        return self.final_states[:, 0]
-
 
 def _cf4(run: AdiabaticRun, steps: int) -> np.ndarray:
     """The initial frame after `steps` CF4:2 steps over [0, T].

@@ -434,13 +434,13 @@ class UsbModel(HamiltonianModel):
 
         H = |1><c| + |c><1| with c = R b and b = (P, S, Q) / R on levels
         (0, 2, 3). The bright pair (-+|1> + b) / sqrt(2) has energies -+R.
-        The dark pair is the columns j != k of the Householder reflector
-        I - 2 v v^T / v^T v with v = b + sign(b_k) e_k and k = argmax |b_k|
-        (Golub & Van Loan, Matrix Computations, 5.1), whose column k is
-        parallel to b. As v^T v = 2 (1 + |b_k|) >= 2, the pair has no
-        singularity at P = S = 0; its gauge jumps where k changes, which
-        raw links cancel. R = 0 raises ZeroFieldError. Built per linalg.blocks from
-        (block,) slices into a stack-last (4, m, k) array; no (k, 4, 4) stack is formed.
+        The dark pair is the P and S columns, e_j - (b_j / (1 + |b_Q|)) v, of the
+        Householder reflector I - 2 v v^T / v^T v with v = b + sign(b_Q) e_Q on the fixed
+        Q axis, sign -1 where b_Q < 0 and +1 elsewhere (Golub & Van Loan, Matrix
+        Computations, 5.1). As v^T v = 2 (1 + |b_Q|) >= 2, no pivot is searched and the
+        pair has no singularity, also at P = S = 0; its gauge jumps only where Q changes
+        sign, which raw links cancel. R = 0 raises ZeroFieldError. Built per linalg.blocks,
+        elementwise, into a stack-last (4, m, k) array; no (k, 4, 4) stack is formed.
         """
         if type(self).evaluate_batch is not UsbModel.evaluate_batch:
             return super().band_states_batch(lams, block)
@@ -455,23 +455,17 @@ class UsbModel(HamiltonianModel):
         frames = np.zeros((4, block.size, len(r)))
         for part in blocks(len(r)):
             b = lams.T[:, part] / r[part]  # (3, part)
-            cols = np.arange(b.shape[1])
-            pivot = np.argmax(np.abs(b), axis=0)
-            b_pivot = b[pivot, cols]
-            v = b.copy()
-            v[pivot, cols] += np.where(b_pivot < 0.0, -1.0, 1.0)
-            scale = 1.0 / (1.0 + np.abs(b_pivot))  # 2 / v^T v
-            # the reflector's columns other than the pivot, in ascending order
-            others = ((pivot == 0).astype(int), 2 - (pivot == 2))
+            v = (b[0], b[1], b[2] + np.where(b[2] < 0.0, -1.0, 1.0))  # -0.0 counts as +
+            scale = 1.0 / (1.0 + np.abs(b[2]))  # 2 / v^T v
             for col, band in enumerate(range(block.start, block.stop)):
                 if band in (0, 3):
                     frames[_SPOKES, col, part] = math.sqrt(0.5) * b
                     frames[1, col, part] = math.sqrt(0.5) * (1.0 if band == 3 else -1.0)
-                else:
-                    j = others[band - 1]
-                    column = -(scale * v[j, cols]) * v
-                    column[j, cols] += 1.0
-                    frames[_SPOKES, col, part] = column
+                else:  # the reflector's P (band 1) or S (band 2) column
+                    c = -(scale * b[band - 1])
+                    for level, v_level in zip(_SPOKES, v):
+                        np.multiply(c, v_level, out=frames[level, col, part])
+                    frames[_SPOKES[band - 1], col, part] += 1.0
         return w, frames.transpose(2, 0, 1)
 
     def propagator_increments(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:

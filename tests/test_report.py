@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from reference import read_csv
 
-from holosim.report import ExperimentReport, read_csv
+from holosim.report import ExperimentReport
 
 
 @pytest.mark.parametrize(
