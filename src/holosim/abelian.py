@@ -153,6 +153,14 @@ def band_state_chain(
     return StateChain(gauge_fix(states), closed=path.closed)
 
 
+def band_loop_phase(model: HamiltonianModel, path: ParameterPath, band: int, n: int) -> float:
+    """discrete_geometric_phase(band_state_chain(...)).phase, with the same errors, from the
+    raw band states: the loop product is gauge invariant, so no gauge_fix or renormalisation."""
+    if not path.closed or n < 3:
+        raise ValueError(f"need a closed path and at least 3 samples, got n = {n}")
+    return _loop_phase(_band_states(model, path.sample(n), band, path.sample_s(n)))[0]
+
+
 def _band_states(model: HamiltonianModel, lams, band: int, s_values=None) -> np.ndarray:
     """States (k, dim) of one band at each point of lams; the band must stay gapped."""
     def degenerate(s, gap):
@@ -276,10 +284,11 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
     The directions are an (n, 3) array, or a models.PathSamples whose grid is never
     built. The chain is closed implicitly (wrap pair included); consecutive antipodal
     directions, or a vertex antipodal to the reference, are rejected as geometrically
-    ambiguous, and a zero or non-finite direction, each by its first index. Layout: the
-    rows are read linalg.BLOCK vertices at a time, as a unit (3, b - a + 1) copy that ends
-    with the next block's first vertex (v_0 for the last); the fan terms go into one (n,)
-    array summed once, bit for bit at any BLOCK.
+    ambiguous, and a zero or non-finite direction, each by its first index. Layout: per
+    linalg.BLOCK vertices, a unit (3, b - a + 1) copy that ends with the next block's first
+    vertex (v_0 for the last), whose norms, v_k . v_{k+1} and (r x v_k) . v_{k+1} are one
+    einsum each and r . v_k one matvec; arctan2 writes the half terms into one (n,) array,
+    summed once and doubled, bit for bit at any BLOCK.
     """
     if not isinstance(directions, PathSamples):
         directions = np.asarray(directions, dtype=float)
@@ -290,23 +299,23 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
     ref_norm = float(np.linalg.norm(ref))
     if ref.shape != (3,) or not ref_norm >= 1e-12:
         raise ValueError(f"`reference` must be a nonzero 3-vector, got {reference!r}")
-    rx, ry, rz = (ref / ref_norm).tolist()
+    rx, ry, rz = r = ref / ref_norm
+    cross = np.array([[0.0, -rz, ry], [rz, 0.0, -rx], [-ry, rx, 0.0]])  # r x v = cross @ v
 
     terms = np.empty(n)
     for block in blocks(n):
         a, b = block.start, block.stop
         u = np.empty((3, b - a + 1))
         u[:, :-1], u[:, -1:] = directions[block].T, directions[b % n : b % n + 1].T
-        squares = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
-        bad = ~(squares < np.inf) | (squares < 1e-24)
-        if np.any(bad):
-            k = int(np.argmax(bad))
+        squares = np.einsum("ik,ik->k", u, u)
+        if not (squares.min() >= 1e-24 and squares.max() < np.inf):
+            k = int(np.argmax(~(squares < np.inf) | (squares < 1e-24)))
             what = "a zero vector" if squares[k] < 1e-24 else "a non-finite entry"
             raise DegenerateInputError(f"direction chain contains {what} at index {(a + k) % n}")
         u /= np.sqrt(squares)
-        (x0, y0, z0), (x1, y1, z1) = u[:, :-1], u[:, 1:]  # v_k and v_{k+1}
-        dot = x0 * x1 + y0 * y1 + z0 * z1
-        along = rx * u[0] + ry * u[1] + rz * u[2]  # r . v_k
+        v0, v1 = u[:, :-1], u[:, 1:]  # v_k and v_{k+1}
+        dot = np.einsum("ik,ik->k", v0, v1)
+        along = r @ u  # r . v_k
         # |v + w|^2 = 2 + 2 v . w >= 1 for unit rows, so only v . w < -1/2 can be antipodal
         near = np.flatnonzero(dot < -0.5)
         x, y, z = u[:, near] + u[:, near + 1]
@@ -326,9 +335,9 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
                 "vertex; pass a different `reference`"
             )
         # r . (v_k x v_{k+1}) = (r x v_k) . v_{k+1}
-        det = (ry * z0 - rz * y0) * x1 + (rz * x0 - rx * z0) * y1 + (rx * y0 - ry * x0) * z1
-        terms[block] = 2.0 * np.arctan2(det, 1.0 + along[:-1] + dot + along[1:])
-    return float(np.sum(terms))
+        det = np.einsum("ik,ik->k", cross @ v0, v1)
+        np.arctan2(det, 1.0 + along[:-1] + dot + along[1:], out=terms[block])
+    return 2.0 * float(np.sum(terms))  # exactly the sum of the doubled terms
 
 
 def bloch_chain(directions, closed: bool = True) -> StateChain:
@@ -354,6 +363,7 @@ __all__ = [
     "discrete_geometric_phase",
     "parallel_transport",
     "band_state_chain",
+    "band_loop_phase",
     "berry_connection_fd",
     "berry_curvature_plaquette",
     "plaquette_flux_and_boundary",

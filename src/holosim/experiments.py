@@ -225,7 +225,7 @@ _helper = linalg.helper_thread  # for the half of each ladder rung that a run re
 
 
 def run_berry_qubit(config: dict) -> ExperimentReport:
-    """Discrete loop phase vs the solid-angle oracle over a resolution ladder."""
+    """Loop phase (abelian.band_loop_phase) vs the solid-angle oracle over a resolution ladder."""
     validate("berry-qubit", config)
     model, path = models.build_model_and_path(config)
     if config["reverse"]:
@@ -241,8 +241,7 @@ def run_berry_qubit(config: dict) -> ExperimentReport:
         grids = (models.PathSamples(path, max(4096, 4 * n)) for n in config["ladder"])
         omegas = [pool.submit(_fanned_solid_angle, grid) for grid in grids]
         for n, omega in zip(config["ladder"], omegas):
-            chain = abelian.band_state_chain(model, path, config["band"], n)
-            phase = abelian.discrete_geometric_phase(chain).phase
+            phase = abelian.band_loop_phase(model, path, config["band"], n)
             oracle = (config["band"] - 0.5) * omega.result()
             rows.append((n, phase, oracle, abs(linalg.wrap_angle(phase - oracle))))
 
@@ -422,7 +421,7 @@ def _fourier_deformation(rng: np.random.Generator, s: np.ndarray, modes: int) ->
 def run_noise_study(config: dict) -> ExperimentReport:
     """Phase robustness under smooth loop deformations.
 
-    Every chain holds the closed-form states of the configured band.
+    Every chain holds the raw closed-form states of the configured band.
     Each realization draws a low-order Fourier deformation d(s); the raw
     perturbed loop is lambda + eps * scale * d, and the area-preserving
     variant first projects out the first-order change of the enclosed
@@ -439,18 +438,15 @@ def run_noise_study(config: dict) -> ExperimentReport:
     base = path(s)
     scale = float(np.sqrt(np.mean(np.sum(base**2, axis=1))))
 
-    def chain_phase(states: np.ndarray) -> float:
-        return abelian.discrete_geometric_phase(abelian.StateChain(states, closed=True)).phase
-
     def deformed_phase(points: np.ndarray) -> float:
-        return chain_phase(models.qubit_band_states(points, config["band"]))
+        return abelian._loop_phase(models.qubit_band_states(points, config["band"]))[0]
 
     def area_rate(d: np.ndarray, h: float = 1e-4) -> float:
         area = abelian.solid_angle  # of the loop's directions, normalised there
         return (area(base + h * scale * d) - area(base - h * scale * d)) / (2.0 * h)
 
     # the undeformed loop through the model's sampler, which names s where a band is degenerate
-    chi0 = chain_phase(abelian._band_states(model, base, config["band"], s))
+    chi0 = abelian.band_loop_phase(model, path, config["band"], n)
 
     # fixed area-changing reference direction: uniform polar push
     theta_hat = _polar_push(base)

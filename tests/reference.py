@@ -287,18 +287,25 @@ def reference_link_polar(links):
     return polar, sigma
 
 
+def tan_half_cos_sin(a):
+    """cos a and sin a as (1 - t^2) / (1 + t^2) and 2t / (1 + t^2) with t = tan(a/2),
+    each formed from scratch."""
+    t = np.tan(a / 2.0)
+    return (1.0 - t * t) / (1.0 + t * t), 2.0 * t / (1.0 + t * t)
+
+
 def stacked_azimuthal(s, theta0, radius=1.0):
     """make_azimuthal_loop's points as they were formed before the paths went
     stack-last: s wrapped by np.mod, the coordinates stacked along axis 1."""
-    a = 2.0 * math.pi * np.mod(s, 1.0)
+    cos_a, sin_a = tan_half_cos_sin(2.0 * math.pi * np.mod(s, 1.0))
     st, ct = math.sin(theta0), math.cos(theta0)
-    return radius * np.stack([st * np.cos(a), st * np.sin(a), np.full_like(a, ct)], axis=1)
+    return radius * np.stack([st * cos_a, st * sin_a, np.full_like(cos_a, ct)], axis=1)
 
 
 def stacked_usb_circle(s, s0=1.0, a=0.5, q0=0.5, b=0.25):
     """The usb circle family's points in the same earlier form."""
-    w = 2.0 * math.pi * np.mod(s, 1.0)
-    return np.stack([a * np.sin(w), s0 + a * np.cos(w), q0 + b * np.sin(w)], axis=1)
+    cos_w, sin_w = tan_half_cos_sin(2.0 * math.pi * np.mod(s, 1.0))
+    return np.stack([a * sin_w, s0 + a * cos_w, q0 + b * sin_w], axis=1)
 
 
 def stacked_constant(s, lam):

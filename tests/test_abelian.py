@@ -399,6 +399,15 @@ class TestSolidAngle:
         with pytest.raises(DegenerateInputError, match=pair):
             abelian.solid_angle(dirs)
 
+    @pytest.mark.parametrize("value, what", [
+        (0.0, "a zero vector"), (np.nan, "a non-finite entry"), (-np.inf, "a non-finite entry"),
+    ])
+    def test_bad_direction_past_a_block_named(self, value, what):
+        dirs = models.make_azimuthal_loop(1.0).sample(linalg.BLOCK + 20)
+        dirs[linalg.BLOCK + 3] = value
+        with pytest.raises(DegenerateInputError, match=f"{what} at index {linalg.BLOCK + 3}$"):
+            abelian.solid_angle(dirs)
+
     @pytest.mark.parametrize("index", [linalg.BLOCK, linalg.BLOCK + 7])
     def test_reference_antipode_past_a_block_named(self, index):
         dirs = models.make_azimuthal_loop(1.0).sample(linalg.BLOCK + 20)
@@ -441,6 +450,34 @@ class TestChainBuilding:
         )
         with pytest.raises(abelian.DegenerateBandError, match="s = 0.25"):
             abelian.band_state_chain(models.QubitModel(), path, 0, 64)
+
+    @pytest.mark.parametrize("points, error, match", [
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+         abelian.DegenerateBandError, "band 0 degenerate at s = 0.500000"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+         abelian.OverlapTooSmallError, r"\(1, 2\)"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]],
+         abelian.OverlapTooSmallError, r"\(3, 0\)"),
+    ], ids=["degenerate", "orthogonal-link", "orthogonal-wrap-link"])
+    def test_band_loop_phase_raises_the_chain_errors(self, points, error, match):
+        table = np.array(points)
+        path = models.ParameterPath(lambda s: table[np.round(4 * s).astype(int) % 4], 3, True)
+        for phase in (
+            lambda: abelian.band_loop_phase(models.QubitModel(), path, 0, 4),
+            lambda: abelian.discrete_geometric_phase(
+                abelian.band_state_chain(models.QubitModel(), path, 0, 4)
+            ),
+        ):
+            with pytest.raises(error, match=match):
+                phase()
+
+    @pytest.mark.parametrize("closed, n", [(False, 64), (True, 2)])
+    def test_band_loop_phase_needs_a_closed_loop_of_three(self, closed, n):
+        path = models.make_azimuthal_loop(1.0)
+        if not closed:
+            path = models.ParameterPath(path.evaluate, 3, closed=False)
+        with pytest.raises(ValueError, match="closed path and at least 3 samples"):
+            abelian.band_loop_phase(models.QubitModel(), path, 0, n)
 
     def test_qubit_band_states_take_no_dense_eigensolve(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -361,6 +361,34 @@ for key, kernel, reference, closed in (
     ROWS[f"{key}-random"] = Row(
         kernel, reference, lambda rng, c=closed: random_chain(rng, c), 97, 1e-12
     )
+# the gauge-free loop phase of berry-qubit and noise-study against the gauge-fixed,
+# renormalised chain, on both bands, both orientations and ladders down to 8 samples
+for key, path in (
+    ("azimuthal", models.make_azimuthal_loop(1.0, 1.7)),
+    ("reversed", models.reversed_path(models.make_azimuthal_loop(2.2))),
+    ("usb-circle", models.make_usb_loop("circle", {"q0": 0.3})),
+):
+    for band, n in ((band, n) for band in (0, 1) for n in (8, 12, 4096)):
+        ROWS[f"band_loop_phase-{key}-band{band}-{n}"] = Row(
+            abelian.band_loop_phase,
+            lambda *args: abelian.discrete_geometric_phase(abelian.band_state_chain(*args)).phase,
+            lambda rng, p=path, b=band, n=n: (models.QubitModel(), p, b, n), None, 1e-12,
+        )
+
+
+def unit_circle_angles(rng):
+    """[0, 2 pi) on a grid and at random, its quadrant points, and a = 2 pi s at
+    s = 1 - 2^-52, the last angle a closed path evaluates."""
+    quadrants = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi * (1.0 - 2.0**-52)]
+    grid = 2.0 * math.pi * np.arange(2**16) / 2**16
+    return (np.concatenate([quadrants, grid, 2.0 * math.pi * rng.random(2**16)]),)
+
+
+# the tan-half unit circle of the path families, within 2 ulp of 1 of np.cos and np.sin
+ROWS["cos_sin-unit-circle"] = Row(
+    lambda a: tuple(models.cos_sin(a)), lambda a: (np.cos(a), np.sin(a)),
+    unit_circle_angles, 83, 4.5e-16,
+)
 for key, args in (
     ("sphere", (models.SphereQubitModel(1.0), 0, [0.5, 0.3], (0, 1), (1.0, 1.5), (4, 6))),
     ("qubit", (models.QubitModel(), 1, [0.3, -0.2, 1.0], (0, 1), (1.0, 0.8), (3, 3))),

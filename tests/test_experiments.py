@@ -298,6 +298,13 @@ class TestBerryQubit:
         for up, low in zip(upper.rows, lower.rows):
             assert up[1] == pytest.approx(-low[1], abs=1e-12)
 
+    @pytest.mark.parametrize("band, reverse", [(0, False), (1, True)])
+    def test_ladder_of_eight_and_twelve_runs(self, band, reverse):
+        cfg = {"ladder": [8, 12], "band": band, "reverse": reverse}
+        report = experiments.run_experiment("berry-qubit", cfg)
+        assert [r[0] for r in report.rows] == [8, 12]
+        assert all(math.isfinite(x) for row in report.rows for x in row)
+
     def test_small_loop_phase_vanishes(self):
         report = experiments.run_experiment(
             "berry-qubit", {"path": {"params": {"theta0": 0.05}}, "ladder": [1024]}
@@ -478,8 +485,8 @@ class TestHelperThread:
         # the ladder 2048, 4096 reads the oracle at 8192 and 16384 points
         oracle = failing_at(abelian.solid_angle, len, {oracle_at}, "oracle", 0.1)
         monkeypatch.setattr(abelian, "solid_angle", oracle)
-        chain = failing_at(abelian.band_state_chain, last, {chain_at}, "chain")
-        monkeypatch.setattr(abelian, "band_state_chain", chain)
+        chain = failing_at(abelian.band_loop_phase, last, {chain_at}, "chain")
+        monkeypatch.setattr(abelian, "band_loop_phase", chain)
         with pytest.raises(DegenerateInputError, match=f"^{first}$"):
             experiments.run_experiment("berry-qubit", {"ladder": [2048, 4096]})
 
@@ -497,7 +504,7 @@ class TestHelperThread:
             experiments.run_experiment("usb-holonomy", {"ladder": [512, 1024]})
 
     @pytest.mark.parametrize("experiment, main, helper", [
-        ("berry-qubit", "band_state_chain", "solid_angle"),
+        ("berry-qubit", "band_loop_phase", "solid_angle"),
         ("usb-holonomy", "usb_eta_pair", "usb_wilson_line"),
     ])
     def test_nothing_is_queued_or_running_after_a_raise(
@@ -729,23 +736,23 @@ class TestNoiseStudy:
             "samples": 64,
             "noise": {"realizations": 8, "amplitude_ladder": [0.01, 0.02]},
         }
-        original = abelian.discrete_geometric_phase
+        original = abelian._loop_phase
         calls = []
 
-        def through_zero_field(chain):
+        def through_zero_field(states):
             calls.append(1)
             if len(calls) == 3:
                 raise models.ZeroFieldError("deformed loop passes through n = 0")
-            return original(chain)
+            return original(states)
 
-        monkeypatch.setattr(abelian, "discrete_geometric_phase", through_zero_field)
+        monkeypatch.setattr(abelian, "_loop_phase", through_zero_field)
         report = experiments.run_experiment("noise-study", config)
         assert [r[-1] for r in report.rows] == [1, 0]
 
-        def broken(chain):
+        def broken(states):
             raise ValueError("not a domain error")
 
-        monkeypatch.setattr(abelian, "discrete_geometric_phase", broken)
+        monkeypatch.setattr(abelian, "_loop_phase", broken)
         with pytest.raises(ValueError, match="not a domain error"):
             experiments.run_experiment("noise-study", config)
 
@@ -753,15 +760,15 @@ class TestNoiseStudy:
     def test_band_selects_the_tracked_band(self, monkeypatch, band, sign):
         # the first chain is the undeformed loop: the band's phase is
         # -+ pi (1 - cos theta0) (module docstring of abelian)
-        original = abelian.discrete_geometric_phase
+        original = abelian._loop_phase
         phases = []
 
-        def spy(chain):
-            result = original(chain)
-            phases.append(result.phase)
+        def spy(states):
+            result = original(states)
+            phases.append(result[0])
             return result
 
-        monkeypatch.setattr(abelian, "discrete_geometric_phase", spy)
+        monkeypatch.setattr(abelian, "_loop_phase", spy)
         config = {"samples": 256, "band": band, "noise": {"realizations": 8}}
         experiments.run_experiment("noise-study", config)
         theta0 = models.PATH_FAMILIES["qubit"]["azimuthal"][1].default["theta0"]
