@@ -285,9 +285,9 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
     built. The chain is closed implicitly (wrap pair included); consecutive antipodal
     directions, or a vertex antipodal to the reference, are rejected as geometrically
     ambiguous, and a zero or non-finite direction, each by its first index. Layout: per
-    linalg.BLOCK vertices, a unit (3, b - a + 1) copy that ends with the next block's first
-    vertex (v_0 for the last), whose norms, v_k . v_{k+1} and (r x v_k) . v_{k+1} are one
-    einsum each and r . v_k one matvec; arctan2 writes the half terms into one (n,) array,
+    linalg.BLOCK vertices, rows a..b taken in one call (row n is row 0, v_0)
+    as one unit (3, b - a + 1) array, whose norms, v_k . v_{k+1} and (r x v_k) . v_{k+1} are
+    one einsum each and r . v_k one matvec; arctan2 writes the half terms into one (n,) array,
     summed once and doubled, bit for bit at any BLOCK.
     """
     if not isinstance(directions, PathSamples):
@@ -305,8 +305,9 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
     terms = np.empty(n)
     for block in blocks(n):
         a, b = block.start, block.stop
-        u = np.empty((3, b - a + 1))
-        u[:, :-1], u[:, -1:] = directions[block].T, directions[b % n : b % n + 1].T
+        rows = np.arange(a, b + 1)
+        rows[-1] = b % n
+        u = np.ascontiguousarray(directions[rows].T)  # a path's points are stack-last already
         squares = np.einsum("ik,ik->k", u, u)
         if not (squares.min() >= 1e-24 and squares.max() < np.inf):
             k = int(np.argmax(~(squares < np.inf) | (squares < 1e-24)))

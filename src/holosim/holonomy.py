@@ -255,38 +255,35 @@ def wilson_line(
 # ---------------------------------------------------------------------------
 
 
-def _usb_samples(path: ParameterPath, n_samples: int) -> np.ndarray:
+def usb_eta_pair(path: ParameterPath, n_samples: int = 2**14) -> tuple[float, float]:
+    """The rotation angle eta by two independent quadratures.
+
+    First form: trapezoidal integral of sin(phi) d theta, each d theta the angle
+    that (S, P) turns through between neighbouring samples, as arctan2 of their
+    cross and dot products (unwrapped theta's increment wherever |d theta| < pi). Second form
+    (closed loops): trapezoidal sum of the explicit line integrand
+    Q (S dP - P dS) / ((P^2+S^2) R) with R = sqrt(P^2+S^2+Q^2). Both converge
+    O(1/N^2) to the same value; their agreement is the internal consistency check
+    for shipped loops. Sums of squares, not hypot: PARAM_BOUND keeps every product
+    finite, and the P = S = 0 screen every denominator nonzero.
+    """
     lams = path.sample(n_samples, include_endpoint=True)
-    hyp2 = lams[:, 0] ** 2 + lams[:, 1] ** 2
+    pp, ss, qq = lams[:, 0], lams[:, 1], lams[:, 2]
+    hyp2 = pp * pp + ss * ss
     bad = np.nonzero(hyp2 < DARK_SINGULAR_TOL**2)[0]
     if len(bad):
         s = bad[0] / n_samples
         raise DarkFrameSingularError(f"dark-frame angle singular at s = {s:.6f} (P = S = 0)")
-    return lams
-
-
-def usb_eta_pair(path: ParameterPath, n_samples: int = 2**14) -> tuple[float, float]:
-    """The rotation angle eta by two independent quadratures.
-
-    First form: trapezoidal integral of sin(phi) d theta with theta
-    unwrapped along the path. Second form (closed loops): trapezoidal sum
-    of the explicit line integrand Q (S dP - P dS) / ((P^2+S^2) R) with
-    R = sqrt(P^2+S^2+Q^2). Both converge O(1/N^2) to the same value; their
-    agreement is the internal consistency check for shipped loops.
-    """
-    lams = _usb_samples(path, n_samples)
-    pp, ss, qq = lams[:, 0], lams[:, 1], lams[:, 2]
-    hyp = np.hypot(pp, ss)
-    r = np.hypot(hyp, qq)
-    theta = np.unwrap(np.arctan2(pp, ss))
+    r = np.sqrt(hyp2 + qq * qq)
     sin_phi = qq / r
 
-    d_theta = np.diff(theta)
+    p0, p1, s0, s1 = pp[:-1], pp[1:], ss[:-1], ss[1:]
+    d_theta = np.arctan2(s0 * p1 - p0 * s1, s0 * s1 + p0 * p1)
     eta_theta = float(np.sum(0.5 * (sin_phi[:-1] + sin_phi[1:]) * d_theta))
 
-    f = qq / (hyp**2 * r)
+    f = qq / (hyp2 * r)
     fs, fp = f * ss, f * pp
-    dp, ds = np.diff(pp), np.diff(ss)
+    dp, ds = p1 - p0, s1 - s0
     eta_line = float(
         np.sum(0.5 * (fs[:-1] + fs[1:]) * dp) - np.sum(0.5 * (fp[:-1] + fp[1:]) * ds)
     )

@@ -193,7 +193,9 @@ def _polar(links: np.ndarray) -> tuple:
     phase = det/|det| and C = phase adj(M)^dag = U diag(s2, s1) V^dag,
     M +- C = [[p, q], [-phase q*, phase p*]] with p = a +- phase d*, q = b -+ phase c*,
     so s1 +- s2 = hypot(|p|, |q|) (unlike sqrt(||M||_F^2 - 2|det|), no cancellation
-    near I), U V^dag = (M + C)/(s1 + s2) and s2 = |det|/s1. Layout: a ... d are (...)
+    near I), U V^dag = (M + C)/(s1 + s2) and s2 = |det|/s1. Real (float64) links take
+    phase = sign(det), no conjugates, and sqrt(p^2 + q^2) for the hypot: their entries
+    (of unit frames) are at most 1, so no square overflows. Layout: a ... d are (...)
     slices, contiguous for stack-last links; the polar factors view a stack-last array.
     """
     if links.shape[-1] > 2:
@@ -206,13 +208,19 @@ def _polar(links: np.ndarray) -> tuple:
     a, b, c, d = links[..., 0, 0], links[..., 0, 1], links[..., 1, 0], links[..., 1, 1]
     det = a * d - b * c
     abs_det = np.abs(det)
-    phase = det * (1.0 / (abs_det + tiny))
-    # each complex product takes its temporary first: numpy elides a large right-hand
-    # temporary by swapping the operands, which moves the last bit of an FMA product
-    phase_d, phase_c = np.conj(d) * phase, np.conj(c) * phase
+    if links.dtype == np.float64:
+        phase = np.sign(det)
+        phase_d, phase_c = d * phase, c * phase
+        norm = lambda x, y: np.sqrt(x * x + y * y)
+    else:
+        phase = det * (1.0 / (abs_det + tiny))
+        # each complex product takes its temporary first: numpy elides a large right-hand
+        # temporary by swapping the operands, which moves the last bit of an FMA product
+        phase_d, phase_c = np.conj(d) * phase, np.conj(c) * phase
+        norm = lambda x, y: np.hypot(np.abs(x), np.abs(y))
     p, q = a + phase_d, b - phase_c
-    s_sum = np.hypot(np.abs(p), np.abs(q)) + tiny
-    s_max = 0.5 * (s_sum + np.hypot(np.abs(a - phase_d), np.abs(b + phase_c)))
+    s_sum = norm(p, q) + tiny
+    s_max = 0.5 * (s_sum + norm(a - phase_d, b + phase_c))
 
     def polar():
         factors = np.stack([p, q, -phase * np.conj(q), np.conj(p) * phase]) * (1.0 / s_sum)

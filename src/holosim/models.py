@@ -13,8 +13,8 @@ declares each family's parameters as schema fields.
 
 Angle conventions used throughout: theta = atan2(P, S) and
 phi = atan2(Q, sqrt(P^2 + S^2)). With these, the dark vectors below are
-exact null vectors of the four-level Hamiltonian; theta must be unwrapped
-(|d theta| < pi between adjacent samples) when integrated along a path.
+exact null vectors of the four-level Hamiltonian; along a path, d theta is
+the angle (S, P) turns through between adjacent samples (|d theta| < pi).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-_SIGNS = np.array([-1.0, 1.0])
 _SPOKES = [0, 2, 3]  # the four-level model's levels that (P, S, Q) couple to its hub, 1
 _D_PHASES = np.outer([1, 1j, 1, 1], [1, -1j, 1, 1])  # D M D^dag = _D_PHASES M, D = diag(1, i, 1, 1)
 
@@ -130,8 +129,9 @@ class ParameterPath:
 
 @dataclass(frozen=True)
 class PathSamples:
-    """path.sample(n) of a closed path, evaluated only at the rows sliced: row k is
-    path(k / n), bit for bit as in the (n, dim) grid, which is never built."""
+    """path.sample(n) of a closed path, evaluated only at the rows taken (a slice or an
+    integer array): row k is path(k / n), bit for bit as in the (n, dim) grid, which is
+    never built."""
 
     path: ParameterPath
     n: int
@@ -139,8 +139,9 @@ class PathSamples:
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.path(np.arange(*rows.indices(self.n)) / self.n)
+    def __getitem__(self, rows: slice | np.ndarray) -> np.ndarray:
+        rows = np.arange(*rows.indices(self.n)) if isinstance(rows, slice) else rows
+        return self.path(rows / self.n)
 
 
 def cos_sin(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -345,6 +346,15 @@ def _rodrigues(couplings: np.ndarray, weights: np.ndarray, dt: float) -> tuple[n
     return c, r2, dt * np.sinc(x), (-0.5 * dt**2) * np.sinc(0.5 * x) ** 2
 
 
+def _plus_minus_norm(vectors: np.ndarray, dim: int) -> np.ndarray:
+    """Energies (-r, 0, ..., 0, r) of a (k, 3) stack, r = |v| as np.linalg.norm(axis=1) gives
+    it bit for bit, viewing a stack-last (dim, k) array, so each level's row is contiguous."""
+    w = np.zeros((dim, len(vectors)))
+    x, y, z = vectors.T
+    np.negative(np.sqrt(x * x + y * y + z * z, out=w[-1]), out=w[0])
+    return w.T
+
+
 class QubitModel(HamiltonianModel):
     """Qubit H = n . sigma with Cartesian parameters lambda = n in R^3, with
     energies, band states and propagator_increments in closed form."""
@@ -361,11 +371,11 @@ class QubitModel(HamiltonianModel):
         return np.einsum("ki,ijl->kjl", self.field(lams), PAULI)
 
     def energies_batch(self, lams: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.field(lams), axis=1)[:, None] * _SIGNS
+        return _plus_minus_norm(self.field(lams), 2)
 
     def band_states_batch(self, lams: np.ndarray, block: BandBlock) -> tuple[np.ndarray, np.ndarray]:
         ns = self.field(lams)
-        w = np.linalg.norm(ns, axis=1)[:, None] * _SIGNS
+        w = _plus_minus_norm(ns, 2)
         if block.size == 2:  # any basis is an eigenframe of the whole space, also at n = 0
             return w, np.tile(np.eye(2, dtype=complex), (len(ns), 1, 1))
         return w, qubit_band_states(ns, block.start)[:, :, None]
@@ -431,10 +441,7 @@ class UsbModel(HamiltonianModel):
         return h
 
     def energies_batch(self, lams: np.ndarray) -> np.ndarray:
-        lams = np.asarray(lams, dtype=float).reshape(-1, 3)
-        r = np.linalg.norm(lams, axis=1)
-        zero = np.zeros_like(r)
-        return np.stack([-r, zero, zero, r], axis=1)
+        return _plus_minus_norm(np.asarray(lams, dtype=float).reshape(-1, 3), 4)
 
     def band_states_batch(self, lams: np.ndarray, block: BandBlock) -> tuple[np.ndarray, np.ndarray]:
         """Energies (k, 4) and the block's frames (k, 4, m), in closed form.

@@ -369,6 +369,35 @@ def reference_usb_eta_pair(path, n_samples):
     return eta_theta, eta_line
 
 
+def unwrapped_usb_eta_pair(path, n_samples):
+    """holonomy.usb_eta_pair as it was before its d theta came from neighbouring
+    samples: theta = atan2(P, S) unwrapped along the path, and hypot norms."""
+    lams = path.sample(n_samples, include_endpoint=True)
+    if np.any(lams[:, 0] ** 2 + lams[:, 1] ** 2 < models.DARK_SINGULAR_TOL**2):
+        raise models.DarkFrameSingularError("P = S = 0")
+    pp, ss, qq = lams[:, 0], lams[:, 1], lams[:, 2]
+    hyp = np.hypot(pp, ss)
+    r = np.hypot(hyp, qq)
+    theta = np.unwrap(np.arctan2(pp, ss))
+    sin_phi = qq / r
+    eta_theta = float(np.sum(0.5 * (sin_phi[:-1] + sin_phi[1:]) * np.diff(theta)))
+    f = qq / (hyp**2 * r)
+    fs, fp = f * ss, f * pp
+    dp, ds = np.diff(pp), np.diff(ss)
+    eta_line = float(
+        np.sum(0.5 * (fs[:-1] + fs[1:]) * dp) - np.sum(0.5 * (fp[:-1] + fp[1:]) * ds)
+    )
+    return eta_theta, eta_line
+
+
+def stacked_energies(model, lams):
+    """The closed-form energies (-r, 0, ..., 0, r) as they were formed before they went
+    stack-last: r by np.linalg.norm(axis=1), the levels by one (k, dim) np.stack."""
+    r = np.linalg.norm(model.field(lams) if model.dim == 2 else np.reshape(lams, (-1, 3)), axis=1)
+    zero = np.zeros_like(r)
+    return np.stack([-r, *[zero] * (model.dim - 2), r], axis=1)
+
+
 def reference_holonomy_distance(u, v, n=2**16):
     """min of max |e^{ia} U - V| over the phases a = 2 pi k / n, one entry at a
     time and unrefined. An entry of a unitary U moves by at most |da|, so the

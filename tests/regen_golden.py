@@ -3,8 +3,8 @@
 A shipped run is one of the six built-in defaults (default-<experiment>) or
 one of configs/*.json (by its stem). For each, tests/golden/ keeps the CSV
 and a JSON file with the report's checks and diagnostics; written_by.json
-names the numpy and BLAS that wrote them. test_golden.py compares every run
-against them.
+names the numpy, BLAS, OpenBLAS core and SIMD dispatch targets that wrote
+them. test_golden.py compares every run against them.
 
     PYTHONPATH=src python tests/regen_golden.py
 
@@ -14,6 +14,7 @@ for bit the same. A change that moves a cell says which cells moved, by how
 much and why.
 """
 
+import ctypes
 import json
 import math
 from pathlib import Path
@@ -87,13 +88,34 @@ def verdict(name: str, where: str, largest: float, exact: bool) -> str:
 
 
 def written_by() -> dict:
-    """The numpy version and BLAS of this process."""
+    """The numpy version, BLAS, OpenBLAS core and enabled SIMD dispatch targets of this
+    process: the build facts that the last bits of a run depend on."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy < 1.26 prints its config and takes no mode
         blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas}
+    try:  # numpy >= 2
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    dispatch = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+    return {"numpy": np.__version__, "blas": blas, "blas_core": blas_core(), "dispatch": dispatch}
+
+
+def blas_core() -> str:
+    """The core OpenBLAS picked at load time (OPENBLAS_CORETYPE overrides it), read from
+    the OpenBLAS that numpy bundles; "unknown" where there is none or it names no core."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("lib*openblas*.so*")):
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            try:
+                corename = getattr(ctypes.CDLL(str(lib)), symbol)
+            except (OSError, AttributeError):
+                continue
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
 
 
 def main() -> None:

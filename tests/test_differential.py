@@ -440,6 +440,15 @@ for key, params in (("shipped", {}), ("q0-b", {"q0": 0.3, "b": 0.15}), ("a", {"a
         holonomy.usb_eta_pair, ref.reference_usb_eta_pair,
         lambda rng, p=params: (models.make_usb_loop("circle", p), 2**12), None, 1e-12,
     )
+# d theta from neighbouring samples and norms from sums of squares, against the unwrapped
+# hypot form they replace: the shipped loop, the closest to P = S = 0 that the benchmark
+# draws (s0 - a = 0.35) and one whose Q spans 100 orders of magnitude
+for key, params in (("shipped", {}), ("s0-a-0.35", {"a": 0.65}), ("b1e100", {"b": 1e100})):
+    for n in (512, 8192, 2**16):
+        ROWS[f"usb_eta_pair-{key}-{n}-unwrapped-form"] = Row(
+            holonomy.usb_eta_pair, ref.unwrapped_usb_eta_pair,
+            lambda rng, p=params, n=n: (models.make_usb_loop("circle", p), n), None, 1e-14,
+        )
 
 
 def blocked(kernel, size):
@@ -505,6 +514,19 @@ def on_complex(kernel):
     return lambda array: kernel(array.astype(complex))
 
 
+def relative_to_complex(kernel):
+    """kernel's float64 result over its result on the input cast to complex, minus 1."""
+    return lambda array: real_result(kernel)(array) / on_complex(kernel)(array) - 1.0
+
+
+def energies_and_gaps(energies):
+    """The bit patterns of a model's (k, dim) energies and closed_gap of each of their blocks."""
+    def run(model, lams):
+        w = energies(model, lams)
+        return bits(w), every_block(linalg.closed_gap)([w])
+    return run
+
+
 def near_identity(rng, *shape):
     return np.eye(shape[-1]) + 0.01 * rng.normal(size=shape)
 
@@ -521,12 +543,9 @@ FLOAT64_INPUTS = {
     "link_overlaps-open": (
         overlaps(False), lambda rng, n: (stack_last(rng.normal(size=(4, 1, n))),)
     ),
-    **{
-        f"link_sigma_min-m{m}": (
-            linalg.link_sigma_min, lambda rng, n, m=m: (stack_last(rng.normal(size=(m, m, n))),)
-        )
-        for m in (1, 2)
-    },
+    "link_sigma_min-m1": (
+        linalg.link_sigma_min, lambda rng, n: (stack_last(rng.normal(size=(1, 1, n))),)
+    ),
     **{
         f"ordered_product-m{m}": (
             linalg.ordered_product, lambda rng, n, m=m: (near_identity(rng, n, m, m),)
@@ -543,6 +562,30 @@ for key, (kernel, inputs) in FLOAT64_INPUTS.items():
             real_result(kernel), on_complex(kernel), lambda rng, f=inputs, n=n: f(rng, n),
             (79, n), EXACT,
         )
+    # m = 2 float64 links take the real polar branch (phase = sign(det), square roots of
+    # sums of squares for hypot): its singular values within 1e-15 relative (4.5 ulp)
+    ROWS[f"float64-link_sigma_min-m2-{n}"] = Row(
+        relative_to_complex(linalg.link_sigma_min), lambda links: 0.0,
+        lambda rng, n=n: (stack_last(rng.normal(size=(2, 2, n))),), (79, n), 1e-15,
+    )
+# the closed-form energies, which view stack-last (dim, k) arrays, bit for bit against the
+# norm(axis=1) and (k, dim) np.stack form they replace, with the same closed_gap verdicts
+ENERGY_INPUTS = {
+    "loop": lambda rng: shipped("usb")[1].sample(4096),
+    "wide-loop": lambda rng: models.make_usb_loop("circle", {"b": 1e100}).sample(4096),
+    "c-order": lambda rng: rng.normal(size=(4096, 3)) * 10.0 ** rng.uniform(-3, 12, (4096, 1)),
+}
+for name in ("usb", "qubit"):
+    for key, inputs in ENERGY_INPUTS.items():
+        for what, energies in (
+            ("energies_batch", lambda model, lams: model.energies_batch(lams)),
+            ("band_states_batch", lambda model, lams: model.band_states_batch(
+                lams, models.BandBlock(0, 1))[0]),
+        ):
+            ROWS[f"{what}-{name}-{key}-stacked-form"] = Row(
+                energies_and_gaps(energies), energies_and_gaps(ref.stacked_energies),
+                lambda rng, k=name, f=inputs: (MODELS[k](), f(rng)), 89, EXACT,
+            )
 
 
 @pytest.mark.parametrize("row", ROWS.values(), ids=list(ROWS))
@@ -566,6 +609,29 @@ def test_rodrigues_rows_are_c_contiguous(name):
 
 
 OCTANT = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def test_real_link_polar_is_the_svd():
+    # the real 2x2 branch against one SVD per link, on links of either sign of det, of
+    # det = 0 (rank one), zero and NaN ones; the polar factor where it is unique
+    rng = np.random.default_rng(83)
+    links = rng.normal(size=(512, 2, 2))
+    links[:5] = [  # a swap and a reflection (det = -1), rank one, zero, NaN
+        [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]], [[1.0, 2.0], [2.0, 4.0]],
+        np.zeros((2, 2)), [[np.nan, 0.0], [0.0, 1.0]],
+    ]
+    links = stack_last(np.moveaxis(links, 0, -1).copy())  # as link_overlaps gives them
+    polar, sigma = linalg.link_polar(links)
+    assert polar.dtype == sigma.dtype == np.float64
+    assert np.all(np.isnan(polar[4])) and np.isnan(sigma[4])
+    finite = np.delete(np.arange(512), 4)
+    expected_polar, expected_sigma = ref.reference_link_polar(links[finite])
+    dets = np.linalg.det(links[finite])
+    assert np.sum(dets < 0.0) > 100 and np.sum(dets == 0.0) == 2
+    scale = np.linalg.norm(links[finite], 2, axis=(1, 2))  # the largest singular value
+    assert np.all(np.abs(sigma[finite] - expected_sigma) <= 1e-15 * scale)
+    unique = expected_sigma > 1e-8
+    assert linalg.max_abs(polar[finite][unique] - expected_polar[unique]) < 1e-13
 
 
 class TestReferences:
@@ -674,12 +740,15 @@ class TestStreamedKernels:
         complex_form = ref.whole_path_wilson_line(ref.ComplexUsb(), path, block, n, cast)
         matrix, sigma_min, defect = complex_form
         assert np.array_equal(line.matrix, matrix)
-        assert line.min_link_singular_value == sigma_min
         assert line.unitarity_defect == defect
+        # real 2x2 links take the real polar branch: sigma within 1e-15 relative
+        real_pair = block.size == 2 and np.isrealobj(f0)
+        bound = 1e-15 * sigma_min if real_pair else 0.0
+        assert abs(line.min_link_singular_value - sigma_min) <= bound
 
-    @pytest.mark.parametrize(
-        "n, block_size", [(3, None), (4096, None), (3 * 8192 + 5, None), (25, 7)]
-    )
+    @pytest.mark.parametrize("n, block_size", [
+        (3, None), (4096, None), (8192, None), (8193, None), (3 * 8192 + 5, None), (25, 7)
+    ])
     @pytest.mark.parametrize("path", [
         models.make_azimuthal_loop(1.0, 1.7),
         models.reversed_path(models.make_azimuthal_loop(2.2)),
@@ -694,3 +763,6 @@ class TestStreamedKernels:
             got = abelian.solid_angle(grid, reference)
             expected = abelian.solid_angle(path.sample(n), reference)
             assert bits(np.array([got])) == bits(np.array([expected]))
+            # a C-order (n, 3) array: at n = 3, pancharatnam's vertex triple
+            c_order = abelian.solid_angle(np.array(path.sample(n)), reference)
+            assert bits(np.array([c_order])) == bits(np.array([expected]))

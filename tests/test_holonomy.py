@@ -340,7 +340,8 @@ class TestEta:
             return np.stack([0.5 * np.sin(w), 0.5 + 0.5 * np.cos(w), np.ones_like(w)], axis=1)
 
         path = models.ParameterPath(fn, 3, closed=True, label="touches-singularity")
-        with pytest.raises(models.DarkFrameSingularError, match="singular"):
+        message = r"^dark-frame angle singular at s = 0\.500000 \(P = S = 0\)$"
+        with pytest.raises(models.DarkFrameSingularError, match=message):
             holonomy.usb_eta_pair(path, 4096)[0]
 
 
