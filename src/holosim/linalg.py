@@ -174,14 +174,15 @@ def link_polar(links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polar factor and smallest singular value of each link of a (..., m, m) stack.
 
     m = 1: z/|z| and |z|; m > 2: one batched SVD; m = 2 in closed form (see _polar).
-    Zero and singular links get sigma = 0, NaN links NaN, and no warning.
+    Zero and singular links get sigma = 0, NaN links NaN, and no warning. Float64 2x2
+    links must have entries below about 1e154 (overlaps of unit frames are at most 1).
     """
     polar, sigma, _ = _polar(links)
     return polar(), sigma
 
 
 def link_sigma_min(links: np.ndarray) -> np.ndarray:
-    """link_polar's smallest singular values alone, bit for bit."""
+    """link_polar's smallest singular values alone, bit for bit, under its bound on entries."""
     return _polar(links)[1]
 
 

@@ -562,8 +562,9 @@ for key, (kernel, inputs) in FLOAT64_INPUTS.items():
             real_result(kernel), on_complex(kernel), lambda rng, f=inputs, n=n: f(rng, n),
             (79, n), EXACT,
         )
-    # m = 2 float64 links take the real polar branch (phase = sign(det), square roots of
-    # sums of squares for hypot): its singular values within 1e-15 relative (4.5 ulp)
+# m = 2 float64 links take the real polar branch (phase = sign(det), square roots of sums
+# of squares for hypot): its singular values within 1e-15 relative (4.5 ulp)
+for n in (25, 3 * linalg.BLOCK + 5):
     ROWS[f"float64-link_sigma_min-m2-{n}"] = Row(
         relative_to_complex(linalg.link_sigma_min), lambda links: 0.0,
         lambda rng, n=n: (stack_last(rng.normal(size=(2, 2, n))),), (79, n), 1e-15,
