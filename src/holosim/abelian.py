@@ -344,10 +344,11 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
 def bloch_chain(directions, closed: bool = True) -> StateChain:
     """Lower-band qubit states for an (n, 3) chain of field directions.
 
-    Each direction d maps to the closed-form ground state of d . sigma
-    (models.qubit_band_states), so the chain phase of a geodesic polygon
-    equals -solid_angle(directions)/2. A zero direction raises
-    models.ZeroFieldError naming its index.
+    Each direction d maps to the closed-form ground state of d . sigma, in the
+    reflector gauge of models.qubit_band_states. The chain phase, a product of raw
+    links, does not see the gauge: that of a geodesic polygon equals
+    -solid_angle(directions)/2. A zero direction raises models.ZeroFieldError
+    naming its index.
     """
     dirs = np.asarray(directions, dtype=float).reshape(-1, 3)
     return StateChain(qubit_band_states(dirs, 0), closed=closed)

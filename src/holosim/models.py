@@ -52,32 +52,38 @@ class ZeroFieldError(DegenerateInputError):
     closed-form band states undefined."""
 
 
-def qubit_band_states(ns, band: int) -> np.ndarray:
-    """Closed-form eigenvectors of n . sigma for one band, (..., 3) -> (..., 2).
+def qubit_band_states(ns, band: int, r: np.ndarray | None = None) -> np.ndarray:
+    """Closed-form eigenvectors of n . sigma for one band, (..., 3) -> (..., 2), stack-last.
 
-    With polar/azimuthal angles (theta, phi) of each n, band 0 (lower) is
-    (sin(theta/2), -e^{i phi} cos(theta/2)) and band 1 (upper) is
-    (cos(theta/2), e^{i phi} sin(theta/2)). Loop quantities are gauge
-    invariant, so this phase choice is only a convention. Stack-last in memory.
+    The reflector gauge, in + - * / sqrt only: with r = |n| (the caller's, if given),
+    w = r + |z|, c = 1 / sqrt(2 r w), P = (x - i y) c and W = w c, band 0 is (P, -W) where
+    z >= 0 (-0.0 too) and (W, -conj P) where z < 0; band 1 is (W, conj P) and (P, W). The
+    band of sign(z) r is the Householder vector u + sign(z) e_0 of u = (z, x + i y) / r, the
+    first column of n . sigma / r (Golub & Van Loan, Matrix Computations, 5.1), normalized;
+    w >= r leaves no cancellation. The gauge jumps where z changes sign, which raw links
+    cancel. n = 0 raises ZeroFieldError; a NaN field gives NaN states.
     """
-    x, y, z = np.moveaxis(np.asarray(ns, dtype=float), -1, 0)
-    rho = np.hypot(x, y)
-    zero = np.hypot(rho, z) < RANK_TOL
-    if np.any(zero):
+    if band not in (0, 1):
+        raise ValueError(f"qubit band must be 0 or 1, got {band}")
+    ns = np.asarray(ns, dtype=float)
+    x, y, z = ns[..., 0], ns[..., 1], ns[..., 2]
+    r = np.sqrt(x * x + y * y + z * z) if r is None else r
+    zero = r < RANK_TOL
+    if zero.any():
         index = np.unravel_index(int(np.argmax(zero)), zero.shape)
         raise ZeroFieldError(
             f"qubit band state undefined at index [{', '.join(map(str, index))}]: "
             "n = 0 (degenerate levels)"
         )
-    half = 0.5 * np.arctan2(rho, z)
-    phase = np.exp(1j * np.arctan2(y, x))
-    if band == 0:
-        pair = (np.sin(half), -phase * np.cos(half))
-    elif band == 1:
-        pair = (np.cos(half), phase * np.sin(half))
-    else:
-        raise ValueError(f"qubit band must be 0 or 1, got {band}")
-    return np.array(pair).transpose(*range(1, x.ndim + 1), 0)
+    w = r + np.abs(z)
+    c = 1.0 / np.sqrt(2.0 * r * w)
+    p = (x - 1j * y) * c
+    w *= c
+    swap = z >= 0.0 if band else z < 0.0  # where the state starts with W
+    states = np.empty((2, *z.shape), dtype=complex)
+    states[0] = np.where(swap, w, p)
+    states[1] = np.where(swap, p.conj(), w) if band else np.where(swap, -p.conj(), -w)
+    return states.transpose(*range(1, states.ndim), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +202,12 @@ def reversed_path(path: ParameterPath) -> ParameterPath:
 
 def _usb_circle(s0, a, q0, b) -> ParameterPath:
     def evaluate(s: np.ndarray) -> np.ndarray:
-        cos_w, sin_w = cos_sin(2.0 * math.pi * (s - np.floor(s)))
-        return np.array([a * sin_w, s0 + a * cos_w, q0 + b * sin_w]).T
+        points = np.empty((3, len(s)))
+        cos_w, sin_w = cos_sin(2.0 * math.pi * (s - np.floor(s)), out=points[1:])
+        np.multiply(a, sin_w, out=points[0])
+        np.add(q0, np.multiply(b, sin_w, out=points[2]), out=points[2])
+        np.add(s0, np.multiply(a, cos_w, out=points[1]), out=points[1])
+        return points.T
 
     label = f"usb-circle(s0={s0:g},a={a:g},q0={q0:g},b={b:g})"
     return ParameterPath(evaluate, 3, closed=True, label=label)
@@ -356,8 +366,9 @@ def _plus_minus_norm(vectors: np.ndarray, dim: int) -> np.ndarray:
 
 
 class QubitModel(HamiltonianModel):
-    """Qubit H = n . sigma with Cartesian parameters lambda = n in R^3, with
-    energies, band states and propagator_increments in closed form."""
+    """Qubit H = n . sigma with Cartesian parameters lambda = n in R^3, with energies,
+    band states and propagator_increments in closed form. band_states_batch hands its
+    energies' norm r to qubit_band_states, so r is taken once."""
 
     dim = 2
     parameter_dim = 3
@@ -378,7 +389,7 @@ class QubitModel(HamiltonianModel):
         w = _plus_minus_norm(ns, 2)
         if block.size == 2:  # any basis is an eigenframe of the whole space, also at n = 0
             return w, np.tile(np.eye(2, dtype=complex), (len(ns), 1, 1))
-        return w, qubit_band_states(ns, block.start)[:, :, None]
+        return w, qubit_band_states(ns, block.start, w[:, 1])[:, :, None]  # one norm pass
 
     def propagator_increments(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
         """In closed form from the combined fields n: H^2 = R^2 I. A subclass that

@@ -202,12 +202,32 @@ def sequential_eigh_evolution(run):
 
 
 def reference_band_state(n, band):
-    """Per-point closed form of one qubit band, one direction at a time."""
-    half = 0.5 * math.atan2(math.hypot(n[0], n[1]), n[2])
-    phase = np.exp(1j * math.atan2(n[1], n[0]))
+    """Per-point reflector gauge of one qubit band, one direction at a time, in Python
+    floats: with r = |n|, w = r + |z|, c = 1/sqrt(2 r w), P = (x - i y) c and W = w c,
+    band 0 is (P, -W) where z >= 0 (-0.0 included) and (W, -conj P) where z < 0, and
+    band 1 is (W, conj P) and (P, W)."""
+    x, y, z = (float(v) for v in n)
+    r = math.sqrt(x * x + y * y + z * z)
+    w = r + abs(z)
+    c = 1.0 / math.sqrt(2.0 * r * w)
+    p, big = complex(x, -y) * c, w * c
+    if z >= 0.0:
+        pair = (p, -big) if band == 0 else (big, p.conjugate())
+    else:
+        pair = (big, -p.conjugate()) if band == 0 else (p, big)
+    return np.array(pair, dtype=complex)
+
+
+def half_angle_band_states(ns, band):
+    """The trigonometric gauge of one qubit band, (sin(theta/2), -e^{i phi} cos(theta/2))
+    for band 0 and (cos(theta/2), e^{i phi} sin(theta/2)) for band 1, (..., 3) -> (..., 2):
+    the same rays as models.qubit_band_states, in another gauge."""
+    x, y, z = np.moveaxis(np.asarray(ns, dtype=float), -1, 0)
+    half = 0.5 * np.arctan2(np.hypot(x, y), z)
+    phase = np.exp(1j * np.arctan2(y, x))
     if band == 0:
-        return np.array([math.sin(half), -phase * math.cos(half)], dtype=complex)
-    return np.array([math.cos(half), phase * math.sin(half)], dtype=complex)
+        return np.stack([np.sin(half), -phase * np.cos(half)], axis=-1)
+    return np.stack([np.cos(half) + 0j, phase * np.sin(half)], axis=-1)
 
 
 def read_csv(path):

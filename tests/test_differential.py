@@ -348,6 +348,33 @@ ROWS["qubit_band_states-random"] = Row(
     ]),),
     8, 1e-15,
 )
+QUBIT_EDGES = np.array([
+    [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 3.0], [0.0, -0.0, -3.0],  # poles, rho = 0
+    [1.0, 0.0, 0.0], [1.0, 0.0, -0.0], [0.0, -2.0, 0.0], [-0.5, 0.5, -0.0],  # z = +-0.0
+    [1e-9, -1e-9, 1.0], [-1e-9, 1e-9, -1.0], [1e-300, 0.0, 2.0], [0.0, 1e-300, -2.0],
+    [1.1e-12, 0.0, 0.0], [0.0, 0.0, -1.0000001e-12], [7e-13, -7e-13, 5e-13],  # |n| >~ RANK_TOL
+    [3e-13, 6e-13, -9e-13], [1e90, -1e90, -1e90], [0.3, 0.4, -1e-200],
+])
+
+
+def qubit_fields(rng):
+    """QUBIT_EDGES and random fields over both hemispheres, the z < 0 half among them."""
+    fields = rng.normal(size=(400, 3)) * rng.uniform(0.1, 10.0, size=(400, 1))
+    fields[::2, 2] = -np.abs(fields[::2, 2])
+    return np.concatenate([QUBIT_EDGES, fields])
+
+
+ROWS["qubit_band_states-edges"] = Row(
+    ROWS["qubit_band_states-random"].kernel, ROWS["qubit_band_states-random"].reference,
+    lambda rng: (qubit_fields(rng),), 81, 1e-15,
+)
+for band in (0, 1):  # the energies' norm, shared: the states of the kernel's own, bit for bit
+    ROWS[f"qubit_band_states-band{band}-shared-norm"] = Row(
+        lambda ns, b=band: bits(models.QubitModel().band_states_batch(
+            ns, models.BandBlock(b, b + 1))[1][:, :, 0]),
+        lambda ns, b=band: bits(models.qubit_band_states(ns, b)),
+        lambda rng: (qubit_fields(rng),), 82, EXACT,
+    )
 for key, kernel, reference, closed in (
     ("discrete_geometric_phase", lambda c: abelian.discrete_geometric_phase(c).phase,
      lambda c: ref.reference_loop_phase(c.states), True),
@@ -633,6 +660,26 @@ def test_real_link_polar_is_the_svd():
     assert np.all(np.abs(sigma[finite] - expected_sigma) <= 1e-15 * scale)
     unique = expected_sigma > 1e-8
     assert linalg.max_abs(polar[finite][unique] - expected_polar[unique]) < 1e-13
+
+
+@pytest.mark.parametrize("band", [0, 1])
+def test_qubit_band_states_are_the_half_angle_rays(band):
+    """The reflector gauge against the trigonometric one: the same ray, |<old|new>| = 1."""
+    ns = qubit_fields(np.random.default_rng(83))
+    overlap = np.einsum("ki,ki->k", ref.half_angle_band_states(ns, band).conj(),
+                        models.qubit_band_states(ns, band))
+    assert linalg.max_abs(np.abs(overlap) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("n", [512, 65536])
+@pytest.mark.parametrize("band", [0, 1])
+def test_qubit_loop_phase_is_the_half_angle_form(band, n):
+    """Loop phases of azimuthal loops from the reflector gauge and the trigonometric one."""
+    for theta0 in (0.4, 1.0, math.pi / 2, 2.0, 2.7):
+        loop = models.make_azimuthal_loop(theta0)
+        phase = abelian.band_loop_phase(models.QubitModel(), loop, band, n)
+        expected = abelian._loop_phase(ref.half_angle_band_states(loop.sample(n), band))[0]
+        assert abs(math.remainder(phase - expected, 2.0 * math.pi)) < 1e-13  # pi is -pi
 
 
 class TestReferences:

@@ -51,14 +51,15 @@ class TestQubitHamiltonian:
         assert np.max(np.abs(np.einsum("ki,ki->k", g.conj(), e))) < 1e-12
 
     def test_direction_accessors(self):
-        # n = (1, 1, 0) has theta = pi/2 and phi = pi/4 at any length
+        # n = (1, 1, 0) at any length: z = 0 takes the z >= 0 branch, with
+        # P = (x - i y) c = e^{-i pi/4} / sqrt(2) and W = w c = 1 / sqrt(2)
         s = math.sqrt(0.5)
         twist = np.exp(0.25j * math.pi)
         for scale in (1.0, 3.0):
             n = scale * np.array([1.0, 1.0, 0.0])
             g, e = (models.qubit_band_states(n, band) for band in (0, 1))
-            assert np.allclose(g, [s, -twist * s], atol=1e-15)
-            assert np.allclose(e, [s, twist * s], atol=1e-15)
+            assert np.allclose(g, [s * np.conj(twist), -s], atol=1e-15)
+            assert np.allclose(e, [s, s * twist], atol=1e-15)
 
 
 class TestQubitBandStates:
@@ -85,6 +86,57 @@ class TestQubitBandStates:
     def test_unknown_band_rejected(self):
         with pytest.raises(ValueError, match="band must be 0 or 1"):
             models.qubit_band_states([0.0, 0.0, 1.0], 2)
+
+    @pytest.mark.parametrize("n", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [[0.0, 0.0, 1.0]]])
+    def test_unknown_band_rejected_before_the_field_is_read(self, n):
+        for band in (2, -1):
+            with pytest.raises(ValueError, match="band must be 0 or 1"):
+                models.qubit_band_states(n, band)
+
+    def test_nan_field_gives_nan_states(self):
+        ns = np.array([[0.3, -0.2, 0.9], [np.nan, 0.0, 1.0], [0.0, 0.0, np.nan], [0.1, 0.2, -0.4]])
+        for band in (0, 1):
+            states = models.qubit_band_states(ns, band)
+            assert np.isnan(states[1:3]).all()
+            assert np.isfinite(states[[0, 3]]).all()
+
+    def test_single_vector(self):
+        ns = np.array([[0.3, -0.2, 0.9], [0.1, 0.2, -0.4], [0.5, 0.0, -0.0], [0.0, 0.0, -2.0]])
+        for band in (0, 1):
+            rows = models.qubit_band_states(ns, band)
+            for n, row in zip(ns, rows):
+                state = models.qubit_band_states(n, band)
+                assert state.shape == (2,)
+                assert np.array_equal(state, row)
+            assert models.qubit_band_states(list(ns[0]), band).shape == (2,)
+
+    def test_no_trigonometry(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trigonometry or libm in a qubit band state")
+
+        for name in ("sin", "cos", "arctan2", "exp", "hypot"):
+            monkeypatch.setattr(np, name, refuse)
+        ns = np.random.default_rng(8).normal(size=(64, 3))
+        for band in (0, 1):
+            models.qubit_band_states(ns, band)
+            models.qubit_band_states(ns[0], band)
+            models.QubitModel().band_states_batch(ns, models.BandBlock(band, band + 1))
+
+    def test_band_states_batch_shares_the_energies_norm(self, monkeypatch):
+        norms = []
+
+        def spy(ns, band, r=None):
+            norms.append(r)
+            return kernel(ns, band, r)
+
+        kernel = models.qubit_band_states
+        monkeypatch.setattr(models, "qubit_band_states", spy)
+        ns = np.random.default_rng(9).normal(size=(16, 3))
+        for band in (0, 1):
+            w, states = models.QubitModel().band_states_batch(ns, models.BandBlock(band, band + 1))
+            assert norms[-1] is not None and np.shares_memory(norms[-1], w)
+            assert np.array_equal(norms[-1], w[:, 1])
+            assert np.array_equal(states[:, :, 0], kernel(ns, band))
 
 
 class TestUsbHamiltonian:
