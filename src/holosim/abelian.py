@@ -27,6 +27,7 @@ from .report import DegenerateInputError
 
 OVERLAP_TOL = 1e-8
 ANTIPODAL_TOL = 1e-12
+ANTIPODE_SCREEN = -0.999  # solid_angle's screen on v_k . v_{k+1} and r . v_k
 
 
 class OverlapTooSmallError(DegenerateInputError):
@@ -158,7 +159,8 @@ def band_loop_phase(model: HamiltonianModel, path: ParameterPath, band: int, n: 
     raw band states: the loop product is gauge invariant, so no gauge_fix or renormalisation."""
     if not path.closed or n < 3:
         raise ValueError(f"need a closed path and at least 3 samples, got n = {n}")
-    return _loop_phase(_band_states(model, path.sample(n), band, path.sample_s(n)))[0]
+    s = path.sample_s(n)
+    return _loop_phase(_band_states(model, path(s), band, s))[0]
 
 
 def _band_states(model: HamiltonianModel, lams, band: int, s_values=None) -> np.ndarray:
@@ -285,10 +287,11 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
     built. The chain is closed implicitly (wrap pair included); consecutive antipodal
     directions, or a vertex antipodal to the reference, are rejected as geometrically
     ambiguous, and a zero or non-finite direction, each by its first index. Layout: per
-    linalg.BLOCK vertices, rows a..b taken in one call (row n is row 0, v_0)
-    as one unit (3, b - a + 1) array, whose norms, v_k . v_{k+1} and (r x v_k) . v_{k+1} are
-    one einsum each and r . v_k one matvec; arctan2 writes the half terms into one (n,) array,
-    summed once and doubled, bit for bit at any BLOCK.
+    linalg.BLOCK vertices, rows a..b taken in one call (row n is row 0, v_0) as one unit
+    (3, b - a + 1) array, whose norms and v_k . v_{k+1} are one einsum each; its product with
+    the frame (e1, e2, r), a signed axis permutation at r = +-z, gives px, py and c = r . v_k,
+    and r . (v_k x v_{k+1}) = px_k py_{k+1} - py_k px_{k+1}. arctan2 writes the half terms
+    into one (n,) array, summed once and doubled, bit for bit at any BLOCK.
     """
     if not isinstance(directions, PathSamples):
         directions = np.asarray(directions, dtype=float)
@@ -300,7 +303,11 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
     if ref.shape != (3,) or not ref_norm >= 1e-12:
         raise ValueError(f"`reference` must be a nonzero 3-vector, got {reference!r}")
     rx, ry, rz = r = ref / ref_norm
-    cross = np.array([[0.0, -rz, ry], [rz, 0.0, -rx], [-ry, rx, 0.0]])  # r x v = cross @ v
+    # the right-handed orthonormal frame (e1, e2, r) of Duff et al., JCGT 6(1), 2017
+    sign = 1.0 if rz >= 0.0 else -1.0
+    h = -1.0 / (sign + rz)
+    frame = np.array([[1.0 + sign * rx * rx * h, sign * rx * ry * h, -sign * rx],
+                      [rx * ry * h, sign + ry * ry * h, -ry], r])
 
     terms = np.empty(n)
     for block in blocks(n):
@@ -314,11 +321,11 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
             what = "a zero vector" if squares[k] < 1e-24 else "a non-finite entry"
             raise DegenerateInputError(f"direction chain contains {what} at index {(a + k) % n}")
         u /= np.sqrt(squares)
-        v0, v1 = u[:, :-1], u[:, 1:]  # v_k and v_{k+1}
-        dot = np.einsum("ik,ik->k", v0, v1)
-        along = r @ u  # r . v_k
-        # |v + w|^2 = 2 + 2 v . w >= 1 for unit rows, so only v . w < -1/2 can be antipodal
-        near = np.flatnonzero(dot < -0.5)
+        dot = np.einsum("ik,ik->k", u[:, :-1], u[:, 1:])  # v_k . v_{k+1}
+        px, py, c = frame @ u  # v_k in the frame (e1, e2, r)
+        # |v + w|^2 = 2 + 2 v . w for unit rows, so a pair or vertex that an exact test
+        # rejects has v . w or r . v within 1e-15 of -1; no smooth loop comes near the screen
+        near = np.flatnonzero(dot < ANTIPODE_SCREEN)
         x, y, z = u[:, near] + u[:, near + 1]
         antipodal = near[x * x + y * y + z * z < ANTIPODAL_TOL**2]
         if antipodal.size:
@@ -327,7 +334,7 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
                 f"consecutive directions ({k}, {(k + 1) % n}) are antipodal; the geodesic "
                 "between them is ambiguous"
             )
-        near = np.flatnonzero(along[:-1] < -0.5)
+        near = np.flatnonzero(c[:-1] < ANTIPODE_SCREEN)
         x, y, z = u[:, near]
         opposite = near[(x + rx) ** 2 + (y + ry) ** 2 + (z + rz) ** 2 < 1e-18]
         if opposite.size:
@@ -335,9 +342,8 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
                 f"chain direction {a + int(opposite[0])} is antipodal to the reference "
                 "vertex; pass a different `reference`"
             )
-        # r . (v_k x v_{k+1}) = (r x v_k) . v_{k+1}
-        det = np.einsum("ik,ik->k", cross @ v0, v1)
-        np.arctan2(det, 1.0 + along[:-1] + dot + along[1:], out=terms[block])
+        det = px[:-1] * py[1:] - py[:-1] * px[1:]  # r . (v_k x v_{k+1})
+        np.arctan2(det, 1.0 + c[:-1] + dot + c[1:], out=terms[block])
     return 2.0 * float(np.sum(terms))  # exactly the sum of the doubled terms
 
 

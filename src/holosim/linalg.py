@@ -159,14 +159,14 @@ def link_overlaps(frames: np.ndarray, closed: bool) -> np.ndarray:
     States are the m = 1 case: pass states[..., None] and read the
     overlaps <psi_k|psi_{k+1}> at [..., 0, 0]. Layout: links keep the frames' memory order
     (stack-last frames give stack-last links); einsum fills them BLOCK links at a time, bit
-    for bit at any BLOCK, and the wrap link alone: no frame is copied, only block conjugates.
+    for bit at any BLOCK, and the wrap link alone; only a complex block's conjugate is a copy.
     """
     count, m = len(frames) - (not closed), frames.shape[-1]
     links = np.empty_like(frames, shape=(count, *frames.shape[1:-2], m, m))
     spans = [(block, slice(block.start + 1, block.stop + 1)) for block in blocks(len(frames) - 1)]
     wrap = [(slice(-1, None), slice(1))] if closed else []  # F_{n-1}^dag F_0
-    for block, nxt in spans + wrap:
-        np.einsum("...im,...in->...mn", np.conjugate(frames[block]), frames[nxt], out=links[block])
+    for block, nxt in spans + wrap:  # .conj() of a real block is the block itself, no copy
+        np.einsum("...im,...in->...mn", frames[block].conj(), frames[nxt], out=links[block])
     return links
 
 

@@ -147,7 +147,9 @@ class PathSamples:
 
     def __getitem__(self, rows: slice | np.ndarray) -> np.ndarray:
         rows = np.arange(*rows.indices(self.n)) if isinstance(rows, slice) else rows
-        return self.path(rows / self.n)
+        s = rows.astype(float)  # float rows, divided in place: no mixed-type ufunc
+        s /= self.n
+        return self.path(s)
 
 
 def cos_sin(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -180,10 +182,11 @@ def make_azimuthal_loop(theta0: float, radius: float = 1.0) -> ParameterPath:
     st, ct = math.sin(theta0), math.cos(theta0)
 
     def evaluate(s: np.ndarray) -> np.ndarray:
-        points = np.full((3, len(s)), ct)
-        cos_sin(2.0 * math.pi * (s - np.floor(s)), out=points[:2])
-        points[:2] *= st
-        points *= radius
+        points = np.empty((3, len(s)))
+        plane = cos_sin(2.0 * math.pi * (s - np.floor(s)), out=points[:2])
+        plane *= st
+        plane *= radius
+        points[2] = ct * radius
         return points.T
 
     return ParameterPath(evaluate, 3, closed=True, label=f"azimuthal(theta0={theta0:g})")

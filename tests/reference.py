@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from holosim import abelian, adiabatic, holonomy, linalg, models
+from holosim.report import DegenerateInputError
 
 
 def random_hermitian(rng, dim):
@@ -372,6 +373,52 @@ def reference_solid_angle(directions, reference=(0.0, 0.0, 1.0)):
         denom = 1.0 + sum(a[i] * r[i] + a[i] * b[i] + b[i] * r[i] for i in range(3))
         terms.append(2.0 * math.atan2(det, denom))
     return math.fsum(terms)
+
+
+def cross_matrix_solid_angle(directions, reference=(0.0, 0.0, 1.0), screen=-0.5):
+    """abelian.solid_angle as it was before it fanned in the reference's own frame: per
+    linalg.BLOCK vertices, r . (v_k x v_{k+1}) as (r x v_k) . v_{k+1} through a cross
+    matrix and one einsum, r . v_k as one matvec, and only the pairs with v_k . v_{k+1}
+    and the vertices with r . v_k below `screen` (-0.5 then) given the exact antipode
+    tests. screen=np.inf runs both exact tests on every row."""
+    n = len(directions)
+    rx, ry, rz = r = np.asarray(reference, dtype=float) / np.linalg.norm(reference)
+    cross = np.array([[0.0, -rz, ry], [rz, 0.0, -rx], [-ry, rx, 0.0]])  # r x v = cross @ v
+    terms = np.empty(n)
+    for block in linalg.blocks(n):
+        a, b = block.start, block.stop
+        rows = np.arange(a, b + 1)
+        rows[-1] = b % n
+        u = np.ascontiguousarray(directions[rows].T)
+        squares = np.einsum("ik,ik->k", u, u)
+        if not (squares.min() >= 1e-24 and squares.max() < np.inf):
+            k = int(np.argmax(~(squares < np.inf) | (squares < 1e-24)))
+            what = "a zero vector" if squares[k] < 1e-24 else "a non-finite entry"
+            raise DegenerateInputError(f"direction chain contains {what} at index {(a + k) % n}")
+        u /= np.sqrt(squares)
+        v0, v1 = u[:, :-1], u[:, 1:]
+        dot = np.einsum("ik,ik->k", v0, v1)
+        along = r @ u
+        near = np.flatnonzero(dot < screen)
+        x, y, z = u[:, near] + u[:, near + 1]
+        antipodal = near[x * x + y * y + z * z < abelian.ANTIPODAL_TOL**2]
+        if antipodal.size:
+            k = a + int(antipodal[0])
+            raise DegenerateInputError(
+                f"consecutive directions ({k}, {(k + 1) % n}) are antipodal; the geodesic "
+                "between them is ambiguous"
+            )
+        near = np.flatnonzero(along[:-1] < screen)
+        x, y, z = u[:, near]
+        opposite = near[(x + rx) ** 2 + (y + ry) ** 2 + (z + rz) ** 2 < 1e-18]
+        if opposite.size:
+            raise DegenerateInputError(
+                f"chain direction {a + int(opposite[0])} is antipodal to the reference "
+                "vertex; pass a different `reference`"
+            )
+        det = np.einsum("ik,ik->k", cross @ v0, v1)
+        np.arctan2(det, 1.0 + along[:-1] + dot + along[1:], out=terms[block])
+    return 2.0 * float(np.sum(terms))
 
 
 def reference_usb_eta_pair(path, n_samples):

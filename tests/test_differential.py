@@ -20,6 +20,7 @@ import pytest
 import reference as ref
 
 from holosim import abelian, adiabatic, holonomy, linalg, models
+from holosim.report import DegenerateInputError
 
 
 class Row(NamedTuple):
@@ -527,6 +528,40 @@ for key, (kernel, inputs) in BLOCK_INPUTS.items():
         )
 
 
+def fan_bits(kernel):
+    """kernel's solid angle as the bits of a (1,) array."""
+    return lambda *args: bits(np.array([kernel(*args)]))
+
+
+def fan_inputs(theta0, reference, form, n):
+    loop = models.make_azimuthal_loop(theta0, 1.7)
+    return (models.PathSamples(loop, n) if form == "samples" else loop.sample(n)), reference
+
+
+# the fan in the reference's frame against the cross-matrix form it replaced: bit for bit
+# from +-z, where the frame is a signed permutation of the axes, on loops north and south
+# of the equator, of radius 1.7, as a PathSamples grid and as an array, past one block and
+# at BLOCK = 7; from a general reference, within 1e-12 of the exactly summed reference
+for theta0 in (0.4, 1.2, 2.2, 2.75):
+    for pole, reference in (("+z", (0.0, 0.0, 1.0)), ("-z", (0.0, 0.0, -1.0))):
+        for form in ("samples", "array"):
+            for n, size in ((2 * linalg.BLOCK + 5, None), (25, 7)):
+                key = f"solid_angle-theta{theta0:g}-from{pole}-{form}-{n}-cross-matrix-form"
+                ROWS[key] = Row(
+                    blocked(fan_bits(abelian.solid_angle), size),
+                    blocked(fan_bits(ref.cross_matrix_solid_angle), size),
+                    lambda rng, args=(theta0, reference, form, n): fan_inputs(*args), None, EXACT,
+                )
+    ROWS[f"solid_angle-theta{theta0:g}-general-reference-16384"] = Row(
+        abelian.solid_angle, ref.reference_solid_angle,
+        lambda rng, t=theta0: fan_inputs(t, (0.3, -0.2, -1.0), "array", 2**14), None, 1e-12,
+    )
+ROWS["solid_angle-usb-loop-general-reference-65536"] = Row(
+    abelian.solid_angle, ref.reference_solid_angle,
+    lambda rng: (models.make_usb_loop("circle").sample(2**16), (0.3, -0.2, -1.0)), None, 1e-12,
+)
+
+
 def real_result(kernel):
     """kernel, checked to return float64 arrays."""
     def run(*args):
@@ -752,6 +787,55 @@ class TestBlockErrors:
                 linalg.link_sigma_min(links), holonomy.SUBSPACE_OVERLAP_TOL,
                 holonomy.IllConditionedLinkError,
             )
+
+
+def outcome(kernel, *args):
+    """kernel's value as bits, or the type and message of the error it raised."""
+    try:
+        return bits(np.array([kernel(*args)])).tolist()
+    except DegenerateInputError as error:
+        return type(error), str(error)
+
+
+class TestAntipodeScreens:
+    """Near-antipodes 1e-13, 1e-10 and 1e-8 from exact in a later block: the screened fan
+    gives the verdict, message and first index of both exact tests run on every row."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(linalg, "BLOCK", 7)
+
+    @staticmethod
+    def check(dirs, reference, rejected):
+        got = outcome(abelian.solid_angle, dirs, reference)
+        assert got == outcome(ref.cross_matrix_solid_angle, dirs, reference, np.inf)
+        assert isinstance(got, tuple) == rejected
+
+    @pytest.mark.parametrize("offset", [1e-13, 1e-10, 1e-8])
+    @pytest.mark.parametrize("index, successor", [(15, 16), (24, 0)])
+    def test_antipodal_pair(self, index, successor, offset):
+        dirs = models.make_azimuthal_loop(1.0).sample(25)
+        tangent = np.cross(dirs[index], (0.0, 0.0, 1.0))
+        dirs[successor] = -dirs[index] + offset * tangent / np.linalg.norm(tangent)
+        self.check(dirs, (0.0, 0.0, 1.0), offset < abelian.ANTIPODAL_TOL)
+
+    @pytest.mark.parametrize("offset", [1e-13, 1e-10, 1e-8])
+    @pytest.mark.parametrize("reference", [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
+    def test_reference_antipode(self, reference, offset):
+        dirs = models.make_azimuthal_loop(1.0).sample(25)
+        dirs[19] = np.negative(reference) + (offset, 0.0, 0.0)
+        self.check(dirs, reference, offset < 1e-9)
+
+    @pytest.mark.parametrize("offset", [1e-13, 1e-10, 1e-8])
+    def test_first_index_among_candidates(self, offset):
+        # in the block 14..20 a kept near-pair (14, 15), a reference antipode at 17 and a
+        # pair (19, 20), both at offset: at 1e-13 the pair is named, as the pair test runs
+        # first within a block; at 1e-10 the vertex; at 1e-8 neither
+        dirs = models.make_azimuthal_loop(1.0).sample(25)
+        dirs[15] = -dirs[14] + (0.0, 0.0, 1e-6)
+        dirs[17] = (offset, 0.0, -1.0)
+        dirs[20] = -dirs[19] + (0.0, 0.0, offset)
+        self.check(dirs, (0.0, 0.0, 1.0), offset < 1e-9)
 
 
 class TestStreamedKernels:
