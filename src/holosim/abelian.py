@@ -50,14 +50,13 @@ class DegenerateBandError(DegenerateInputError):
 
 @dataclass
 class StateChain:
-    """Ordered unit-norm states of equal dimension, optionally closed.
+    """Ordered unit-norm states of equal dimension.
 
-    For closed chains the wrap pair (last, first) is part of every cyclic
-    product; the first state is *not* repeated at the end.
+    pancharatnam_phase closes the chain with the wrap pair (last, first); the
+    first state is *not* repeated at the end.
     """
 
     states: np.ndarray
-    closed: bool = False
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=complex)
@@ -72,14 +71,7 @@ class StateChain:
         return self.states.shape[0]
 
     def reversed(self) -> "StateChain":
-        return StateChain(self.states[::-1].copy(), closed=self.closed)
-
-
-@dataclass
-class GeometricPhaseResult:
-    phase: float  # radians, principal value (-pi, pi]
-    min_overlap: float
-    samples: int
+        return StateChain(self.states[::-1].copy())
 
 
 @dataclass
@@ -102,61 +94,36 @@ def _loop_phase(states: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def pancharatnam_phase(chain: StateChain) -> float:
-    """arg of the cyclic product of consecutive overlaps.
+    """arg of the cyclic product of consecutive overlaps, wrap pair included.
 
     For three states this is the elementary three-vertex invariant
     arg <1|2><2|3><3|1>; chains of n > 3 states use the standard n-vertex
     cyclic extension. Exactly invariant under per-state phase changes
-    (every redefinition cancels inside the product).
+    (every redefinition cancels inside the product); for a chain sampled
+    along a loop it converges to the continuum loop phase under refinement,
+    and orientation reversal negates it (mod 2 pi).
     """
     if len(chain) < 3:
         raise ValueError(f"need at least 3 states, got {len(chain)}")
     return _loop_phase(chain.states)[0]
 
 
-def discrete_geometric_phase(chain: StateChain) -> GeometricPhaseResult:
-    """Loop phase arg prod_k <psi_k|psi_{k+1}> of a closed chain.
-
-    Converges to the continuum loop phase under refinement and is
-    invariant under resampling density and per-state phases; orientation
-    reversal negates it (mod 2 pi).
-    """
-    if not chain.closed:
-        raise ValueError("discrete geometric phase requires a closed chain")
-    if len(chain) < 3:
-        raise ValueError(f"need at least 3 states, got {len(chain)}")
-    phase, magnitudes = _loop_phase(chain.states)
-    return GeometricPhaseResult(phase, float(np.min(magnitudes)), samples=len(chain))
-
-
 def parallel_transport(chain: StateChain) -> StateChain:
     """Rephase states so every consecutive overlap is real positive.
 
     The 1-D case of holonomy.transport. The first state is untouched and
-    each state keeps its ray. For closed chains the wrap overlap of the
-    output carries the whole loop phase: arg <out[-1]|out[0]> equals
-    discrete_geometric_phase of the input.
+    each state keeps its ray. The wrap overlap of the output carries the
+    whole loop phase: arg <out[-1]|out[0]> equals pancharatnam_phase of the
+    input.
     """
     out, _ = transport(chain.states[..., None], False, OVERLAP_TOL, OverlapTooSmallError)
-    return StateChain(out[..., 0], closed=chain.closed)
-
-
-def band_state_chain(
-    model: HamiltonianModel, path: ParameterPath, band: int, n_samples: int
-) -> StateChain:
-    """Instantaneous eigenstates of one non-degenerate band along a path.
-
-    Closed paths are sampled at s = k/n (the wrap closes the loop); each
-    state carries the deterministic gauge of linalg.gauge_fix. The band
-    must stay gapped along the whole path.
-    """
-    states = _band_states(model, path.sample(n_samples), band, path.sample_s(n_samples))
-    return StateChain(gauge_fix(states), closed=path.closed)
+    return StateChain(out[..., 0])
 
 
 def band_loop_phase(model: HamiltonianModel, path: ParameterPath, band: int, n: int) -> float:
-    """discrete_geometric_phase(band_state_chain(...)).phase, with the same errors, from the
-    raw band states: the loop product is gauge invariant, so no gauge_fix or renormalisation."""
+    """Loop phase of one gapped band around a closed path, sampled at s = k/n: the cyclic
+    product of the raw band states' links, which is gauge invariant, so no gauge is fixed.
+    A sample where the band is degenerate raises DegenerateBandError naming its s."""
     if not path.closed or n < 3:
         raise ValueError(f"need a closed path and at least 3 samples, got n = {n}")
     s = path.sample_s(n)
@@ -184,10 +151,10 @@ def berry_connection_fd(
 ) -> float:
     """Central-difference estimate of A_i = i <psi | d_i psi>.
 
-    Evaluated in the fixed gauge (largest component real positive), and
-    gauge dependent by nature: only closed-loop integrals of A are
-    physical. The loop integral of A equals the negative of the chain
-    phase from discrete_geometric_phase.
+    Evaluated in the gauge of linalg.gauge_fix (largest component real
+    positive), and gauge dependent by nature: only closed-loop integrals of
+    A are physical. The loop integral of A equals the negative of the loop
+    phase from band_loop_phase.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
@@ -299,9 +266,9 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
             raise ValueError(f"expected (n, 3) directions, got shape {directions.shape}")
     n = len(directions)
     ref = np.asarray(reference, dtype=float).ravel()
-    ref_norm = float(np.linalg.norm(ref))
+    ref_norm = float(np.linalg.norm(ref)) if np.isfinite(ref).all() else np.nan
     if ref.shape != (3,) or not ref_norm >= 1e-12:
-        raise ValueError(f"`reference` must be a nonzero 3-vector, got {reference!r}")
+        raise ValueError(f"`reference` must be a finite nonzero 3-vector, got {reference!r}")
     rx, ry, rz = r = ref / ref_norm
     # the right-handed orthonormal frame (e1, e2, r) of Duff et al., JCGT 6(1), 2017
     sign = 1.0 if rz >= 0.0 else -1.0
@@ -347,7 +314,7 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
     return 2.0 * float(np.sum(terms))  # exactly the sum of the doubled terms
 
 
-def bloch_chain(directions, closed: bool = True) -> StateChain:
+def bloch_chain(directions) -> StateChain:
     """Lower-band qubit states for an (n, 3) chain of field directions.
 
     Each direction d maps to the closed-form ground state of d . sigma, in the
@@ -357,20 +324,17 @@ def bloch_chain(directions, closed: bool = True) -> StateChain:
     naming its index.
     """
     dirs = np.asarray(directions, dtype=float).reshape(-1, 3)
-    return StateChain(qubit_band_states(dirs, 0), closed=closed)
+    return StateChain(qubit_band_states(dirs, 0))
 
 
 __all__ = [
     "OVERLAP_TOL",
     "StateChain",
-    "GeometricPhaseResult",
     "CurvatureSample",
     "OverlapTooSmallError",
     "DegenerateBandError",
     "pancharatnam_phase",
-    "discrete_geometric_phase",
     "parallel_transport",
-    "band_state_chain",
     "band_loop_phase",
     "berry_connection_fd",
     "berry_curvature_plaquette",

@@ -522,7 +522,7 @@ def run_pancharatnam(config: dict) -> ExperimentReport:
         chain = abelian.bloch_chain(dirs)
     else:
         amps = np.asarray(states["amplitudes"], dtype=float)
-        chain = abelian.StateChain(amps[..., 0] + 1j * amps[..., 1], closed=True)
+        chain = abelian.StateChain(amps[..., 0] + 1j * amps[..., 1])
     # the phase first: an orthogonal pair is the contract error here, and it
     # must win over geometric complaints about the direction polygon
     phase = abelian.pancharatnam_phase(chain)

@@ -19,7 +19,6 @@ the angle (S, P) turns through between adjacent samples (|d theta| < pi).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -29,11 +28,10 @@ import numpy as np
 from . import schema
 from .linalg import RANK_TOL, blocks, eigh_batch, near_identity_product_last, propagator_increments
 from .report import ConfigError, DegenerateInputError
-from .schema import List, Number, Positive, Section
+from .schema import PARAM_BOUND, List, Param, Positive, Section
 
 CLOSURE_TOL = 1e-12
 DARK_SINGULAR_TOL = 1e-9
-PARAM_BOUND = 1e100  # on |x| of a path parameter or radius: squares and norms stay finite
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -218,7 +216,6 @@ def _usb_circle(s0, a, q0, b) -> ParameterPath:
 
 # Each model's path families: the builder, which takes the parameters by
 # name, and the declaration of those parameters. The first is the default.
-Param = functools.partial(Number, lo=-PARAM_BOUND, hi=PARAM_BOUND)
 PATH_FAMILIES = {
     "qubit": {
         "azimuthal": (

@@ -6,6 +6,7 @@ the declarations; neither knows any key by name.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -66,6 +67,10 @@ def Number(default=None, *, lo=-math.inf, hi=math.inf) -> Field:
     span = "finite number" if math.isinf(hi - lo) else f"number in [{lo:g}, {hi:g}]"
     span = f"number at least {lo:g}" if hi == math.inf and lo > -math.inf else span
     return Field(default, f"a {span}", lambda v, _: _real(v) and lo <= v <= hi)
+
+
+PARAM_BOUND = 1e100  # on |x| of a path parameter, radius or state entry: squares stay finite
+Param = functools.partial(Number, lo=-PARAM_BOUND, hi=PARAM_BOUND)
 
 
 def Positive(default=None, *, hi=math.inf) -> Field:
@@ -168,8 +173,8 @@ def States(default: dict) -> Field:
     """A cycle of states, given whole: Bloch directions or amplitudes. A
     zero state has no phase, so none may be all zero."""
     kinds = {
-        "bloch": List(NonZero(List(Number(), length=3)), min_len=3),
-        "amplitudes": List(NonZero(List(List(Number(), length=2))), min_len=3, even=True),
+        "bloch": List(NonZero(List(Param(), length=3)), min_len=3),
+        "amplitudes": List(NonZero(List(List(Param(), length=2))), min_len=3, even=True),
     }
     return Field(
         default,

@@ -263,7 +263,7 @@ def cumulative_angle_transport(chain):
     states = chain.states
     overlaps = np.einsum("ki,ki->k", states[:-1].conj(), states[1:])
     cum = np.concatenate([[0.0], np.cumsum(np.angle(overlaps))])
-    return abelian.StateChain(states * np.exp(-1j * cum)[:, None], closed=chain.closed)
+    return abelian.StateChain(states * np.exp(-1j * cum)[:, None])
 
 
 def reference_frames(model, path, block, n, f0):

@@ -11,9 +11,12 @@ from holosim.report import DegenerateInputError
 OCTANT = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
-def ground_chain(theta0, n, radius=1.0):
-    loop = models.make_azimuthal_loop(theta0, radius)
-    return abelian.band_state_chain(models.QubitModel(), loop, band=0, n_samples=n)
+def ground_chain(theta0, n):
+    return abelian.bloch_chain(models.make_azimuthal_loop(theta0).sample(n))
+
+
+def ground_loop_phase(path, n):
+    return abelian.band_loop_phase(models.QubitModel(), path, 0, n)
 
 
 class TwoParamRealModel(models.HamiltonianModel):
@@ -35,7 +38,7 @@ class TwoParamRealModel(models.HamiltonianModel):
 class TestPancharatnam:
     def test_identical_states_zero(self):
         state = np.array([0.6, 0.8j])
-        chain = abelian.StateChain(np.tile(state, (3, 1)), closed=True)
+        chain = abelian.StateChain(np.tile(state, (3, 1)))
         assert abelian.pancharatnam_phase(chain) == 0.0
 
     def test_octant_triple(self):
@@ -47,59 +50,47 @@ class TestPancharatnam:
     def test_gauge_invariance_bulk(self):
         rng = np.random.default_rng(41)
         states = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-        chain = abelian.StateChain(states, closed=True)
+        chain = abelian.StateChain(states)
         base = abelian.pancharatnam_phase(chain)
         for _ in range(100):
             phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=5))
-            rechain = abelian.StateChain(chain.states * phases[:, None], closed=True)
+            rechain = abelian.StateChain(chain.states * phases[:, None])
             assert abs(abelian.pancharatnam_phase(rechain) - base) < 1e-12
 
     def test_orthogonal_pair_rejected_with_index(self):
         states = np.array([[1, 0], [0, 1], [1, 1] / np.sqrt(2)], dtype=complex)
         with pytest.raises(abelian.OverlapTooSmallError) as exc:
-            abelian.pancharatnam_phase(abelian.StateChain(states, closed=True))
+            abelian.pancharatnam_phase(abelian.StateChain(states))
         assert exc.value.index == 0
 
-    @pytest.mark.parametrize(
-        "phase", [abelian.pancharatnam_phase, abelian.discrete_geometric_phase],
-        ids=["pancharatnam", "discrete"],
-    )
-    def test_orthogonal_wrap_link_names_state_zero(self, phase):
+    def test_orthogonal_wrap_link_names_state_zero(self):
         # five states turning by pi/8: the last is orthogonal to the first
         angles = np.arange(5) * (math.pi / 8)
-        chain = abelian.StateChain(np.stack([np.cos(angles), np.sin(angles)], axis=1), True)
+        chain = abelian.StateChain(np.stack([np.cos(angles), np.sin(angles)], axis=1))
         with pytest.raises(abelian.OverlapTooSmallError, match=r"states \(4, 0\)") as exc:
-            phase(chain)
+            abelian.pancharatnam_phase(chain)
         assert exc.value.index == 4
 
     def test_needs_three_states(self):
         states = np.array([[1, 0], [1, 1] / np.sqrt(2)], dtype=complex)
         with pytest.raises(ValueError, match="3 states"):
-            abelian.pancharatnam_phase(abelian.StateChain(states, closed=True))
+            abelian.pancharatnam_phase(abelian.StateChain(states))
 
 
-class TestDiscreteGeometricPhase:
+class TestLoopPhase:
     def test_constant_chain_zero(self):
         state = np.array([1.0, 1j]) / np.sqrt(2.0)
-        chain = abelian.StateChain(np.tile(state, (16, 1)), closed=True)
-        assert abelian.discrete_geometric_phase(chain).phase == 0.0
+        chain = abelian.StateChain(np.tile(state, (16, 1)))
+        assert abelian.pancharatnam_phase(chain) == 0.0
 
     def test_ground_band_azimuthal_loop(self):
-        res = abelian.discrete_geometric_phase(ground_chain(math.pi / 3, 4096))
-        assert abs(linalg.wrap_angle(res.phase + math.pi / 2)) < 1e-4
-        assert res.samples == 4096
-        assert res.min_overlap > 0.999
+        phase = ground_loop_phase(models.make_azimuthal_loop(math.pi / 3), 4096)
+        assert abs(linalg.wrap_angle(phase + math.pi / 2)) < 1e-4
 
     def test_reversed_loop_flips_sign(self):
         chain = ground_chain(math.pi / 3, 4096)
-        res = abelian.discrete_geometric_phase(chain.reversed())
-        assert abs(linalg.wrap_angle(res.phase - math.pi / 2)) < 1e-4
-
-    def test_open_chain_rejected(self):
-        chain = ground_chain(math.pi / 3, 64)
-        open_chain = abelian.StateChain(chain.states, closed=False)
-        with pytest.raises(ValueError, match="closed"):
-            abelian.discrete_geometric_phase(open_chain)
+        phase = abelian.pancharatnam_phase(chain.reversed())
+        assert abs(linalg.wrap_angle(phase - math.pi / 2)) < 1e-4
 
     def test_reparametrization_invariance(self):
         base = models.make_azimuthal_loop(math.pi / 3)
@@ -108,24 +99,16 @@ class TestDiscreteGeometricPhase:
             return base.evaluate(s + 0.05 * np.sin(2.0 * np.pi * s))
 
         warped_path = models.ParameterPath(warped, 3, closed=True, label="warped")
-        a = abelian.discrete_geometric_phase(
-            abelian.band_state_chain(models.QubitModel(), base, 0, 2048)
-        ).phase
-        b = abelian.discrete_geometric_phase(
-            abelian.band_state_chain(models.QubitModel(), warped_path, 0, 2048)
-        ).phase
+        a = ground_loop_phase(base, 2048)
+        b = ground_loop_phase(warped_path, 2048)
         assert abs(linalg.wrap_angle(a - b)) < 1e-5
 
     def test_quadratic_convergence(self):
         theta0 = math.pi / 3
         target = -math.pi * (1.0 - math.cos(theta0))  # -Omega/2
+        loop = models.make_azimuthal_loop(theta0)
         ns = [64, 256, 1024, 4096]
-        errs = [
-            abs(linalg.wrap_angle(
-                abelian.discrete_geometric_phase(ground_chain(theta0, n)).phase - target
-            ))
-            for n in ns
-        ]
+        errs = [abs(linalg.wrap_angle(ground_loop_phase(loop, n) - target)) for n in ns]
         assert all(b < a for a, b in zip(errs, errs[1:]))
         slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert slope < -1.9
@@ -133,10 +116,10 @@ class TestDiscreteGeometricPhase:
     def test_gauge_invariance(self):
         rng = np.random.default_rng(43)
         chain = ground_chain(1.0, 128)
-        base = abelian.discrete_geometric_phase(chain).phase
+        base = abelian.pancharatnam_phase(chain)
         phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=128))
-        rechain = abelian.StateChain(chain.states * phases[:, None], closed=True)
-        assert abs(abelian.discrete_geometric_phase(rechain).phase - base) < 1e-12
+        rechain = abelian.StateChain(chain.states * phases[:, None])
+        assert abs(abelian.pancharatnam_phase(rechain) - base) < 1e-12
 
 
 class TestParallelTransport:
@@ -164,26 +147,25 @@ class TestParallelTransport:
 
     def test_closure_mismatch_equals_loop_phase(self):
         chain = ground_chain(math.pi / 3, 4096)
-        expected = abelian.discrete_geometric_phase(chain).phase
+        expected = abelian.pancharatnam_phase(chain)
         out = abelian.parallel_transport(chain)
         mismatch = float(np.angle(np.vdot(out.states[-1], out.states[0])))
         assert abs(linalg.wrap_angle(mismatch + math.pi / 2)) < 1e-4
         assert abs(mismatch - expected) < 1e-12
 
-    @pytest.mark.parametrize("closed", [False, True])
-    def test_matches_cumulative_angle_form(self, closed):
-        rng = np.random.default_rng(101 + closed)
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_matches_cumulative_angle_form(self, seed):
+        rng = np.random.default_rng(seed)
         for n, dim in ((2, 2), (3, 4), (257, 2), (1000, 3)):
             states = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
-            chain = abelian.StateChain(states, closed=closed)
+            chain = abelian.StateChain(states)
             out = abelian.parallel_transport(chain)
-            assert out.closed == closed
             assert linalg.max_abs(out.states - cumulative_angle_transport(chain).states) < 1e-12
 
     def test_two_state_chain(self):
         rng = np.random.default_rng(47)
         states = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-        chain = abelian.StateChain(states, closed=False)
+        chain = abelian.StateChain(states)
         out = abelian.parallel_transport(chain)
         w = np.vdot(out.states[0], out.states[1])
         assert abs(np.angle(w)) < 1e-12 and w.real > 0.0
@@ -214,7 +196,7 @@ class TestBerryConnection:
             for p in phis
         ]
         loop_integral = float(np.sum(a_vals) * 2.0 * np.pi / n)
-        phase = abelian.discrete_geometric_phase(ground_chain(theta0, n)).phase
+        phase = ground_loop_phase(models.make_azimuthal_loop(theta0), n)
         assert abs(linalg.wrap_angle(loop_integral + phase)) < 1e-3
 
     def test_degenerate_band_redirects_to_holonomy(self):
@@ -423,9 +405,11 @@ class TestSolidAngle:
         dirs[index + 5] = (1e-6, 0.0, -1.0)
         assert math.isfinite(abelian.solid_angle(dirs))
 
-    @pytest.mark.parametrize("reference", [(0.0, 0.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("reference", [
+        (0.0, 0.0, 0.0), (0.0, 1.0), (math.inf, 0.0, 0.0), (math.nan, 0.0, 1.0),
+    ])
     def test_bad_reference_rejected(self, reference):
-        with pytest.raises(ValueError, match="`reference` must be a nonzero 3-vector"):
+        with pytest.raises(ValueError, match="`reference` must be a finite nonzero 3-vector"):
             abelian.solid_angle(OCTANT, reference=reference)
 
     def test_custom_reference_branch(self):
@@ -439,7 +423,7 @@ class TestSolidAngle:
 
 
 class TestChainBuilding:
-    def test_band_state_chain_gap_guard(self):
+    def test_band_loop_phase_gap_guard(self):
         path = models.ParameterPath(
             lambda s: np.stack(
                 [np.cos(2 * np.pi * s), np.zeros_like(s), np.zeros_like(s)], axis=1
@@ -449,7 +433,7 @@ class TestChainBuilding:
             label="through-origin",
         )
         with pytest.raises(abelian.DegenerateBandError, match="s = 0.25"):
-            abelian.band_state_chain(models.QubitModel(), path, 0, 64)
+            ground_loop_phase(path, 64)
 
     @pytest.mark.parametrize("points, error, match", [
         ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
@@ -462,14 +446,8 @@ class TestChainBuilding:
     def test_band_loop_phase_raises_the_chain_errors(self, points, error, match):
         table = np.array(points)
         path = models.ParameterPath(lambda s: table[np.round(4 * s).astype(int) % 4], 3, True)
-        for phase in (
-            lambda: abelian.band_loop_phase(models.QubitModel(), path, 0, 4),
-            lambda: abelian.discrete_geometric_phase(
-                abelian.band_state_chain(models.QubitModel(), path, 0, 4)
-            ),
-        ):
-            with pytest.raises(error, match=match):
-                phase()
+        with pytest.raises(error, match=match):
+            ground_loop_phase(path, 4)
 
     @pytest.mark.parametrize("closed, n", [(False, 64), (True, 2)])
     def test_band_loop_phase_needs_a_closed_loop_of_three(self, closed, n):
@@ -484,9 +462,9 @@ class TestChainBuilding:
             raise AssertionError("dense eigensolve on a qubit path")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        chain = ground_chain(math.pi / 3, 256)
-        expected = -0.5 * abelian.solid_angle(models.make_azimuthal_loop(math.pi / 3).sample(4096))
-        assert abelian.discrete_geometric_phase(chain).phase == pytest.approx(expected, abs=1e-4)
+        loop = models.make_azimuthal_loop(math.pi / 3)
+        expected = -0.5 * abelian.solid_angle(loop.sample(4096))
+        assert ground_loop_phase(loop, 256) == pytest.approx(expected, abs=1e-4)
         sample = abelian.berry_curvature_plaquette(
             models.SphereQubitModel(1.0), 0, [1.1, 0.7], (0, 1), 0.01
         )
@@ -495,8 +473,8 @@ class TestChainBuilding:
     def test_zero_state_rejected(self):
         states = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DegenerateInputError, match="zero state at index 2$"):
-            abelian.StateChain(states, closed=True)
+            abelian.StateChain(states)
 
     def test_states_renormalized(self):
-        chain = abelian.StateChain(np.array([[2.0, 0.0], [0.0, 3.0]]), closed=False)
+        chain = abelian.StateChain(np.array([[2.0, 0.0], [0.0, 3.0]]))
         assert np.allclose(np.linalg.norm(chain.states, axis=1), 1.0)

@@ -312,9 +312,7 @@ class TestQubitPathsTakeNoDenseEigensolve:
         )
         d = sweep.distances()
         assert d[0] > d[1] > d[2]
-        chi = abelian.discrete_geometric_phase(
-            abelian.band_state_chain(model, loop, 0, 1024)
-        ).phase
+        chi = abelian.band_loop_phase(model, loop, 0, 1024)
         assert abs(np.angle(sweep.reference.matrix[0, 0]) - chi) < 1e-12
 
 

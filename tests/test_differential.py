@@ -109,9 +109,9 @@ def near_identity_links(rng, m):
     return (unitary @ (np.eye(m) - 1e-6 * hs @ hs),)
 
 
-def random_chain(rng, closed):
+def random_chain(rng):
     states = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
-    return (abelian.StateChain(states, closed),)
+    return (abelian.StateChain(states),)
 
 
 def both_ways(product):
@@ -376,21 +376,19 @@ for band in (0, 1):  # the energies' norm, shared: the states of the kernel's ow
         lambda ns, b=band: bits(models.qubit_band_states(ns, b)),
         lambda rng: (qubit_fields(rng),), 82, EXACT,
     )
-for key, kernel, reference, closed in (
-    ("discrete_geometric_phase", lambda c: abelian.discrete_geometric_phase(c).phase,
-     lambda c: ref.reference_loop_phase(c.states), True),
+for key, kernel, reference in (
+    ("pancharatnam_phase", abelian.pancharatnam_phase,
+     lambda c: ref.reference_loop_phase(c.states)),
     ("parallel_transport", lambda c: abelian.parallel_transport(c).states,
-     lambda c: ref.cumulative_angle_transport(c).states, False),
+     lambda c: ref.cumulative_angle_transport(c).states),
 ):
     ROWS[f"{key}-qubit-band-4096"] = Row(
         kernel, reference,
-        lambda rng: (abelian.band_state_chain(*shipped("qubit")[:2], 0, 4096),), None, 1e-12,
+        lambda rng: (abelian.bloch_chain(shipped("qubit")[1].sample(4096)),), None, 1e-12,
     )
-    ROWS[f"{key}-random"] = Row(
-        kernel, reference, lambda rng, c=closed: random_chain(rng, c), 97, 1e-12
-    )
-# the gauge-free loop phase of berry-qubit and noise-study against the gauge-fixed,
-# renormalised chain, on both bands, both orientations and ladders down to 8 samples
+    ROWS[f"{key}-random"] = Row(kernel, reference, random_chain, 97, 1e-12)
+# the loop phase of berry-qubit and noise-study against the one-vdot-at-a-time product of
+# per-point band states, on both bands, both orientations and ladders down to 8 samples
 for key, path in (
     ("azimuthal", models.make_azimuthal_loop(1.0, 1.7)),
     ("reversed", models.reversed_path(models.make_azimuthal_loop(2.2))),
@@ -399,7 +397,9 @@ for key, path in (
     for band, n in ((band, n) for band in (0, 1) for n in (8, 12, 4096)):
         ROWS[f"band_loop_phase-{key}-band{band}-{n}"] = Row(
             abelian.band_loop_phase,
-            lambda *args: abelian.discrete_geometric_phase(abelian.band_state_chain(*args)).phase,
+            lambda model, path, band, n: ref.reference_loop_phase(
+                [ref.reference_band_state(point, band) for point in path.sample(n)]
+            ),
             lambda rng, p=path, b=band, n=n: (models.QubitModel(), p, b, n), None, 1e-12,
         )
 
@@ -775,9 +775,8 @@ class TestBlockErrors:
     def test_orthogonal_state_link(self, index, successor):
         states = abelian.bloch_chain(self.loop()).states
         states[successor] = np.conj(states[index, ::-1]) * (1.0, -1.0)  # orthogonal
-        chain = abelian.StateChain(states, closed=True)
         with pytest.raises(abelian.OverlapTooSmallError, match=rf"\({index}, {successor}\)"):
-            abelian.discrete_geometric_phase(chain)
+            abelian.pancharatnam_phase(abelian.StateChain(states))
 
     def test_singular_frame_link(self):
         links = np.tile(np.eye(2, dtype=complex), (25, 1, 1))

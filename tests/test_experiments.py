@@ -99,6 +99,16 @@ OVERFLOW_CONFIGS = [
         "config.path.params.q",
     ),
     ("curvature-map", {"radius": 1e300}, "config.radius"),
+    (
+        "pancharatnam",
+        {"states": {"bloch": [[1e155, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+        "config.states.bloch[0][0]",
+    ),
+    (
+        "pancharatnam",
+        {"states": {"amplitudes": [[[1, 0], [0, 0]], [[0, 0], [0, -1e300]], [[1, 0], [1, 0]]]}},
+        "config.states.amplitudes[1][1][1]",
+    ),
 ]
 
 
@@ -256,6 +266,14 @@ class TestConfigValidation:
             models.build_model_and_path({"model": model, "path": path})
         config = experiments.resolve_config("curvature-map", {"radius": 1e100})
         experiments.validate("curvature-map", config)
+        # the octant triple and (|0>, |0> + i|1>, |0> + |1>), each with entries of 1e100
+        octant = {"bloch": [[0, 0, 1e100], [1e100, 0, 0], [0, 1e100, 0]]}
+        amplitudes = {"amplitudes": [[[1e100, 0], [0, 0]], [[1e100, 0], [0, 1e100]],
+                                     [[1e100, 0], [1e100, 0]]]}
+        for states in (octant, amplitudes):
+            report = experiments.run_experiment("pancharatnam", {"states": states})
+            assert report.all_passed
+            assert report.rows[0][1] == pytest.approx(-math.pi / 4, abs=1e-12)
 
     def test_runner_validates_hand_edited_config(self):
         config = experiments.resolve_config("curvature-map") | {"radius": -1}

@@ -64,7 +64,7 @@ class TestEigenframePath:
     def test_single_band_matches_parallel_transport(self):
         loop = models.make_azimuthal_loop(1.0)
         n = 128
-        chain = abelian.band_state_chain(models.QubitModel(), loop, 0, n)
+        chain = abelian.bloch_chain(loop.sample(n))
         transported = abelian.parallel_transport(chain)
         frames = holonomy.eigenframe_path(
             models.QubitModel(),
@@ -138,7 +138,7 @@ class TestWilsonLine:
     def test_abelian_reduction_matches_chain_phase(self):
         loop = models.make_azimuthal_loop(1.0)
         n = 512
-        chain = abelian.band_state_chain(models.QubitModel(), loop, 0, n)
+        chain = abelian.bloch_chain(loop.sample(n))
         res = holonomy.wilson_line(
             models.QubitModel(),
             loop,
@@ -146,7 +146,7 @@ class TestWilsonLine:
             n,
             initial_frame=chain.states[0][:, None],
         )
-        chi = abelian.discrete_geometric_phase(chain).phase
+        chi = abelian.pancharatnam_phase(chain)
         assert abs(np.angle(res.matrix[0, 0]) - chi) < 1e-12
         assert abs(abs(res.matrix[0, 0]) - 1.0) < 1e-12
 
