@@ -24,6 +24,7 @@ from .holonomy import block_frames, transport
 from .linalg import blocks, check_links, gauge_fix, link_overlaps, wrap_angle
 from .models import BandBlock, HamiltonianModel, ParameterPath, PathSamples, qubit_band_states
 from .report import DegenerateInputError
+from .schema import PARAM_BOUND
 
 OVERLAP_TOL = 1e-8
 ANTIPODAL_TOL = 1e-12
@@ -266,9 +267,12 @@ def solid_angle(directions, reference=(0.0, 0.0, 1.0)) -> float:
             raise ValueError(f"expected (n, 3) directions, got shape {directions.shape}")
     n = len(directions)
     ref = np.asarray(reference, dtype=float).ravel()
-    ref_norm = float(np.linalg.norm(ref)) if np.isfinite(ref).all() else np.nan
+    ref_norm = float(np.linalg.norm(ref)) if np.abs(ref).max(initial=0.0) <= PARAM_BOUND else np.nan
     if ref.shape != (3,) or not ref_norm >= 1e-12:
-        raise ValueError(f"`reference` must be a finite nonzero 3-vector, got {reference!r}")
+        raise ValueError(
+            f"`reference` must be a finite nonzero 3-vector with entries of at most {PARAM_BOUND:g} "
+            f"in magnitude, got {reference!r}"
+        )
     rx, ry, rz = r = ref / ref_norm
     # the right-handed orthonormal frame (e1, e2, r) of Duff et al., JCGT 6(1), 2017
     sign = 1.0 if rz >= 0.0 else -1.0

@@ -9,8 +9,9 @@ CSV table and a JSON metadata file (resolved config, tool version,
 elapsed ms, hard checks) next to it; the exit code is 0 iff every hard
 check passed, and failed checks are listed on standard error. Flag
 overrides win over the config file and are recorded in the echoed
-config. Bad input exits 2: a ConfigError (an invalid field, or a flag the
-experiment has no knob for) or a DegenerateInputError (it names where).
+config. Bad input exits 2: an unreadable config, a ConfigError (an invalid
+field, or a flag the experiment has no knob for), a DegenerateInputError (it
+names where) or an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -101,7 +102,11 @@ def main(argv: list[str] | None = None) -> int:
     out = args.out if args.out is not None else Path(f"{args.experiment}.csv")
     if out.suffix != ".csv":
         out = out.with_suffix(".csv")
-    csv_path, meta_path = report.write(out)
+    try:
+        csv_path, meta_path = report.write(out)
+    except OSError as exc:
+        print(f"error: cannot write report {out}: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {csv_path} and {meta_path}")
 
     failed = report.failed_checks()

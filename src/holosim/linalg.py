@@ -101,28 +101,15 @@ def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     No per-vector gauge fixing (call sites that need smooth frames align
     gauges themselves); returns (eigenvalues, eigenvectors) LAPACK-ordered.
+    Raises NonHermitianError unless max_abs(H - H^dag) < HERMITIAN_TOL * max(1, max_abs(H)).
     """
     hs = np.asarray(hs, dtype=complex)
-    defect, scale = hermiticity_defect(hs)
-    if not defect < HERMITIAN_TOL * scale:
-        raise NonHermitianError(defect, HERMITIAN_TOL * scale)
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN or inf entry gives a NaN or inf defect
+        defect = max_abs(hs - dagger(hs))
+    tol = HERMITIAN_TOL * max(1.0, max_abs(hs))
+    if not defect < tol:
+        raise NonHermitianError(defect, tol)
     return np.linalg.eigh(hs)
-
-
-@np.errstate(invalid="ignore")  # inf - inf: a NaN or inf entry gives a NaN or inf defect
-def hermiticity_defect(h: np.ndarray) -> tuple[float, float]:
-    """max_abs(H - H^dag) and the scale max(1, max_abs(H)) of a (..., n, n) stack,
-    exactly, from (...)-shaped slices of each pair i <= j: |h_ij - conj(h_ji)|
-    (2 |Im h_ii| on the diagonal), so no temporary is as large as the stack."""
-    n = h.shape[-1]
-    defect, scale = np.zeros(h.shape[:-2]), np.zeros(h.shape[:-2])
-    for i in range(n):
-        for j in range(i, n):
-            a, b = h[..., i, j], h[..., j, i]
-            np.maximum(defect, np.abs(a - np.conjugate(b)), out=defect)
-            np.maximum(scale, np.abs(a), out=scale)
-            np.maximum(scale, np.abs(b), out=scale)
-    return max_abs(defect), max(1.0, max_abs(scale))
 
 
 def propagator_increments(hs: np.ndarray, dt: float) -> np.ndarray:

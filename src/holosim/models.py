@@ -308,14 +308,23 @@ class HamiltonianModel:
     """Provider of a Hermitian matrix H(lambda) for any parameter point.
 
     Subclasses implement evaluate_batch. energies_batch, band_states_batch and
-    propagator_increments default to dense diagonalization (linalg.eigh_batch);
-    every shipped model overrides all three with closed forms, which are exact (the
-    dark-band dynamical phase is identically zero rather than ~1e-16) and take no
-    dense eigensolve."""
+    propagator_increments default to dense diagonalization (linalg.eigh_batch), and
+    chunk_increment to the product of propagator_increments' steps. Every shipped model
+    overrides the first three with closed forms, which are exact (the dark-band dynamical
+    phase is identically zero rather than ~1e-16) and take no dense eigensolve. A closed
+    form holds only for the matrix it was derived from, so a class that defines its own
+    evaluate_batch gets all four dense forms back, bar any it defines itself."""
 
     dim: int
     parameter_dim: int
     label: str
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "evaluate_batch" in vars(cls):
+            for name in ("energies_batch", "band_states_batch", "propagator_increments", "chunk_increment"):
+                if name not in vars(cls):
+                    setattr(cls, name, vars(HamiltonianModel)[name])
 
     def evaluate_batch(self, lams: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -392,10 +401,7 @@ class QubitModel(HamiltonianModel):
         return w, qubit_band_states(ns, block.start, w[:, 1])[:, :, None]  # one norm pass
 
     def propagator_increments(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
-        """In closed form from the combined fields n: H^2 = R^2 I. A subclass that
-        overrides evaluate_batch gets the dense propagators of its own matrix."""
-        if type(self).evaluate_batch is not QubitModel.evaluate_batch:
-            return super().propagator_increments(lams, weights, dt)
+        """In closed form from the combined fields n: H^2 = R^2 I."""
         n, r2, sin_r, cos_r = _rodrigues(self.field(lams).reshape(*lams.shape[:2], 3), weights, dt)
         e = np.empty((2, 2, len(r2)), dtype=complex)  # each entry's (k e,) slice written in place
         e.real[1, 1] = np.multiply(cos_r, r2, out=e.real[0, 0])
@@ -432,10 +438,9 @@ class UsbModel(HamiltonianModel):
 
     Spectrum is {-R, 0, 0, +R} with R = sqrt(P^2+S^2+Q^2); the middle
     zero pair is the dark space. Energies, every block's frames
-    (band_states_batch) and propagator_increments are in closed form; a
-    subclass that overrides evaluate_batch gets the dense frames and
-    propagators of its own matrix. The frames are real, float64. So are the
-    propagators in the basis D = diag(1, i, 1, 1): the coupling is bipartite, hub 1
+    (band_states_batch) and propagator_increments are in closed form. The
+    frames are real, float64. So are the propagators in the basis
+    D = diag(1, i, 1, 1): the coupling is bipartite, hub 1
     against spokes 0, 2, 3 (a tripod; Unanyan, Shore & Bergmann 1999), so
     D^dag (-i H) D is real and antisymmetric. chunk_increment multiplies a chunk's
     increments in float64 in that basis and rotates only its (4, 4) product back.
@@ -467,8 +472,6 @@ class UsbModel(HamiltonianModel):
         sign, which raw links cancel. R = 0 raises ZeroFieldError. Built per linalg.blocks,
         elementwise, into a stack-last (4, m, k) array; no (k, 4, 4) stack is formed.
         """
-        if type(self).evaluate_batch is not UsbModel.evaluate_batch:
-            return super().band_states_batch(lams, block)
         lams = np.asarray(lams, dtype=float).reshape(-1, 3)
         w = UsbModel.energies_batch(self, lams)  # R from lams, whatever a subclass overrides
         r = w[:, 3]
@@ -496,14 +499,10 @@ class UsbModel(HamiltonianModel):
     def propagator_increments(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
         """In closed form from the combined couplings: H = |1><c| + |c><1| with
         c = (P, 0, S, Q), so H^2 = R^2 |1><1| + |c><c|: _real_increments, rotated out of D."""
-        if type(self).evaluate_batch is not UsbModel.evaluate_batch:
-            return super().propagator_increments(lams, weights, dt)
         return _D_PHASES[..., None] * self._real_increments(lams, weights, dt)
 
     def chunk_increment(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
         """The chunk's product, in float64 in the basis D; only the (4, 4) result is rotated."""
-        if type(self).evaluate_batch is not UsbModel.evaluate_batch:
-            return super().chunk_increment(lams, weights, dt)
         return _D_PHASES * near_identity_product_last(self._real_increments(lams, weights, dt))
 
     def _real_increments(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:

@@ -308,8 +308,10 @@ class TestSolidAngle:
         dirs = np.tile([0.0, 1.0, 0.0], (6, 1))
         assert abelian.solid_angle(dirs) == 0.0
 
-    def test_octant_triangle(self):
-        assert abelian.solid_angle(OCTANT) == pytest.approx(math.pi / 2, abs=1e-14)
+    # a reference at the parameter bound is normalized without overflow (RuntimeWarnings fail)
+    @pytest.mark.parametrize("reference", [(0.0, 0.0, 1.0), (1e100, 0.0, 0.0)])
+    def test_octant_triangle(self, reference):
+        assert abelian.solid_angle(OCTANT, reference) == pytest.approx(math.pi / 2, abs=1e-14)
 
     def test_orientation_flip_negates(self):
         loop = models.make_azimuthal_loop(1.0)
@@ -406,7 +408,7 @@ class TestSolidAngle:
         assert math.isfinite(abelian.solid_angle(dirs))
 
     @pytest.mark.parametrize("reference", [
-        (0.0, 0.0, 0.0), (0.0, 1.0), (math.inf, 0.0, 0.0), (math.nan, 0.0, 1.0),
+        (0.0, 0.0, 0.0), (0.0, 1.0), (math.inf, 0.0, 0.0), (math.nan, 0.0, 1.0), (1e200, 0.0, 0.0),
     ])
     def test_bad_reference_rejected(self, reference):
         with pytest.raises(ValueError, match="`reference` must be a finite nonzero 3-vector"):

@@ -1069,6 +1069,32 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_cli_import_adds_only_the_standard_library(self):
+        # what `import holosim.cli` loads beyond numpy is the benchmark's setup time
+        code = (
+            "import sys, numpy; before = set(sys.modules); import holosim.cli; "
+            "print(*(set(sys.modules) - before))"
+        )
+        src = Path(holosim.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        added = {name.partition(".")[0] for name in proc.stdout.split()}
+        assert "holosim" in added
+        assert added - {"holosim"} <= sys.stdlib_module_names
+        assert "concurrent" not in added  # linalg.helper_thread imports it on first use
+
+    def test_unwritable_out_exits_two(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "x.csv"  # under a regular file: no directory can be made there
+        proc = self.run_cli("pancharatnam", "--out", str(out), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert f"error: cannot write report {out}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_unknown_experiment_rejected(self, tmp_path):
         proc = self.run_cli("berry-phases", cwd=tmp_path)
         assert proc.returncode == 2

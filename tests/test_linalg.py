@@ -83,28 +83,17 @@ class TestEigh:
             linalg.eigh_batch(hs)
         assert not math.isfinite(exc.value.defect)
 
-    @pytest.mark.parametrize("shape", [(3, 3), (64, 2, 2), (5, 7, 4, 4)])
-    def test_hermiticity_defect_is_exact(self, shape):
-        rng = np.random.default_rng(83)
-        for amplitude in (1e-12, 1e-6, 3.0):
-            h = random_hermitian(rng, shape[-1]) + amplitude * (
-                rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            )
-            defect, scale = linalg.hermiticity_defect(h)
-            assert defect == linalg.max_abs(h - linalg.dagger(h))
-            assert scale == max(1.0, linalg.max_abs(h))
-
-    def test_non_hermitian_error_carries_full_stack_defect(self):
+    @pytest.mark.parametrize("shape", [(32, 2, 2), (32, 4, 4), (3, 3), (5, 7, 4, 4)])
+    def test_non_hermitian_error_carries_full_stack_defect(self, shape):
         rng = np.random.default_rng(89)
-        for dim in (2, 4):
-            h = rng.normal(size=(32, dim, dim)) + 1j * rng.normal(size=(32, dim, dim))
-            expected = linalg.max_abs(h - linalg.dagger(h))
-            for solve in (linalg.eigh_batch, lambda hs: linalg.propagator_increments(hs, 0.1)):
-                with pytest.raises(linalg.NonHermitianError) as exc:
-                    solve(h)
-                assert exc.value.defect == expected
-                bound = linalg.HERMITIAN_TOL * max(1.0, linalg.max_abs(h))
-                assert f"{bound:.1e}" in str(exc.value)
+        h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        expected = linalg.max_abs(h - linalg.dagger(h))
+        for solve in (linalg.eigh_batch, lambda hs: linalg.propagator_increments(hs, 0.1)):
+            with pytest.raises(linalg.NonHermitianError) as exc:
+                solve(h)
+            assert exc.value.defect == expected
+            bound = linalg.HERMITIAN_TOL * max(1.0, linalg.max_abs(h))
+            assert f"{bound:.1e}" in str(exc.value)
 
     def test_gauge_is_deterministic(self):
         rng = np.random.default_rng(17)

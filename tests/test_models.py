@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import eigh_propagators, reflector_dark_pair
+from reference import HubDetunedUsb, eigh_propagators, reflector_dark_pair
 
 from holosim import abelian, adiabatic, holonomy, linalg, models
 from holosim.report import ConfigError
@@ -14,6 +14,24 @@ def qubit_h(ns):
 
 def usb_h(ps):
     return models.UsbModel().evaluate_batch(np.asarray(ps, dtype=float).reshape(-1, 3))
+
+
+class DetunedQubit(models.QubitModel):
+    """The qubit with H[0, 0] shifted by 0.5: its own matrix, none of the closed forms'."""
+
+    def evaluate_batch(self, lams):
+        h = super().evaluate_batch(lams)
+        h[:, 0, 0] += 0.5
+        return h
+
+
+class SpokeShifted(models.UsbModel):
+    """The four-level model with H[2, 2] = 0.3: its own matrix, none of the closed forms'."""
+
+    def evaluate_batch(self, lams):
+        h = super().evaluate_batch(lams)
+        h[:, 2, 2] = 0.3
+        return h
 
 
 def dark_frame_from_angles(theta, phi):
@@ -232,12 +250,6 @@ class TestUsbBandStates:
                 models.UsbModel().band_states_batch(ps, block)
 
     def test_subclass_with_its_own_matrix_gets_its_own_eigenframes(self):
-        class SpokeShifted(models.UsbModel):
-            def evaluate_batch(self, lams):
-                h = super().evaluate_batch(lams)
-                h[:, 2, 2] = 0.3
-                return h
-
         model = SpokeShifted()
         ps = usb_test_points(53)[160:]
         h = model.evaluate_batch(ps)
@@ -539,31 +551,51 @@ class TestPropagatorIncrements:
         for model in (models.QubitModel(), models.SphereQubitModel(2.0), models.UsbModel()):
             lams = rng.normal(size=(8, 2, model.parameter_dim))
             assert np.all(np.isfinite(model.propagator_increments(lams, CF4_WEIGHTS, 0.3)))
+            assert np.all(np.isfinite(model.chunk_increment(lams, CF4_WEIGHTS, 0.3)))
+            w, frames = model.band_states_batch(lams[:, 0], models.BandBlock(0, 1))
+            assert np.array_equal(w, model.energies_batch(lams[:, 0]))
+            assert np.all(np.isfinite(frames))
 
-    def test_matrix_overrides_take_the_dense_fallback(self):
-        class DetunedQubit(models.QubitModel):
-            def evaluate_batch(self, lams):
-                h = super().evaluate_batch(lams)
-                h[:, 0, 0] += 0.5
-                return h
-
-        class SpokeShifted(models.UsbModel):
-            def evaluate_batch(self, lams):
-                h = super().evaluate_batch(lams)
-                h[:, 2, 2] = 0.3
-                return h
-
+    @pytest.mark.parametrize("model", [DetunedQubit(), SpokeShifted()], ids=["qubit", "usb"])
+    def test_matrix_overrides_take_the_dense_fallback(self, model):
+        dense = models.HamiltonianModel
         rng = np.random.default_rng(73)
-        for model in (DetunedQubit(), SpokeShifted()):
-            lams = rng.normal(size=(64, 2, 3))
-            es = model.propagator_increments(lams, CF4_WEIGHTS, 0.37)
-            dense = models.HamiltonianModel.propagator_increments(model, lams, CF4_WEIGHTS, 0.37)
-            assert np.array_equal(es, dense)
-            expected = combined_propagators(model, lams, 0.37)
-            assert linalg.max_abs(stack_first(es) + np.eye(model.dim) - expected) <= 1e-14
-            # not the closed form of the undetuned model
-            plain = type(model).__mro__[1]().propagator_increments(lams, CF4_WEIGHTS, 0.37)
-            assert linalg.max_abs(es - plain) > 1e-2
+        lams = rng.normal(size=(64, 2, 3))
+        points = lams.reshape(-1, 3)
+        assert np.array_equal(model.energies_batch(points), dense.energies_batch(model, points))
+        for block in (models.BandBlock(0, 1), models.BandBlock(1, model.dim)):
+            w, frames = model.band_states_batch(points, block)
+            w_dense, frames_dense = dense.band_states_batch(model, points, block)
+            assert np.array_equal(w, w_dense) and np.array_equal(frames, frames_dense)
+        es = model.propagator_increments(lams, CF4_WEIGHTS, 0.37)
+        assert np.array_equal(es, dense.propagator_increments(model, lams, CF4_WEIGHTS, 0.37))
+        chunk = model.chunk_increment(lams, CF4_WEIGHTS, 0.37)
+        assert np.array_equal(chunk, dense.chunk_increment(model, lams, CF4_WEIGHTS, 0.37))
+        expected = combined_propagators(model, lams, 0.37)
+        assert linalg.max_abs(stack_first(es) + np.eye(model.dim) - expected) <= 1e-14
+        # not the closed forms of the unshifted model
+        plain = type(model).__mro__[1]()
+        assert linalg.max_abs(es - plain.propagator_increments(lams, CF4_WEIGHTS, 0.37)) > 1e-2
+        assert linalg.max_abs(model.energies_batch(points) - plain.energies_batch(points)) > 1e-2
+
+    def test_matrix_override_takes_its_own_dynamical_phase(self):
+        # the dense quadrature of band 0; the unshifted qubit's closed form gives 10.0
+        path, total_time = models.make_azimuthal_loop(1.0), 10.0
+        s = path.sample_s(4096, include_endpoint=True)
+        w = np.linalg.eigvalsh(DetunedQubit().evaluate_batch(path(s)))[:, 0]
+        expected = -total_time * float(np.sum(np.diff(s) * (w[1:] + w[:-1]))) / 2.0
+        delta = adiabatic.dynamical_phase(DetunedQubit(), path, total_time, models.BandBlock(0, 1))
+        assert delta == pytest.approx(expected, rel=1e-13)
+        assert abs(delta - 10.0) > 0.5
+
+    def test_only_a_class_with_its_own_matrix_takes_the_dense_forms(self):
+        for name in ("energies_batch", "band_states_batch", "propagator_increments", "chunk_increment"):
+            # a field-only subclass keeps the closed forms it inherits
+            assert getattr(models.SphereQubitModel, name) is getattr(models.QubitModel, name)
+        # a matrix override keeps the closed form it defines itself, and only that
+        dense = models.HamiltonianModel
+        assert HubDetunedUsb.energies_batch is not dense.energies_batch
+        assert HubDetunedUsb.band_states_batch is dense.band_states_batch
 
     def test_dense_fallback_is_the_weighted_dense_propagator(self):
         # bit for bit what the integrator multiplied before the closed forms
