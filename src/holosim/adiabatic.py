@@ -33,14 +33,13 @@ from .models import HamiltonianModel, ParameterPath
 _CHUNK = 8192  # exponentials per chunk (two per step); bounds its memory
 _FIRST_STEPS, _MAX_STEPS = 64, 2**20  # step doubling's first and last N
 STEP_TOL = 1e-9  # largest accepted step-doubling error estimate; above it, warn
+_PHASE_SAMPLES = 4096  # intervals of dynamical_phase's trapezoid over [0, 1]
 
 # CF4:2: Gauss nodes c = 1/2 -+ sqrt(3)/6 of a step, and the weights of
 # (H1, H2) in the first- and second-applied exponents. Swapping the rows
 # leaves a second-order scheme.
 _NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _WEIGHTS = 0.25 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * math.sqrt(3.0) / 6.0
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
 
 @dataclass
@@ -145,20 +144,20 @@ def dynamical_phase(
     path: ParameterPath,
     total_time: float,
     block: BandBlock,
-    n_samples: int = 4096,
 ) -> float:
-    """delta = -integral of the block's energy over [0, T], by quadrature.
+    """delta = -integral of the block's energy over [0, T], by the trapezoid rule.
 
     A degenerate cluster is one block, whose levels share the model's energy
     (closed form where provided: an identically-zero band yields exactly 0.0).
     Where the block's gap closes on the path (linalg.closed_gap), GapClosureError names s.
     """
-    s = path.sample_s(n_samples, include_endpoint=True)
+    s = path.sample_s(_PHASE_SAMPLES, include_endpoint=True)
     w = model.energies_batch(path(s))
     closure = closed_gap(w, block.start, block.stop)
     if closure is not None:
         raise GapClosureError(float(s[closure[0]]), closure[1])
-    return float(-total_time * _trapezoid(w[:, block.start], s))
+    e = w[:, block.start]
+    return float(-total_time * (np.diff(s) * (e[1:] + e[:-1]) / 2.0).sum())
 
 
 def adiabatic_holonomy(

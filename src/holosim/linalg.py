@@ -8,12 +8,12 @@ generic models and larger links. The log-depth products run with the stack
 axis last: on an (m, m, n) stack as given, or on one (m, m, n) copy of an
 (n, m, m) stack.
 
-The per-sample kernels (link_overlaps, the four-level frames, and the Wilson
-line and the solid-angle fan, which sample their own path) run BLOCK samples at
-a time (blocks), so their temporaries stay cache-sized. Each writes into one
-full-length output that any reduction then reads once, or reduces each block and
-then the block results, as the Wilson line's pairwise product does: for BLOCK a
-power of two, an aligned block's pairwise tree is a subtree of the whole one.
+The walkers that sample their own path (the Wilson line, the solid-angle fan) stream
+BLOCK samples at a time (blocks), so the elementwise model kernels they call see one
+block; link_overlaps, handed whole chains, keeps its own loop to bound its conjugate
+copy. Each writes into one full-length output that any reduction reads once, or reduces
+each block and then the block results, as the Wilson line's pairwise product does: for
+BLOCK a power of two, an aligned block's pairwise tree is a subtree of the whole one.
 Results are bit for bit the same at any BLOCK (a power of two for the Wilson line).
 """
 

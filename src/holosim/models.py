@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import schema
-from .linalg import RANK_TOL, blocks, eigh_batch, near_identity_product_last, propagator_increments
+from .linalg import RANK_TOL, eigh_batch, near_identity_product_last, propagator_increments
 from .report import ConfigError, DegenerateInputError
 from .schema import PARAM_BOUND, List, Param, Positive, Section
 
@@ -110,7 +110,7 @@ class ParameterPath:
         if self.closed:
             ends = self.evaluate(np.array([0.0, 1.0]))
             gap = float(np.linalg.norm(ends[0] - ends[1]))
-            if gap >= CLOSURE_TOL:
+            if not gap < CLOSURE_TOL:
                 raise ValueError(
                     f"path '{self.label}' flagged closed but "
                     f"|lambda(0)-lambda(1)| = {gap:.3e}"
@@ -417,8 +417,8 @@ class SphereQubitModel(QubitModel):
     parameter_dim = 2
 
     def __init__(self, radius: float = 1.0):
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < radius <= PARAM_BOUND:
+            raise ValueError(f"radius must be positive and at most {PARAM_BOUND:g}, got {radius}")
         self.radius = float(radius)
         self.label = f"qubit-sphere(r={radius:g})"
 
@@ -469,8 +469,8 @@ class UsbModel(HamiltonianModel):
         Q axis, sign -1 where b_Q < 0 and +1 elsewhere (Golub & Van Loan, Matrix
         Computations, 5.1). As v^T v = 2 (1 + |b_Q|) >= 2, no pivot is searched and the
         pair has no singularity, also at P = S = 0; its gauge jumps only where Q changes
-        sign, which raw links cancel. R = 0 raises ZeroFieldError. Built per linalg.blocks,
-        elementwise, into a stack-last (4, m, k) array; no (k, 4, 4) stack is formed.
+        sign, which raw links cancel. R = 0 raises ZeroFieldError. Built elementwise
+        into a stack-last (4, m, k) array; no (k, 4, 4) stack is formed.
         """
         lams = np.asarray(lams, dtype=float).reshape(-1, 3)
         w = UsbModel.energies_batch(self, lams)  # R from lams, whatever a subclass overrides
@@ -481,19 +481,18 @@ class UsbModel(HamiltonianModel):
                 f"four-level band states undefined at index [{k}]: R = 0 (degenerate levels)"
             )
         frames = np.zeros((4, block.size, len(r)))
-        for part in blocks(len(r)):
-            b = lams.T[:, part] / r[part]  # (3, part)
-            v = (b[0], b[1], b[2] + np.where(b[2] < 0.0, -1.0, 1.0))  # -0.0 counts as +
-            scale = 1.0 / (1.0 + np.abs(b[2]))  # 2 / v^T v
-            for col, band in enumerate(range(block.start, block.stop)):
-                if band in (0, 3):
-                    frames[_SPOKES, col, part] = math.sqrt(0.5) * b
-                    frames[1, col, part] = math.sqrt(0.5) * (1.0 if band == 3 else -1.0)
-                else:  # the reflector's P (band 1) or S (band 2) column
-                    c = -(scale * b[band - 1])
-                    for level, v_level in zip(_SPOKES, v):
-                        np.multiply(c, v_level, out=frames[level, col, part])
-                    frames[_SPOKES[band - 1], col, part] += 1.0
+        b = lams.T / r  # (3, k)
+        v = (b[0], b[1], b[2] + np.where(b[2] < 0.0, -1.0, 1.0))  # -0.0 counts as +
+        scale = 1.0 / (1.0 + np.abs(b[2]))  # 2 / v^T v
+        for col, band in enumerate(range(block.start, block.stop)):
+            if band in (0, 3):
+                frames[_SPOKES, col] = math.sqrt(0.5) * b
+                frames[1, col] = math.sqrt(0.5) * (1.0 if band == 3 else -1.0)
+            else:  # the reflector's P (band 1) or S (band 2) column
+                c = -(scale * b[band - 1])
+                for level, v_level in zip(_SPOKES, v):
+                    np.multiply(c, v_level, out=frames[level, col])
+                frames[_SPOKES[band - 1], col] += 1.0
         return w, frames.transpose(2, 0, 1)
 
     def propagator_increments(self, lams: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:

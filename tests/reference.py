@@ -457,6 +457,13 @@ def unwrapped_usb_eta_pair(path, n_samples):
     return eta_theta, eta_line
 
 
+def library_dynamical_phase(model, path, total_time, block):
+    """dynamical_phase by numpy's own trapezoid (np.trapz before numpy 2), on its grid."""
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    s = path.sample_s(adiabatic._PHASE_SAMPLES, include_endpoint=True)
+    return -total_time * trapezoid(model.energies_batch(path(s))[:, block.start], s)
+
+
 def stacked_energies(model, lams):
     """The closed-form energies (-r, 0, ..., 0, r) as they were formed before they went
     stack-last: r by np.linalg.norm(axis=1), the levels by one (k, dim) np.stack."""

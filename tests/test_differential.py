@@ -512,13 +512,6 @@ BLOCK_INPUTS = {
         overlaps(True), lambda rng, n: (stack_last(complex_normal(rng, 3, 4, 2, n)),)
     ),
     "link_overlaps-open-4d": (overlaps(False), lambda rng, n: (complex_normal(rng, n, 2, 3, 1),)),
-    **{
-        f"usb_frames-{block.start}-{block.stop}": (
-            lambda lams, b=block: models.UsbModel().band_states_batch(lams, b)[1],
-            lambda rng, n: (stack_last(rng.normal(size=(3, n))),),
-        )
-        for block in (models.BandBlock(0, 4), holonomy.USB_DARK_BLOCK)
-    },
 }
 for key, (kernel, inputs) in BLOCK_INPUTS.items():
     for n in (5, 7, 8, 21, 22, 25):
@@ -650,6 +643,18 @@ for name in ("usb", "qubit"):
                 lambda rng, k=name, f=inputs: (MODELS[k](), f(rng)), 89, EXACT,
             )
 
+# the trapezoid written out, bit for bit against numpy's own on the same grid: the lowest
+# and highest band of the qubit loop, the four-level loop and the hub-detuned model
+for name in MODELS:
+    for band in (0, MODELS[name].dim - 1):
+        for total_time in (10.0, 200.0):
+            ROWS[f"dynamical_phase-{name}-band{band}-T{total_time:g}-library-trapezoid"] = Row(
+                adiabatic.dynamical_phase, ref.library_dynamical_phase,
+                lambda rng, a=(name, band, total_time): (
+                    MODELS[a[0]](), shipped(a[0])[1], a[2], models.BandBlock(a[1], a[1] + 1)
+                ), None, EXACT,
+            )
+
 
 @pytest.mark.parametrize("row", ROWS.values(), ids=list(ROWS))
 def test_kernel_matches_reference(row):
@@ -662,6 +667,22 @@ def test_kernel_matches_reference(row):
         deviation = np.subtract(a, b)
         assert linalg.max_abs(deviation) < bound
         assert not row.one_sided or np.all(deviation <= 0.0)
+
+
+@pytest.mark.parametrize(
+    "block", [models.BandBlock(0, 4), holonomy.USB_DARK_BLOCK, models.BandBlock(0, 1),
+              models.BandBlock(3, 4)], ids=str,
+)
+def test_usb_frames_of_a_stack_are_each_rows_own(block):
+    # the four-level frames are elementwise: a stack-last stack of random couplings, with
+    # Q = +-0.0 and P = S = 0 among them, gives each row's frames alone, bit for bit
+    lams = stack_last(np.random.default_rng(73).normal(size=(3, 300)))
+    lams[:50, 2] = 0.0
+    lams[50:100, 2] = -0.0
+    lams[100:120, :2] = 0.0
+    frames = models.UsbModel().band_states_batch(lams, block)[1]
+    alone = [models.UsbModel().band_states_batch(row, block)[1][0] for row in lams]
+    assert frames.tobytes() == np.stack(alone).tobytes()
 
 
 @pytest.mark.parametrize("name", RODRIGUES_INPUTS)

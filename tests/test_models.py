@@ -323,6 +323,15 @@ class TestParameterPaths:
                 lambda s: np.stack([s, s, s], axis=1), 3, closed=True, label="open"
             )
 
+    @pytest.mark.parametrize("make", [
+        lambda: models.constant_path([math.nan, 0.0, 1.0]),
+        lambda: models.make_azimuthal_loop(1.0, math.nan),
+    ], ids=["constant", "azimuthal"])
+    def test_nan_closure_gap_rejected(self, make):
+        # a NaN gap is no closed loop: rejected here, not as a NaN overlap far downstream
+        with pytest.raises(ValueError, match=r"flagged closed but \|lambda\(0\)-lambda\(1\)\| = nan"):
+            make()
+
     def test_constant_path(self):
         path = models.constant_path([0.0, 1.0, 0.0])
         assert path.closed
@@ -389,6 +398,19 @@ class TestModelProviders:
         m = models.SphereQubitModel(2.0)
         w = m.energies_batch([[0.7, 1.3]])[0]
         assert np.allclose(w, [-2.0, 2.0])
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0, 1e101])
+    def test_sphere_radius_outside_the_param_bound_rejected(self, radius):
+        with pytest.raises(ValueError, match=r"radius must be positive and at most 1e\+100"):
+            models.SphereQubitModel(radius)
+
+    def test_sphere_radius_at_the_param_bound_accepted(self):
+        # the ray, and so the curvature, does not depend on the radius
+        samples = [
+            abelian.berry_curvature_plaquette(models.SphereQubitModel(r), 0, [1.0, 0.3], (0, 1), 0.02)
+            for r in (1.0, 1e100)
+        ]
+        assert samples[1].value == pytest.approx(samples[0].value, rel=1e-12)
 
     def test_usb_model_energies_exact_zero_dark_pair(self):
         m = models.UsbModel()
